@@ -20,7 +20,7 @@ from .liveness import (
 )
 from .slp import (
     Bounds, CappedConfig, LivenessVerdict, SlpVerdict, NotOrdImo,
-    CandidateBudgetExceeded, bounds_for, cap_value, truncate, capped_config,
+    bounds_for, cap_value, truncate, capped_config,
     capped_successors, is_nonlive, decide_slp, slp_01_shortcut,
 )
 from .ordinarize import (

@@ -14,26 +14,27 @@ from . import __version__
 from .classify import classify
 from .generate import random_net
 from .lba import parse_lba, simulate_lba, build_stage, reduction_correctness_check, STAGES
-from .liveness import BudgetExceeded, check_witness, find_witness
+from .liveness import BudgetExceeded, SubsetCapExceeded, check_witness, find_witness
 from .nets import NetError, parse_net, serialize_net
 from .ordinarize import ordinarize, embed_marking
-from .slp import (
-    CandidateBudgetExceeded, bounds_for, decide_slp, is_nonlive, truncate,
-)
+from .slp import bounds_for, decide_slp, is_nonlive, truncate
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget():
-    raw = os.environ.get("IONET_BUDGET")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 500_000
+def _budget(text):
+    """--budget and IONET_BUDGET: a positive number of states."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below, like any non-positive value
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a positive integer (from --budget or IONET_BUDGET), "
+            f"got {text!r}")
+    return value
 
 
 def _load_net(path):
@@ -108,9 +109,8 @@ def cmd_live(args):
     verdict = is_nonlive(net, marking, node_budget=args.budget,
                          subset_cap=args.subset_cap)
     wall = (time.monotonic() - t0) * 1000.0
-    payload = {"verdict": verdict.status,
-               "stats": {"configs_explored": verdict.configs_explored,
-                         "wall_ms": wall}}
+    payload = verdict.to_dict()
+    payload["stats"]["wall_ms"] = wall
     lines = [f"marking {','.join(map(str, marking))}: {verdict.status}"]
     if verdict.witness is not None:
         payload["witness"] = _witness_payload(net, verdict.witness)
@@ -123,14 +123,8 @@ def cmd_live(args):
 def cmd_slp(args):
     net, _ = _load_net(args.file)
     t0 = time.monotonic()
-    try:
-        verdict = decide_slp(net, candidate_budget=args.candidates,
-                             node_budget=args.budget, subset_cap=args.subset_cap)
-    except CandidateBudgetExceeded as exc:
-        _emit(args, {"verdict": "budget_exceeded",
-                     "stats": {"candidates_tested": exc.tested, "wall_ms": 0.0}},
-              [f"budget exceeded: {exc}"])
-        return EXIT_BUDGET
+    verdict = decide_slp(net, candidate_budget=args.candidates,
+                         node_budget=args.budget, subset_cap=args.subset_cap)
     wall = (time.monotonic() - t0) * 1000.0
     payload = verdict.to_dict()
     payload["stats"]["wall_ms"] = wall
@@ -234,7 +228,8 @@ def cmd_bounds(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=_default_budget(),
+    common.add_argument("--budget", type=_budget,
+                        default=os.environ.get("IONET_BUDGET") or 500_000,
                         help="exploration budget in states (env IONET_BUDGET)")
     common.add_argument("--candidates", type=int, default=200_000,
                         help="candidate-marking budget for structural liveness")
@@ -308,8 +303,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
         return args.fn(args)
+    except (BudgetExceeded, SubsetCapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            stats = {"wall_ms": (time.monotonic() - t0) * 1000.0}
+            if isinstance(exc, BudgetExceeded):
+                stats["configs_explored"] = exc.explored
+            print(json.dumps({"verdict": "budget_exceeded", "stats": stats},
+                             indent=2, sort_keys=True))
+        return EXIT_BUDGET
     except NetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

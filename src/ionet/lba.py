@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nets import Net, NetError, ParseError
-from .liveness import BudgetError, BudgetExceeded
+from .liveness import BudgetExceeded
 
 ALPHABET = ("a", "b")
 MOVES = {"L": -1, "R": 1}
@@ -307,7 +307,7 @@ def reduction_correctness_check(spec, word, node_budget=500_000,
     net, m0 = build_stage(spec, word, "Nbar")
     live = is_live_exact(net, m0, node_budget=node_budget)
     if isinstance(live, BudgetExceeded):
-        raise BudgetError(live.explored)
+        raise live
     if check_slp:
         slp = decide_slp(net, candidate_budget=candidate_budget,
                          node_budget=node_budget)

@@ -13,25 +13,24 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import classify, is_imo_msets
-from .nets import NetError, UnknownNode, mleq, msize, carrier
+from .nets import NetError, UnknownNode, mleq, msize, carrier, successors
 
 
 class SubsetCapExceeded(NetError):
     pass
 
 
-class BudgetError(NetError):
-    """Internal signal that a bounded sub-search ran out of budget."""
+class BudgetExceeded(NetError):
+    """A bounded search ran out of budget after `explored` states.
 
-    def __init__(self, explored):
+    Searches raise it; the public functions that answer with a value
+    (`reach_graph`, `cover_basis`, `dead_at`, `is_live_exact`,
+    `find_dl_marking`, `simulate_lba`) return it instead.
+    """
+
+    def __init__(self, explored=0):
         self.explored = explored
         super().__init__(f"exploration budget exceeded after {explored} states")
-
-
-@dataclass(frozen=True)
-class BudgetExceeded:
-    """Returned (not raised) when a bounded search cannot finish."""
-    explored: int = 0
 
 
 class ReachGraph:
@@ -61,20 +60,10 @@ def reach_graph(net, m0, node_budget=200_000):
     net.check_marking(m0)
     g = ReachGraph(net, m0)
     queue = deque([0])
-    supports = net._pre_support
-    deltas = net._delta
     while queue:
         v = queue.popleft()
-        m = g.nodes[v]
-        for ti, t in enumerate(net.transitions):
-            ok = True
-            for i, w in supports[ti]:
-                if m[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nm = tuple(a + d for a, d in zip(m, deltas[ti]))
+        for ti, nm in successors(net, g.nodes[v]):
+            t = net.transitions[ti]
             j = g.index.get(nm)
             if j is None:
                 if len(g.nodes) >= node_budget:
@@ -227,17 +216,10 @@ def find_dl_marking(net, m0, node_budget=200_000):
             if not sub.transitions or is_nonlive(
                     sub, m, node_budget=node_budget).is_live:
                 return m, dead, tuple(t for t in net.transitions if t not in dead)
-        for ti in range(len(net.transitions)):
-            ok = True
-            for i, w in net._pre_support[ti]:
-                if m[i] < w:
-                    ok = False
-                    break
-            if ok:
-                nm = tuple(a + d for a, d in zip(m, net._delta[ti]))
-                if nm not in seen:
-                    seen.add(nm)
-                    queue.append(nm)
+        for _, nm in successors(net, m):
+            if nm not in seen:
+                seen.add(nm)
+                queue.append(nm)
     return BudgetExceeded(explored)
 
 
@@ -361,7 +343,7 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
         m = queue.popleft()
         explored += 1
         if explored > node_budget:
-            raise BudgetError(explored)
+            raise BudgetExceeded(explored)
         for _, wpre in watch:
             if mleq(wpre, m):
                 return False
@@ -449,7 +431,7 @@ class WitnessIndex:
             m = queue.popleft()
             explored += 1
             if explored > node_budget:
-                raise BudgetError(explored)
+                raise BudgetExceeded(explored)
             for ti in range(n_t):
                 if not covered[ti] and mleq(data.covers[ti], m):
                     if not t_i[ti]:

@@ -1,8 +1,9 @@
 """Core net model: markings as count vectors, firing semantics, textual format.
 
-A net is immutable after construction; markings are plain tuples of
-non-negative ints indexed by the net's place order, so everything here is
-safe to share across threads.
+A net's places, transitions and flow are fixed at construction; markings
+are plain tuples of non-negative ints indexed by the net's place order.  The
+analyses fill per-net caches in `net._analysis` as they run, without locks,
+so a net is not safe to share across threads that analyse it.
 """
 from __future__ import annotations
 
@@ -106,7 +107,6 @@ class Net:
                 raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
             clean[(a, b)] = w
         self.flow = clean
-        npl = len(places)
         pre, post, delta, support = [], [], [], []
         for t in transitions:
             pv = tuple(clean.get((p, t), 0) for p in places)
@@ -121,7 +121,6 @@ class Net:
         self._pre_support = tuple(support)
         self.max_weight = max(clean.values(), default=1)
         self._analysis = {}  # lazily filled caches keyed by analysis name
-        del npl
 
     def __repr__(self):
         return f"Net({self.name!r}, |P|={len(self.places)}, |T|={len(self.transitions)})"
@@ -179,6 +178,19 @@ def fire(net, marking, t):
         if marking[i] < w:
             raise NotEnabled(t, marking)
     return madd(marking, net._delta[ti])
+
+
+def successors(net, marking):
+    """(transition index, successor marking) for every transition enabled at
+    the marking, in declaration order."""
+    out = []
+    for ti, support in enumerate(net._pre_support):
+        for i, w in support:
+            if marking[i] < w:
+                break
+        else:
+            out.append((ti, tuple(a + d for a, d in zip(marking, net._delta[ti]))))
+    return out
 
 
 def replay(net, start, sequence):

@@ -23,10 +23,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import classify, NotBimo
 from .liveness import (
-    BudgetError, BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
+    BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
     constructed_witness, reach_graph, witness_index, _back_closure, _enabled_nodes,
 )
 from .nets import NetError
@@ -35,12 +36,6 @@ from .structure import unmarked_siphon
 
 class NotOrdImo(NetError):
     pass
-
-
-class CandidateBudgetExceeded(NetError):
-    def __init__(self, tested):
-        self.tested = tested
-        super().__init__(f"candidate budget exhausted after {tested} markings")
 
 
 @dataclass(frozen=True)
@@ -77,57 +72,73 @@ def truncate(net, marking):
 
 
 # ---------------------------------------------------------------------------
-# Capped configurations (public, used directly by tests and tools).
+# Capped configurations.
 
-@dataclass(frozen=True)
-class CappedConfig:
+class CappedConfig(NamedTuple):
     counts: tuple
-    saturated: tuple  # one boolean per place, monotone once true
+    saturated: int  # bit i set once place i overflowed the cap; never cleared
 
 
 def capped_config(net, marking):
     """Initial configuration: cap counts and record which places overflowed."""
     net.check_marking(marking)
     cap = cap_value(net)
-    return CappedConfig(
-        counts=tuple(x if x < cap else cap for x in marking),
-        saturated=tuple(x > cap for x in marking),
-    )
+    flags = 0
+    for i, x in enumerate(marking):
+        if x > cap:
+            flags |= 1 << i
+    return CappedConfig(tuple(x if x < cap else cap for x in marking), flags)
 
 
 def capped_successors(net, cfg):
-    """All one-step successors: each enabled firing (with re-capping), plus a
-    token regained on each saturated place below the cap."""
+    """(step label, configuration) for every one-step successor: each enabled
+    firing, labelled by its transition and re-capped, then a token regained
+    on each saturated place below the cap, labelled "+place"."""
     cap = cap_value(net)
-    counts, sat = cfg.counts, cfg.saturated
+    counts, sat = cfg
     out = []
-    for ti, t in enumerate(net.transitions):
-        ok = True
-        for i, w in net._pre_support[ti]:
+    for ti, support in enumerate(net._pre_support):
+        for i, w in support:
             if counts[i] < w:
-                ok = False
                 break
-        if not ok:
-            continue
-        raw = [a + d for a, d in zip(counts, net._delta[ti])]
-        nsat = list(sat)
-        for i, x in enumerate(raw):
-            if x > cap:
-                raw[i] = cap
-                nsat[i] = True
-        out.append(CappedConfig(tuple(raw), tuple(nsat)))
-    for i in range(len(net.places)):
-        if sat[i] and counts[i] < cap:
-            bumped = list(counts)
-            bumped[i] += 1
-            out.append(CappedConfig(tuple(bumped), sat))
+        else:
+            raw = list(counts)
+            flags = sat
+            for i, d in enumerate(net._delta[ti]):
+                if d:
+                    x = raw[i] + d
+                    if x > cap:
+                        x = cap
+                        flags |= 1 << i
+                    raw[i] = x
+            out.append((net.transitions[ti], CappedConfig(tuple(raw), flags)))
+    if sat:
+        for i, p in enumerate(net.places):
+            if sat >> i & 1 and counts[i] < cap:
+                bumped = list(counts)
+                bumped[i] += 1
+                out.append((f"+{p}", CappedConfig(tuple(bumped), sat)))
     return out
 
 
-# ---------------------------------------------------------------------------
-# Over-approximation with exact counts below w+1.
+def _admit(visited, cfg):
+    """Record a configuration unless one already kept with the same counts
+    saturates a superset of its places; drop the kept ones it dominates."""
+    counts, flags = cfg
+    kept = visited.get(counts)
+    if kept is None:
+        visited[counts] = [flags]
+        return True
+    for fm in kept:
+        if fm | flags == fm:
+            return False
+    kept[:] = [fm for fm in kept if fm | flags != flags]
+    kept.append(flags)
+    return True
 
-_FULL_TABLE_LIMIT = 20_000
+
+# ---------------------------------------------------------------------------
+# Over-approximation with exact counts below w+2.
 
 
 class _AbstractEngine:
@@ -148,10 +159,8 @@ class _AbstractEngine:
         if any(d < -1 for delta in net._delta for d in delta):
             raise NotBimo("abstract engine requires single-token source moves")
         self.flag_memo = {}
-        self.table = None
-        size = (self.m + 1) ** len(net.places)
-        if size <= _FULL_TABLE_LIMIT:
-            self._build_table()
+        # abstract state -> witness targets reachable from it; () = proven clean
+        self.reach = {}
 
     def alpha(self, marking):
         m = self.m
@@ -210,42 +219,24 @@ class _AbstractEngine:
         self.flag_memo[state] = found
         return found
 
-    def _build_table(self):
-        """Full-space 'can reach a witness state' table for small nets."""
-        from itertools import product
-        states = list(product(range(self.m + 1), repeat=len(self.net.places)))
-        index = {s: i for i, s in enumerate(states)}
-        preds = [[] for _ in states]
-        flagged = []
-        for s in states:
-            si = index[s]
-            if self.flags(s):
-                flagged.append(si)
-            for nxt in self.successors(s):
-                preds[index[nxt]].append(si)
-        reach = bytearray(len(states))
-        queue = deque()
-        for si in flagged:
-            reach[si] = 1
-            queue.append(si)
-        while queue:
-            v = queue.popleft()
-            for u in preds[v]:
-                if not reach[u]:
-                    reach[u] = 1
-                    queue.append(u)
-        self.table = {s: bool(reach[index[s]]) for s in states}
-        self.all_targets = sorted(
-            {self.flags(states[si]) for si in flagged}, key=lambda f: (len(f[0]), f))
-
     def probe(self, marking, node_budget):
         """(may_be_nonlive, witness targets).  A False first component is a
-        proof of liveness."""
+        proof of liveness.
+
+        Outcomes are memoised per abstract state, so the probes of one net
+        share their work: the search skips states proven clean and stops at
+        a state already known to reach targets, taking those over.
+        """
         start = self.alpha(marking)
-        if self.table is not None:
-            if not self.table[start]:
-                return False, []
-            return True, list(self.all_targets)[:32]
+        reach = self.reach
+        targets = reach.get(start)
+        if targets is None:
+            targets = self._search(start, node_budget)
+            reach[start] = targets
+        return bool(targets), list(targets)
+
+    def _search(self, start, node_budget):
+        reach = self.reach
         seen = {start}
         queue = deque([start])
         targets = []
@@ -254,18 +245,27 @@ class _AbstractEngine:
             s = queue.popleft()
             explored += 1
             if explored > node_budget:
-                raise BudgetError(explored)
+                raise BudgetExceeded(explored)
             f = self.flags(s)
             if f:
                 targets.append(f)
                 if len(targets) >= 8:
-                    return True, targets
+                    return tuple(targets)
                 continue
             for nxt in self.successors(s):
-                if nxt not in seen:
+                if nxt in seen:
+                    continue
+                known = reach.get(nxt)
+                if known is None:
                     seen.add(nxt)
                     queue.append(nxt)
-        return (len(targets) > 0), targets
+                elif known:
+                    return tuple(targets + list(known))[:8]
+        if not targets:
+            # the explored region is closed under successors up to states
+            # already proven clean, so all of it is clean
+            reach.update(dict.fromkeys(seen, ()))
+        return tuple(targets)
 
 
 def _abstract_engine(net, subset_cap):
@@ -465,16 +465,6 @@ def _try_drains(net, start, targets, idx):
     return None
 
 
-def _start_config(net, m0):
-    cap = cap_value(net)
-    counts0 = tuple(x if x < cap else cap for x in m0)
-    flags0 = 0
-    for i, x in enumerate(m0):
-        if x > cap:
-            flags0 |= 1 << i
-    return counts0, flags0
-
-
 def _witness_from(net, idx_hit, counts, path):
     indices, dead = idx_hit
     return Witness(
@@ -491,45 +481,22 @@ def _guided_search(net, start, targets, node_budget, idx):
     Returns (witness, explored) or (None, explored) when the budget runs out
     or nothing is confirmed; incomplete by design, the closure phase decides.
     """
-    cap = cap_value(net)
-    n = len(net.places)
     h = _heuristic(net, targets)
-    heap = [(h(start[0]), 0, start)]
-    visited = {start[0]: [start[1]]}
+    heap = [(h(start.counts), 0, start)]
+    visited = {start.counts: [start.saturated]}
     parents = {start: None}
     popped = set()
     counter = 1
     explored = 0
-    supports = net._pre_support
-    deltas = net._delta
-    n_t = len(net.transitions)
-
-    def push(state, parent, label):
-        nonlocal counter
-        counts, flags = state
-        kept = visited.get(counts)
-        if kept is None:
-            visited[counts] = [flags]
-        else:
-            for fm in kept:
-                if fm | flags == fm:
-                    return
-            kept[:] = [fm for fm in kept if fm | flags != flags]
-            kept.append(flags)
-        parents[state] = (parent, label)
-        heapq.heappush(heap, (h(counts), counter, state))
-        counter += 1
-
     while heap:
         _, _, state = heapq.heappop(heap)
         if state in popped:
             continue
         popped.add(state)
-        counts, flags = state
         explored += 1
         if explored > node_budget:
             return None, explored
-        hit = idx.witness_at(counts)
+        hit = idx.witness_at(state.counts)
         if hit is not None:
             path = []
             cur = state
@@ -537,130 +504,48 @@ def _guided_search(net, start, targets, node_budget, idx):
                 prev, label = parents[cur]
                 path.append(label)
                 cur = prev
-            return _witness_from(net, hit, counts, tuple(reversed(path))), explored
-        for ti in range(n_t):
-            ok = True
-            for i, w in supports[ti]:
-                if counts[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            raw = [a + d for a, d in zip(counts, deltas[ti])]
-            nflags = flags
-            for i in range(n):
-                if raw[i] > cap:
-                    raw[i] = cap
-                    nflags |= 1 << i
-            push((tuple(raw), nflags), state, net.transitions[ti])
-        if flags:
-            for i in range(n):
-                if flags >> i & 1 and counts[i] < cap:
-                    bumped = list(counts)
-                    bumped[i] += 1
-                    push((tuple(bumped), flags), state, f"+{net.places[i]}")
+            return _witness_from(net, hit, state.counts, tuple(reversed(path))), explored
+        for label, nxt in capped_successors(net, state):
+            if _admit(visited, nxt):
+                parents[nxt] = (state, label)
+                heapq.heappush(heap, (h(nxt.counts), counter, nxt))
+                counter += 1
     return None, explored
-
-
-_PATH_RECORD_LIMIT = 100_000
 
 
 def _closure_search(net, start, node_budget, idx):
     """Exhaustive capped exploration (plain breadth first, flag-dominance
-    pruned).  Complete: returns a witness, None for a clean closure, or
+    pruned).  Complete: returns (witness, explored), with the witness's path
+    leading from `start`, or (None, explored) for a clean closure; raises
     BudgetExceeded."""
-    cap = cap_value(net)
-    n = len(net.places)
-    moves = [(net._pre_support[ti], net._delta[ti], t)
-             for ti, t in enumerate(net.transitions)]
-    place_bits = [(1 << i, i) for i in range(n)]
-    queue = deque([start])
-    visited = {start[0]: [start[1]]}
-    parents = {start: None}
-    explored = 0
-    witness_at = idx.witness_at
-    while queue:
-        state = queue.popleft()
-        counts, flags = state
-        explored += 1
-        if explored > node_budget:
-            return BudgetExceeded(explored), explored
-        hit = witness_at(counts)
+    states = [start]
+    parents = [-1]   # index of each state's parent in `states`
+    labels = [None]  # step from the parent
+    visited = {start.counts: [start.saturated]}
+    k = 0
+    while k < len(states):
+        if k >= node_budget:
+            raise BudgetExceeded(k + 1)
+        state = states[k]
+        hit = idx.witness_at(state.counts)
         if hit is not None:
-            path = None
-            if state in parents:
-                chain = []
-                cur = state
-                while parents.get(cur) is not None:
-                    prev, label = parents[cur]
-                    chain.append(label)
-                    cur = prev
-                path = tuple(reversed(chain))
-            return _witness_from(net, hit, counts, path), explored
-        record = explored <= _PATH_RECORD_LIMIT
-        for support, delta, label in moves:
-            ok = True
-            for i, w in support:
-                if counts[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            raw = list(counts)
-            nflags = flags
-            for i, d in enumerate(delta):
-                if d:
-                    x = raw[i] + d
-                    if x > cap:
-                        x = cap
-                        nflags |= 1 << i
-                    raw[i] = x
-            ncounts = tuple(raw)
-            kept = visited.get(ncounts)
-            if kept is None:
-                visited[ncounts] = [nflags]
-            else:
-                dominated = False
-                for fm in kept:
-                    if fm | nflags == fm:
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-                kept[:] = [fm for fm in kept if fm | nflags != nflags]
-                kept.append(nflags)
-            nstate = (ncounts, nflags)
-            if record:
-                parents[nstate] = (state, label)
-            queue.append(nstate)
-        if flags:
-            for bit, i in place_bits:
-                if flags & bit and counts[i] < cap:
-                    bumped = list(counts)
-                    bumped[i] += 1
-                    ncounts = tuple(bumped)
-                    kept = visited.get(ncounts)
-                    if kept is None:
-                        visited[ncounts] = [flags]
-                    else:
-                        dominated = False
-                        for fm in kept:
-                            if fm | flags == fm:
-                                dominated = True
-                                break
-                        if dominated:
-                            continue
-                        kept[:] = [fm for fm in kept if fm | flags != flags]
-                        kept.append(flags)
-                    nstate = (ncounts, flags)
-                    if record:
-                        parents[nstate] = (state, f"+{net.places[i]}")
-                    queue.append(nstate)
-    return None, explored
+            path = []
+            j = k
+            while parents[j] >= 0:
+                path.append(labels[j])
+                j = parents[j]
+            return _witness_from(net, hit, state.counts, tuple(reversed(path))), k + 1
+        for label, nxt in capped_successors(net, state):
+            if _admit(visited, nxt):
+                states.append(nxt)
+                parents.append(k)
+                labels.append(label)
+        k += 1
+    return None, k
 
 
 def _capped_search(net, m0, targets, node_budget, idx):
-    start = _start_config(net, m0)
+    start = capped_config(net, m0)
     explored = 0
     if targets:
         witness = _try_drains(net, start, targets, idx)
@@ -671,8 +556,8 @@ def _capped_search(net, m0, targets, node_budget, idx):
         explored += n1
         if witness is not None:
             return witness, explored
-    result, n2 = _closure_search(net, start, node_budget, idx)
-    return result, explored + n2
+    witness, n2 = _closure_search(net, start, node_budget, idx)
+    return witness, explored + n2
 
 
 def _conservative_large(net, m0, node_budget):
@@ -727,26 +612,23 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
             f"subset cap {subset_cap}")
 
     idx = witness_index(net, subset_cap)
+    method = "abstract"
     try:
         engine = _abstract_engine(net, subset_cap)
         maybe, targets = engine.probe(trunc, node_budget)
         explored += len(engine.flag_memo)
         if not maybe:
-            return LivenessVerdict("live", configs_explored=explored,
-                                   method="abstract")
-        result, n_configs = _capped_search(net, m0, targets, node_budget, idx)
-    except BudgetError as exc:
-        return LivenessVerdict("budget_exceeded", configs_explored=exc.explored,
-                               method="abstract")
+            return LivenessVerdict("live", configs_explored=explored, method=method)
+        method = "capped-search"
+        witness, n_configs = _capped_search(net, m0, targets, node_budget, idx)
+    except BudgetExceeded as exc:
+        return LivenessVerdict("budget_exceeded", configs_explored=explored + exc.explored,
+                               method=method)
     explored += n_configs
-    if isinstance(result, BudgetExceeded):
-        return LivenessVerdict("budget_exceeded", configs_explored=explored,
-                               method="capped-search")
-    if result is None:
-        return LivenessVerdict("live", configs_explored=explored,
-                               method="capped-search")
-    return LivenessVerdict("nonlive", witness=result, configs_explored=explored,
-                           method="capped-search")
+    if witness is None:
+        return LivenessVerdict("live", configs_explored=explored, method=method)
+    return LivenessVerdict("nonlive", witness=witness, configs_explored=explored,
+                           method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -795,25 +677,8 @@ def decide_slp(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16
     candidates may be tested; liveness itself is never approximated, so no
     candidate is ever pruned on monotonicity grounds.
     """
-    nc = classify(net)
-    bounds = bounds_for(nc, len(net.places), net.max_weight)
-    tested = 0
-    explored = 0
-    for cand in _box_iter(len(net.places), bounds.first):
-        if tested >= candidate_budget:
-            return SlpVerdict("budget_exceeded", candidates_tested=tested,
-                              configs_explored=explored)
-        tested += 1
-        verdict = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
-        explored += verdict.configs_explored
-        if verdict.status == "budget_exceeded":
-            return SlpVerdict("budget_exceeded", candidates_tested=tested,
-                              configs_explored=explored)
-        if verdict.is_live:
-            return SlpVerdict("structurally_live", certificate=cand,
-                              candidates_tested=tested, configs_explored=explored)
-    return SlpVerdict("not_structurally_live", candidates_tested=tested,
-                      configs_explored=explored)
+    bounds = bounds_for(classify(net), len(net.places), net.max_weight)
+    return _search_box(net, bounds.first, candidate_budget, node_budget, subset_cap)
 
 
 def slp_01_shortcut(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16):
@@ -822,9 +687,14 @@ def slp_01_shortcut(net, candidate_budget=200_000, node_budget=500_000, subset_c
     nc = classify(net)
     if not (nc.imo and nc.ordinary):
         raise NotOrdImo("the 0/1 shortcut requires an ordinary single-move net")
+    return _search_box(net, 1, candidate_budget, node_budget, subset_cap)
+
+
+def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
+    """First live marking with components in [0, bound], in `_box_iter` order."""
     tested = 0
     explored = 0
-    for cand in _box_iter(len(net.places), 1):
+    for cand in _box_iter(len(net.places), bound):
         if tested >= candidate_budget:
             return SlpVerdict("budget_exceeded", candidates_tested=tested,
                               configs_explored=explored)

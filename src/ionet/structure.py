@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import classify, dummy_augment, presentation, NotBimo
-from .nets import Net, UnknownNode, carrier, mleq
+from .nets import Net, UnknownNode, carrier, mleq, successors
 
 
 @dataclass(frozen=True)
@@ -249,17 +249,10 @@ def is_self_coverable(net, marking, node_budget=200_000):
             return SearchResult(status="yes", sequence=tuple(reversed(seq)), explored=explored)
         if explored > node_budget:
             return SearchResult(status="budget", explored=explored)
-        for ti, t in enumerate(net.transitions):
-            ok = True
-            for i, w in net._pre_support[ti]:
-                if m[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nxt = (tuple(a + d for a, d in zip(m, net._delta[ti])), mask | (1 << ti))
+        for ti, nm in successors(net, m):
+            nxt = (nm, mask | (1 << ti))
             if nxt not in seen:
-                seen[nxt] = (state, t)
+                seen[nxt] = (state, net.transitions[ti])
                 queue.append(nxt)
     return SearchResult(status="no", explored=explored)
 
@@ -279,15 +272,7 @@ def is_carrier_maximal(net, marking, node_budget=200_000):
             return SearchResult(status="no", marking=m, explored=explored)
         if explored > node_budget:
             return SearchResult(status="budget", explored=explored)
-        for ti in range(len(net.transitions)):
-            ok = True
-            for i, w in net._pre_support[ti]:
-                if m[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nxt = tuple(a + d for a, d in zip(m, net._delta[ti]))
+        for _, nxt in successors(net, m):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

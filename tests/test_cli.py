@@ -45,7 +45,9 @@ def test_live_command_schema(capsys):
     pump = str(FIXTURES / "bimo_pump.net")
     for marking in ("1,0,0,0,0", "0,0,0,0,1"):
         _, out, _ = run(capsys, "live", pump, "--marking", marking, "--json")
-        jsonschema.validate(json.loads(out), SCHEMA)
+        data = json.loads(out)
+        jsonschema.validate(data, SCHEMA)
+        assert data["method"] in SCHEMA["properties"]["method"]["enum"]
     _, out, _ = run(capsys, "slp", pump, "--json")
     jsonschema.validate(json.loads(out), SCHEMA)
 
@@ -126,3 +128,42 @@ def test_invalid_file(capsys, tmp_path):
     bad.write_text("place p\nplace p\n")
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2 and "error" in err
+
+
+def test_resource_limits_exit_3(tmp_path, capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    spec = str(FIXTURES / "lba" / "even_a_2.lba")
+    code, _, err = run(capsys, "check-reduction", spec, "bb", "--skip-slp",
+                       "--budget", "5")
+    assert code == 3 and "budget" in err
+    code, out, _ = run(capsys, "check-reduction", spec, "bb", "--skip-slp",
+                       "--budget", "5", "--json")
+    assert code == 3
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMA)
+    assert data["verdict"] == "budget_exceeded"
+
+    # non-conservative, so too large for the reachability-graph fallback
+    wide = tmp_path / "wide.net"
+    run(capsys, "gen", "--class", "bimo", "--places", "17", "--trans", "5",
+        "--wmax", "2", "--seed", "1", "--out", str(wide))
+    marking = ",".join(["3"] * 17)
+    code, _, err = run(capsys, "live", str(wide), "--marking", marking)
+    assert code == 3 and "subset cap" in err
+    code, out, _ = run(capsys, "live", str(wide), "--marking", marking, "--json")
+    assert code == 3
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMA)
+    assert data["verdict"] == "budget_exceeded"
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0"])
+def test_bad_budget_rejected(monkeypatch, capsys, raw):
+    monkeypatch.setenv("IONET_BUDGET", raw)
+    with pytest.raises(SystemExit) as exc:
+        main(["live", str(FIXTURES / "io_fragile.net")])
+    assert exc.value.code == 2
+    assert "IONET_BUDGET" in capsys.readouterr().err
+    monkeypatch.setenv("IONET_BUDGET", "7")
+    code, out, _ = run(capsys, "live", str(FIXTURES / "io_fragile.net"))
+    assert code == 0 and ": live" in out

@@ -9,7 +9,10 @@ from ionet import (
     decide_slp, enabled, fire, is_live_exact, is_nonlive, slp_01_shortcut,
     truncate,
 )
-from ionet.generate import random_net, random_marking
+from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet.liveness import witness_index
+from ionet.slp import _closure_search
+from tests.conftest import load_net
 
 
 def test_bounds_table(fragile_net, weighted_net):
@@ -75,17 +78,17 @@ def _successors_transcribed(net, cfg):
             counts = list(cfg.counts)
             for i, p in enumerate(net.places):
                 counts[i] += net.flow.get((t, p), 0) - net.flow.get((p, t), 0)
-            sat = list(cfg.saturated)
+            sat = cfg.saturated
             for i in range(len(counts)):
                 if counts[i] > cap:
                     counts[i] = cap
-                    sat[i] = True
-            out.append(CappedConfig(tuple(counts), tuple(sat)))
-    for i in range(len(net.places)):
-        if cfg.saturated[i] and cfg.counts[i] < cap:
+                    sat |= 1 << i
+            out.append((t, CappedConfig(tuple(counts), sat)))
+    for i, p in enumerate(net.places):
+        if cfg.saturated >> i & 1 and cfg.counts[i] < cap:
             counts = list(cfg.counts)
             counts[i] += 1
-            out.append(CappedConfig(tuple(counts), cfg.saturated))
+            out.append((f"+{p}", CappedConfig(tuple(counts), cfg.saturated)))
     return out
 
 
@@ -97,8 +100,8 @@ def test_capped_successors_against_transcription():
         cap = cap_value(net)
         for _ in range(2):
             counts = tuple(rng.randrange(cap + 1) for _ in net.places)
-            sat = tuple(rng.random() < 0.3 or counts[i] == cap
-                        for i in range(len(net.places)))
+            sat = sum(1 << i for i in range(len(net.places))
+                      if rng.random() < 0.3 or counts[i] == cap)
             cfg = CappedConfig(counts, sat)
             assert capped_successors(net, cfg) == _successors_transcribed(net, cfg)
             checked += 1
@@ -107,11 +110,11 @@ def test_capped_successors_against_transcription():
 
 def test_capped_successors_trivial_cases():
     net = Net("stuck", ["p"], ["t"], {("p", "t"): 2})
-    cfg = CappedConfig((1,), (False,))
+    cfg = CappedConfig((1,), 0)
     assert capped_successors(net, cfg) == []
-    cfg = CappedConfig((1,), (True,))
+    cfg = CappedConfig((1,), 0b1)
     succs = capped_successors(net, cfg)
-    assert succs == [CappedConfig((2,), (True,))]
+    assert succs == [("+p", CappedConfig((2,), 0b1))]
 
 
 def test_capped_config_saturates():
@@ -119,16 +122,16 @@ def test_capped_config_saturates():
     cap = cap_value(net)
     m = (1, cap + 5)
     cfg = capped_config(net, m)
-    assert cfg.counts == (1, cap) and cfg.saturated == (False, True)
+    assert cfg.counts == (1, cap) and cfg.saturated == 0b10
     # pushing a place over the cap inside a step sets its flag
-    near = CappedConfig((1, cap - 1), (False, False))
-    succ = capped_successors(net, near)[0]
-    assert succ.counts[1] == cap and succ.saturated[1]
+    near = CappedConfig((1, cap - 1), 0)
+    _, succ = capped_successors(net, near)[0]
+    assert succ.counts[1] == cap and succ.saturated >> 1 & 1
 
 
 def test_flags_are_part_of_identity():
-    a = CappedConfig((1, 0), (False, False))
-    b = CappedConfig((1, 0), (True, False))
+    a = CappedConfig((1, 0), 0)
+    b = CappedConfig((1, 0), 0b1)
     assert a != b and hash(a) != hash(b)
 
 
@@ -170,24 +173,23 @@ def test_witness_path_replays_in_capped_space(pump_net):
     cfg = capped_config(net, (3, 0, 0, 0, 0))
     for step in v.witness.path:
         if step.startswith("+"):
-            succ = [c for c in capped_successors(net, cfg)
+            succ = [c for _, c in capped_successors(net, cfg)
                     if c.saturated == cfg.saturated
                     and c.counts == tuple(
                         x + (1 if p == step[1:] else 0)
                         for x, p in zip(cfg.counts, net.places))]
             cfg = succ[0]
         else:
-            matches = [c for c in capped_successors(net, cfg)]
-            counts = list(cfg.counts)
+            matches = [c for _, c in capped_successors(net, cfg)]
             ti = net.trans_index[step]
             raw = [a + d for a, d in zip(cfg.counts, net._delta[ti])]
             cap = cap_value(net)
-            sat = list(cfg.saturated)
+            sat = cfg.saturated
             for i, x in enumerate(raw):
                 if x > cap:
                     raw[i] = cap
-                    sat[i] = True
-            cfg = CappedConfig(tuple(raw), tuple(sat))
+                    sat |= 1 << i
+            cfg = CappedConfig(tuple(raw), sat)
             assert cfg in matches
     assert cfg.counts == v.witness.m_wit
 
@@ -350,3 +352,55 @@ def test_dense_net_invariants_are_inductive(dense_net):
                 break
             m = fire(net, m, rng.choice(opts))
             assert conditions(m)
+
+
+# Non-live markings of the fixtures, with witness paths of length 0 to 9.
+FIXTURE_NONLIVE = (
+    ("bimo_siphon", (4, 0, 0, 0, 0, 1)),
+    ("bimo_witness", (1, 1, 1, 1, 1, 1, 1)),
+    ("bimo_pump", (1, 0, 0, 0, 0)),
+    ("bimo_pump", (3, 0, 0, 0, 0)),
+    ("io_fragile", (1, 1, 1, 0, 0, 1)),
+    ("weighted_single", (1, 0)),
+    ("bio_dense", (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0)),
+)
+
+
+@pytest.mark.parametrize("name,marking", FIXTURE_NONLIVE)
+def test_closure_search_path_replays(name, marking):
+    net, _ = load_net(name)
+    assert is_nonlive(net, marking).is_nonlive
+    cfg = capped_config(net, marking)
+    witness, _ = _closure_search(net, cfg, 500_000, witness_index(net))
+    assert witness is not None and witness.path is not None
+    for step in witness.path:
+        cfg = dict(capped_successors(net, cfg))[step]
+    assert cfg.counts == witness.m_wit
+    variant = "ordinary" if classify(net).ordinary else "weighted"
+    assert check_witness(net, witness, variant=variant).sound
+
+
+def _fresh(net):
+    return Net(net.name, net.places, net.transitions, net.flow)
+
+
+@pytest.mark.parametrize("row", ("ord-io", "ord-imo", "io", "imo", "ord-bimo"))
+def test_shared_net_matches_fresh_nets(row):
+    """Per-net caches (the probe memo above all) fill up as markings are
+    decided; the verdicts must not depend on what was decided before."""
+    rng = random.Random(71)
+    statuses = set()
+    for k in range(12):
+        net = random_net_in_row(row, n_places=3, n_trans=2 + k % 4, seed=700 + k)
+        cap = cap_value(net)
+        markings = list(itertools.product((0, 1), repeat=3))
+        markings += [tuple(rng.randrange(cap + cap // 2 + 1) for _ in range(3))
+                     for _ in range(8)]
+        want = [(v.status, v.method)
+                for v in (is_nonlive(_fresh(net), m) for m in markings)]
+        for order in (markings, markings[::-1]):
+            shared = _fresh(net)
+            got = {m: is_nonlive(shared, m) for m in order}
+            assert [(got[m].status, got[m].method) for m in markings] == want, (row, k)
+        statuses.update(status for status, _ in want)
+    assert statuses == {"live", "nonlive"}
