@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import classify, is_imo_msets
-from .nets import NetError, UnknownNode, mleq, msize, carrier, successors
+from .classify import DUMMY_PLACE, classify, is_imo_msets
+from .nets import Net, NetError, UnknownNode, mleq, msize, carrier, successors
+from .structure import _tarjan, relaxed_net, rich_poor, sccs
 
 
 class SubsetCapExceeded(NetError):
@@ -43,7 +44,6 @@ class ReachGraph:
         self.index = {self.root: 0}
         self.edges = []            # (src_index, transition, dst_index)
         self.succ = [[]]           # per node: (transition, dst_index)
-        self.pred = [[]]           # per node: src_index list
         self.parent = [None]       # (src_index, transition) BFS tree
 
     def path_to(self, v):
@@ -72,12 +72,10 @@ def reach_graph(net, m0, node_budget=200_000):
                 g.index[nm] = j
                 g.nodes.append(nm)
                 g.succ.append([])
-                g.pred.append([])
                 g.parent.append((v, t))
                 queue.append(j)
             g.edges.append((v, t, j))
             g.succ[v].append((t, j))
-            g.pred[j].append(v)
     return g
 
 
@@ -123,37 +121,36 @@ def pre_mset_of(net, t):
     return net._pre[net.trans_index[t]]
 
 
-def _back_closure(graph, seeds):
-    """Boolean array of nodes that can reach the seed set."""
-    n = len(graph.nodes)
-    inside = bytearray(n)
-    queue = deque()
-    for v in seeds:
-        if not inside[v]:
-            inside[v] = 1
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in graph.pred[v]:
-            if not inside[u]:
-                inside[u] = 1
-                queue.append(u)
-    return inside
+def _fates(graph):
+    """Per node of a completed reach graph, the transitions `dead` there
+    (enabled at no reachable node) and the `nonlive` ones (dead at some
+    reachable node), as bitmasks over transition indices.
 
-
-def _enabled_nodes(graph, ti):
+    One condensation pass: Tarjan emits sink components first, so each
+    component ORs the labels of its outgoing edges with what the components
+    below it already enable.
+    """
     net = graph.net
-    sup = net._pre_support[ti]
-    out = []
-    for v, m in enumerate(graph.nodes):
-        ok = True
-        for i, w in sup:
-            if m[i] < w:
-                ok = False
-                break
-        if ok:
-            out.append(v)
-    return out
+    bit = {t: 1 << ti for ti, t in enumerate(net.transitions)}
+    full = (1 << len(net.transitions)) - 1
+    comps = _tarjan(len(graph.nodes), [[w for _, w in out] for out in graph.succ])
+    comp_of = [-1] * len(graph.nodes)
+    enabled, dead, nonlive = [], [], []
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+        en = below = 0
+        for v in comp:
+            for t, w in graph.succ[v]:
+                en |= bit[t]
+                c = comp_of[w]
+                if c != ci:
+                    en |= enabled[c]
+                    below |= nonlive[c]
+        enabled.append(en)
+        dead.append(full & ~en)
+        nonlive.append(below | full & ~en)
+    return [dead[c] for c in comp_of], [nonlive[c] for c in comp_of]
 
 
 def is_live_exact(net, m0, node_budget=200_000):
@@ -163,12 +160,8 @@ def is_live_exact(net, m0, node_budget=200_000):
     g = reach_graph(net, m0, node_budget)
     if isinstance(g, BudgetExceeded):
         return g
-    n = len(g.nodes)
-    for ti in range(len(net.transitions)):
-        closure = _back_closure(g, _enabled_nodes(g, ti))
-        if not all(closure):
-            return False
-    return True
+    dead, _ = _fates(g)
+    return not any(dead)
 
 
 def cached_cover_basis(net, t, node_budget=200_000):
@@ -210,7 +203,6 @@ def find_dl_marking(net, m0, node_budget=200_000):
                 keep = tuple(t for t in net.transitions if t not in dead)
                 flow = {k: w for k, w in net.flow.items()
                         if k[0] in keep or k[1] in keep}
-                from .nets import Net
                 restricted[dead] = Net(net.name + ".dl", net.places, keep, flow)
             sub = restricted[dead]
             if not sub.transitions or is_nonlive(
@@ -224,29 +216,15 @@ def find_dl_marking(net, m0, node_budget=200_000):
 
 
 def _dl_node(graph):
+    """First node, in index order, where every transition is dead or live and
+    at least one is dead: (node, dead names, live names), or None iff the
+    root is live."""
     net = graph.net
-    n = len(graph.nodes)
-    n_t = len(net.transitions)
-    bad = []      # bad[ti][v]: ti is dead at node v
-    nlv = []      # nlv[ti][v]: ti is non-live at node v
-    for ti in range(n_t):
-        can = _back_closure(graph, _enabled_nodes(graph, ti))
-        b = bytearray(1 - x for x in can)
-        bad.append(b)
-        nlv.append(_back_closure(graph, [v for v in range(n) if b[v]]))
-    for v in range(n):
-        some_dead = False
-        ok = True
-        for ti in range(n_t):
-            if bad[ti][v]:
-                some_dead = True
-            elif nlv[ti][v]:
-                ok = False
-                break
-        if some_dead and ok:
-            dead = tuple(net.transitions[ti] for ti in range(n_t) if bad[ti][v])
-            live = tuple(net.transitions[ti] for ti in range(n_t) if not nlv[ti][v])
-            return v, dead, live
+    dead, nonlive = _fates(graph)
+    for v, (d, nl) in enumerate(zip(dead, nonlive)):
+        if d and not nl & ~d:
+            return (v, tuple(t for ti, t in enumerate(net.transitions) if d >> ti & 1),
+                    tuple(t for ti, t in enumerate(net.transitions) if not d >> ti & 1))
     return None
 
 
@@ -509,10 +487,6 @@ def constructed_witness(net, graph, node_budget=200_000):
     carrier, and takes the poor components of the relaxed live-restriction as
     the crucial places.  Works for nets too large for subset search.
     """
-    from .structure import relaxed_net, sccs, rich_poor, _tarjan
-    from .nets import Net
-    from .classify import DUMMY_PLACE
-
     res = _dl_node(graph)
     if res is None:
         return None

@@ -7,9 +7,17 @@ so a net is not safe to share across threads that analyse it.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 MAX_WEIGHT = 2**31 - 1
+
+# What the text format can hold: a place or transition identifier is one
+# whitespace-free token without '#' (comment) or ':' (weight separator),
+# other than the keywords "pre"/"post" and not starting like a token count;
+# a net name only has to be one token.
+_IDENTIFIER = re.compile(r"(?!(?:pre|post)\Z)(?!tokens=)[^\s#:]+")
+_NET_NAME = re.compile(r"[^\s#]+")
 
 
 class NetError(Exception):
@@ -80,6 +88,15 @@ class Net:
     def __init__(self, name, places, transitions, flow):
         places = tuple(places)
         transitions = tuple(transitions)
+        if not isinstance(name, str) or not _NET_NAME.fullmatch(name):
+            raise NetError(f"net name {name!r} is not a single token without '#'")
+        for ident in places + transitions:
+            # a Python identifier holds no whitespace, '#', ':' or '=': only
+            # the keywords need a look, which keeps generated nets cheap
+            if not isinstance(ident, str) or not (
+                    ident.isidentifier() and ident not in ("pre", "post")
+                    or _IDENTIFIER.fullmatch(ident)):
+                raise NetError(f"identifier {ident!r} cannot be written in the text format")
         if len(set(places)) != len(places):
             raise NetError("duplicate place identifier")
         if len(set(transitions)) != len(transitions):
@@ -191,6 +208,19 @@ def successors(net, marking):
         else:
             out.append((ti, tuple(a + d for a, d in zip(marking, net._delta[ti]))))
     return out
+
+
+def place_masks(net):
+    """(pre-place bitmask, post-place bitmask) per transition, bit i standing
+    for place i; built on first use and cached on the net."""
+    masks = net._analysis.get("place_masks")
+    if masks is None:
+        masks = tuple(
+            (sum(1 << i for i, w in enumerate(pre) if w),
+             sum(1 << i for i, w in enumerate(post) if w))
+            for pre, post in zip(net._pre, net._post))
+        net._analysis["place_masks"] = masks
+    return masks
 
 
 def replay(net, start, sequence):
@@ -317,12 +347,15 @@ def _entry(place, w):
 
 
 def serialize_net(net, marking=None):
-    """Serialize deterministically; parse(serialize(n, m)) == (n, m)."""
+    """Serialize deterministically; parse(serialize(n, m)) == (n, m), except
+    that the empty marking of a net without places reads back as None."""
     if marking is not None:
         net.check_marking(marking)
     out = [f"net {net.name}"]
+    # an all-zero marking keeps one tokens=0 entry, so that it reads back
+    zero = marking is not None and not any(marking)
     for i, p in enumerate(net.places):
-        if marking is not None and marking[i] > 0:
+        if marking is not None and (marking[i] > 0 or zero and i == 0):
             out.append(f"place {p} tokens={marking[i]}")
         else:
             out.append(f"place {p}")

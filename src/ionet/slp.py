@@ -28,9 +28,9 @@ from typing import NamedTuple
 from .classify import classify, NotBimo
 from .liveness import (
     BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
-    constructed_witness, reach_graph, witness_index, _back_closure, _enabled_nodes,
+    constructed_witness, reach_graph, witness_index,
 )
-from .nets import NetError
+from .nets import NetError, place_masks
 from .structure import unmarked_siphon
 
 
@@ -220,20 +220,22 @@ class _AbstractEngine:
         return found
 
     def probe(self, marking, node_budget):
-        """(may_be_nonlive, witness targets).  A False first component is a
-        proof of liveness.
+        """(may_be_nonlive, witness targets, abstract states explored).  A
+        False first component is a proof of liveness.
 
         Outcomes are memoised per abstract state, so the probes of one net
         share their work: the search skips states proven clean and stops at
-        a state already known to reach targets, taking those over.
+        a state already known to reach targets, taking those over.  A
+        start answered from the memo explores nothing.
         """
         start = self.alpha(marking)
         reach = self.reach
         targets = reach.get(start)
+        explored = 0
         if targets is None:
-            targets = self._search(start, node_budget)
+            targets, explored = self._search(start, node_budget)
             reach[start] = targets
-        return bool(targets), list(targets)
+        return bool(targets), list(targets), explored
 
     def _search(self, start, node_budget):
         reach = self.reach
@@ -250,7 +252,7 @@ class _AbstractEngine:
             if f:
                 targets.append(f)
                 if len(targets) >= 8:
-                    return tuple(targets)
+                    return tuple(targets), explored
                 continue
             for nxt in self.successors(s):
                 if nxt in seen:
@@ -260,12 +262,12 @@ class _AbstractEngine:
                     seen.add(nxt)
                     queue.append(nxt)
                 elif known:
-                    return tuple(targets + list(known))[:8]
+                    return tuple(targets + list(known))[:8], explored
         if not targets:
             # the explored region is closed under successors up to states
             # already proven clean, so all of it is clean
             reach.update(dict.fromkeys(seen, ()))
-        return tuple(targets)
+        return tuple(targets), explored
 
 
 def _abstract_engine(net, subset_cap):
@@ -307,9 +309,9 @@ def _siphon_witness(net, marking):
     s = unmarked_siphon(net, marking)
     if not s:
         return None
-    idx = {net.place_index[p] for p in s}
-    dead = tuple(t for ti, t in enumerate(net.transitions)
-                 if any(net._pre[ti][i] for i in idx))
+    mask = sum(1 << net.place_index[p] for p in s)
+    dead = tuple(t for t, (pre, _) in zip(net.transitions, place_masks(net))
+                 if pre & mask)
     if not dead:
         return None
     return Witness(m_wit=tuple(marking), p_cruc=tuple(s), t_dead=dead, path=())
@@ -340,7 +342,6 @@ def _drain_weights(net, indices):
     got = cache.get(indices)
     if got is not None:
         return got
-    inset = set(indices)
     far = 4 * len(indices) + 8
     dist = {i: far for i in indices}
     changed = True
@@ -567,16 +568,11 @@ def _conservative_large(net, m0, node_budget):
     if isinstance(g, BudgetExceeded):
         return LivenessVerdict("budget_exceeded", configs_explored=g.explored,
                                method="reach-graph")
-    nonlive = False
-    for ti in range(len(net.transitions)):
-        closure = _back_closure(g, _enabled_nodes(g, ti))
-        if not all(closure):
-            nonlive = True
-            break
-    if not nonlive:
+    # None exactly when no reachable marking has a dead transition
+    wit = constructed_witness(net, g)
+    if wit is None:
         return LivenessVerdict("live", configs_explored=len(g.nodes),
                                method="reach-graph")
-    wit = constructed_witness(net, g)
     variant = "ordinary" if classify(net).ordinary else "weighted"
     report = check_witness(net, wit, variant=variant)
     if not report.sound:
@@ -615,8 +611,7 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
     method = "abstract"
     try:
         engine = _abstract_engine(net, subset_cap)
-        maybe, targets = engine.probe(trunc, node_budget)
-        explored += len(engine.flag_memo)
+        maybe, targets, explored = engine.probe(trunc, node_budget)
         if not maybe:
             return LivenessVerdict("live", configs_explored=explored, method=method)
         method = "capped-search"

@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import classify, dummy_augment, presentation, NotBimo
-from .nets import Net, UnknownNode, carrier, mleq, successors
+from .nets import Net, UnknownNode, carrier, mleq, place_masks, successors
 
 
 @dataclass(frozen=True)
@@ -170,18 +170,12 @@ def rich_poor(relaxed, marking, components=None):
 
 def is_siphon(net, place_set):
     """True iff every transition feeding the set also drains it."""
-    idx = set()
+    mask = 0
     for p in place_set:
         if p not in net.place_index:
             raise UnknownNode(f"unknown place {p!r}")
-        idx.add(net.place_index[p])
-    for ti in range(len(net.transitions)):
-        post = net._post[ti]
-        if any(post[i] for i in idx):
-            pre = net._pre[ti]
-            if not any(pre[i] for i in idx):
-                return False
-    return True
+        mask |= 1 << net.place_index[p]
+    return all(pre & mask for pre, post in place_masks(net) if post & mask)
 
 
 def unmarked_siphon(net, marking, minimize=False):
@@ -192,33 +186,32 @@ def unmarked_siphon(net, marking, minimize=False):
     `minimize`, greedily drops places while a nonempty siphon remains.
     """
     net.check_marking(marking)
+    masks = place_masks(net)
 
-    def prune(start):
-        s = set(start)
+    def prune(s):
         changed = True
         while changed and s:
             changed = False
-            for ti in range(len(net.transitions)):
-                pre, post = net._pre[ti], net._post[ti]
-                if any(pre[i] for i in s):
+            for pre, post in masks:
+                if pre & s:
                     continue
-                hit = [i for i in s if post[i]]
+                hit = post & s
                 if hit:
-                    s.difference_update(hit)
+                    s &= ~hit
                     changed = True
         return s
 
-    base = prune(i for i, x in enumerate(marking) if x == 0)
+    base = prune(sum(1 << i for i, x in enumerate(marking) if x == 0))
     if not base:
         return None
     if minimize:
-        for i in sorted(base):
-            if i not in base:
-                continue
-            smaller = prune(base - {i})
-            if smaller:
-                base = smaller
-    return tuple(net.places[i] for i in sorted(base))
+        for i in range(len(net.places)):
+            bit = 1 << i
+            if base & bit:
+                smaller = prune(base & ~bit)
+                if smaller:
+                    base = smaller
+    return tuple(p for i, p in enumerate(net.places) if base >> i & 1)
 
 
 def is_self_coverable(net, marking, node_budget=200_000):

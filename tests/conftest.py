@@ -1,10 +1,16 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from ionet import parse_net, parse_lba
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# Property tests rerun the same examples on every run, and a slow host
+# cannot fail them on time.
+settings.register_profile("seeded", derandomize=True, deadline=None)
+settings.load_profile("seeded")
 
 
 def load_net(name):

@@ -1,13 +1,17 @@
 import random
+from collections import deque
 
 import pytest
 
 from ionet import (
-    BudgetExceeded, Net, SubsetCapExceeded, Witness, check_witness,
+    BudgetExceeded, Net, SubsetCapExceeded, Witness, build_stage, check_witness,
     cover_basis, dead_at, enabled, find_dl_marking, find_witness, fire,
-    is_live_exact, mleq, pre_mset, reach_graph, replay,
+    is_live_exact, mleq, pre_mset, reach_graph, replay, unmarked_siphon,
 )
+from ionet import liveness
+from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking
+from tests.conftest import load_lba
 
 
 def _recursive_reach(net, m0, limit=50_000):
@@ -241,3 +245,129 @@ def test_dl_characterization_on_finite_cases():
             assert res is not None and not isinstance(res, BudgetExceeded)
             m_dl, dead, live_part = res
             assert dead and set(dead) | set(live_part) == set(net.transitions)
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: one backward closure per transition on the reach graph,
+# and the siphon fixpoint on sets of place indices.
+
+def _ref_pred(graph):
+    pred = [[] for _ in graph.nodes]
+    for v, _, w in graph.edges:
+        pred[w].append(v)
+    return pred
+
+
+def _ref_back_closure(pred, seeds):
+    inside = bytearray(len(pred))
+    queue = deque()
+    for v in seeds:
+        if not inside[v]:
+            inside[v] = 1
+            queue.append(v)
+    while queue:
+        v = queue.popleft()
+        for u in pred[v]:
+            if not inside[u]:
+                inside[u] = 1
+                queue.append(u)
+    return inside
+
+
+def _ref_enabled_nodes(graph, ti):
+    sup = graph.net._pre_support[ti]
+    return [v for v, m in enumerate(graph.nodes) if all(m[i] >= w for i, w in sup)]
+
+
+def _ref_is_live(graph):
+    pred = _ref_pred(graph)
+    return all(all(_ref_back_closure(pred, _ref_enabled_nodes(graph, ti)))
+               for ti in range(len(graph.net.transitions)))
+
+
+def _ref_dl_node(graph):
+    net = graph.net
+    n, n_t = len(graph.nodes), len(net.transitions)
+    pred = _ref_pred(graph)
+    bad, nlv = [], []   # [ti][v]: ti is dead / non-live at node v
+    for ti in range(n_t):
+        can = _ref_back_closure(pred, _ref_enabled_nodes(graph, ti))
+        b = bytearray(1 - x for x in can)
+        bad.append(b)
+        nlv.append(_ref_back_closure(pred, [v for v in range(n) if b[v]]))
+    for v in range(n):
+        some_dead = any(bad[ti][v] for ti in range(n_t))
+        ok = all(bad[ti][v] or not nlv[ti][v] for ti in range(n_t))
+        if some_dead and ok:
+            dead = tuple(net.transitions[ti] for ti in range(n_t) if bad[ti][v])
+            live = tuple(net.transitions[ti] for ti in range(n_t) if not nlv[ti][v])
+            return v, dead, live
+    return None
+
+
+def _ref_unmarked_siphon(net, marking, minimize=False):
+    def prune(start):
+        s = set(start)
+        changed = True
+        while changed and s:
+            changed = False
+            for ti in range(len(net.transitions)):
+                pre, post = net._pre[ti], net._post[ti]
+                if any(pre[i] for i in s):
+                    continue
+                hit = [i for i in s if post[i]]
+                if hit:
+                    s.difference_update(hit)
+                    changed = True
+        return s
+
+    base = prune(i for i, x in enumerate(marking) if x == 0)
+    if not base:
+        return None
+    if minimize:
+        for i in sorted(base):
+            if i in base:
+                smaller = prune(base - {i})
+                if smaller:
+                    base = smaller
+    return tuple(net.places[i] for i in sorted(base))
+
+
+def _kernel_cases():
+    rng = random.Random(57)
+    for k in range(90):
+        cls = ("io", "imo", "bimo")[k % 3]
+        net = random_net(cls, n_places=2 + k % 5, n_trans=1 + k % 5,
+                         wmax=1 + k % 2, seed=80_000 + k)
+        yield net, random_marking(net, 1 + k % 6, rng)
+    # live, but the root is transient: (0, 4) reaches (1, 3) and never returns
+    yield random_net("io", n_places=2, n_trans=4, wmax=2, seed=1845), (0, 4)
+    # twenty compiled machines, the instances of the acceptance test among them
+    two = ("aa", "ab", "ba", "bb")
+    for name, words in (("accept_all_2", two), ("reject_all_2", two), ("even_a_2", two),
+                        ("flip_2", two), ("first_a_3", ("aaa", "abb", "bab", "bbb"))):
+        spec = load_lba(name)
+        for word in words:
+            yield build_stage(spec, word, "Nbar")
+
+
+def test_kernels_match_reference(monkeypatch):
+    graphs = live = nonlive = 0
+    for net, m in _kernel_cases():
+        for minimize in (False, True):
+            assert (unmarked_siphon(net, m, minimize=minimize)
+                    == _ref_unmarked_siphon(net, m, minimize=minimize)), (net, m)
+        g = reach_graph(net, m, node_budget=20_000)
+        if isinstance(g, BudgetExceeded):
+            continue
+        graphs += 1
+        exact = is_live_exact(net, m, node_budget=20_000)
+        assert exact is _ref_is_live(g), (net, m)
+        live += exact
+        nonlive += not exact
+        assert liveness._dl_node(g) == _ref_dl_node(g), (net, m)
+        witness = constructed_witness(net, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(liveness, "_dl_node", _ref_dl_node)
+            assert witness == constructed_witness(net, g), (net, m)
+    assert graphs >= 80 and live >= 10 and nonlive >= 10

@@ -9,6 +9,7 @@ from ionet import (
     parse_net, post_mset, pre_mset, replay, serialize_net,
 )
 from ionet.generate import random_net, random_marking
+from ionet.nets import MAX_WEIGHT
 
 counts = st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4)
 
@@ -216,3 +217,67 @@ def test_comments_and_weights():
     assert marking == (2, 0)
     assert net.flow[("a", "t")] == 2
     assert net.flow[("t", "b")] == 2  # repeated mentions accumulate
+
+
+@pytest.mark.parametrize("ident", [
+    "", "a b", "a\tb", "line\nbreak", "nb sp", "a#b", "#", "a:2", ":",
+    "pre", "post", "tokens=1", "tokens=", 3,
+])
+def test_net_rejects_unwritable_identifiers(ident):
+    with pytest.raises(NetError):
+        Net("n", [ident], ["t"], {})
+    with pytest.raises(NetError):
+        Net("n", ["p"], [ident], {})
+
+
+@pytest.mark.parametrize("name", ["", "two words", "a#b"])
+def test_net_rejects_unwritable_names(name):
+    with pytest.raises(NetError):
+        Net(name, ["p"], ["t"], {})
+
+
+def test_generated_identifiers_stay_valid():
+    Net("a:b-aa-Nbar.ord.relaxed", ["p.1", "p.rot1", "p_q_1", "__dummy", "pre.1",
+                                     "posts", "tokens", "x=1"],
+        ["t_ins1_2_begin", "t_c1_a_b", "prefix"], {})
+
+
+# Identifiers without whitespace, '#' or ':' (almost all accepted); and any
+# text, those, or keywords and generated names at the edge of the format.
+_writable = st.text(st.characters(exclude_categories=("Z", "Cc"), exclude_characters="#:"),
+                    min_size=1, max_size=4)
+_identifiers = st.one_of(
+    st.text(max_size=4), _writable,
+    st.sampled_from(["pre", "post", "tokens=3", "a:2", "p.1", "p.rot1", "__dummy",
+                     "prefix", "tokens"]))
+
+
+@st.composite
+def _nets_and_markings(draw):
+    ident = draw(st.sampled_from((_writable, _identifiers)))
+    names = draw(st.lists(ident, max_size=7, unique=True))
+    k = draw(st.integers(0, len(names)))
+    places, trans = names[:k], names[k:]
+    flow = {}
+    if places and trans:
+        p, t = st.sampled_from(places), st.sampled_from(trans)
+        flow = draw(st.dictionaries(st.one_of(st.tuples(p, t), st.tuples(t, p)),
+                                    st.integers(0, MAX_WEIGHT), max_size=8))
+    marking = None
+    if places:
+        marking = draw(st.none() | st.tuples(*[st.integers(0, 10**12)] * len(places)))
+    return draw(ident), places, trans, flow, marking
+
+
+@settings(max_examples=300)
+@given(_nets_and_markings())
+def test_round_trip_every_accepted_net(case):
+    name, places, trans, flow, marking = case
+    try:
+        net = Net(name, places, trans, flow)
+    except NetError:
+        return
+    again, marking2 = parse_net(serialize_net(net, marking))
+    assert (again.name, again.places, again.transitions, again.flow) == (
+        net.name, net.places, net.transitions, net.flow)
+    assert marking2 == marking

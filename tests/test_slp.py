@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionet import (
     CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
@@ -155,6 +156,25 @@ def test_is_nonlive_agrees_with_exact_on_conservative():
             assert check_witness(net, v.witness, variant="ordinary").sound
 
 
+@st.composite
+def _conservative_cases(draw):
+    net = random_net(draw(st.sampled_from(("io", "imo"))),
+                     n_places=draw(st.integers(2, 6)), n_trans=draw(st.integers(1, 5)),
+                     wmax=1, seed=draw(st.integers(0, 10**6)))
+    n = len(net.places)
+    return net, tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+
+
+@pytest.mark.slow
+@settings(max_examples=4000)
+@given(_conservative_cases())
+def test_is_nonlive_matches_exact_property(case):
+    net, m = case
+    exact = is_live_exact(net, m, node_budget=500_000)
+    assert is_nonlive(net, m, node_budget=1_000_000).status == (
+        "live" if exact else "nonlive")
+
+
 def test_is_nonlive_truncation_invariant():
     rng = random.Random(61)
     for seed in range(40):
@@ -280,9 +300,6 @@ def test_nonlive_verdict_reports(pump_net):
     assert is_nonlive(net, (0, 0, 0, 0, 1)).to_dict()["verdict"] == "live"
 
 
-from hypothesis import given, strategies as st
-
-
 @given(st.lists(st.integers(min_value=0, max_value=40), min_size=5, max_size=5))
 def test_truncate_idempotent_and_bounded(counts):
     net = random_net("bimo", n_places=5, n_trans=3, wmax=2, seed=1)
@@ -294,6 +311,16 @@ def test_truncate_idempotent_and_bounded(counts):
 
 def mleq_all(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name", ("bio_dense", "io_fragile"))
+def test_repeat_query_explores_nothing(name):
+    """A marking answered from the probe memo reports no abstract work."""
+    net, m0 = load_net(name)
+    first, second = is_nonlive(net, m0), is_nonlive(net, m0)
+    assert first.configs_explored > 0 and second.configs_explored == 0
+    assert (second.status, second.method) == (first.status, first.method) == (
+        "live", "abstract")
 
 
 def test_witness_existence_implies_nonlive():
