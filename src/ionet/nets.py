@@ -91,11 +91,7 @@ class Net:
         if not isinstance(name, str) or not _NET_NAME.fullmatch(name):
             raise NetError(f"net name {name!r} is not a single token without '#'")
         for ident in places + transitions:
-            # a Python identifier holds no whitespace, '#', ':' or '=': only
-            # the keywords need a look, which keeps generated nets cheap
-            if not isinstance(ident, str) or not (
-                    ident.isidentifier() and ident not in ("pre", "post")
-                    or _IDENTIFIER.fullmatch(ident)):
+            if not isinstance(ident, str) or not _IDENTIFIER.fullmatch(ident):
                 raise NetError(f"identifier {ident!r} cannot be written in the text format")
         if len(set(places)) != len(places):
             raise NetError("duplicate place identifier")
