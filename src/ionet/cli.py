@@ -24,17 +24,19 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-def _budget(text):
-    """--budget and IONET_BUDGET: a positive number of states."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below, like any non-positive value
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"budget must be a positive integer (from --budget or IONET_BUDGET), "
-            f"got {text!r}")
-    return value
+def _positive(source):
+    """Argument type of a count flag: a positive integer, else an error
+    naming `source`."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0  # rejected below, like any non-positive value
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{source} must be a positive integer, got {text!r}")
+        return value
+    return parse
 
 
 def _load_net(path):
@@ -56,11 +58,19 @@ def _parse_marking(net, text):
 
 
 def _pick_marking(net, stored, args):
-    if getattr(args, "marking", None):
+    if args.marking:
         return _parse_marking(net, args.marking)
     if stored is not None:
         return stored
     raise NetError("no marking: none stored in the file and none passed via --marking")
+
+
+def _write(args, text):
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, payload, text_lines):
@@ -163,12 +173,7 @@ def cmd_ordinarize(args):
     net, stored = _load_net(args.file)
     ordn, omap = ordinarize(net)
     marking = embed_marking(omap, stored) if stored is not None else None
-    text = serialize_net(ordn, marking)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, serialize_net(ordn, marking))
     return EXIT_OK
 
 
@@ -177,12 +182,7 @@ def cmd_lba(args):
         spec = parse_lba(fh.read())
     net, marking = build_stage(spec, args.word, args.stage,
                                include_idle_moves=args.idle_moves)
-    text = serialize_net(net, marking)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, serialize_net(net, marking))
     return EXIT_OK
 
 
@@ -208,12 +208,7 @@ def cmd_check_reduction(args):
 def cmd_gen(args):
     net = random_net(cls=args.cls, n_places=args.places, n_trans=args.trans,
                      wmax=args.wmax, seed=args.seed)
-    text = serialize_net(net)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, serialize_net(net))
     return EXIT_OK
 
 
@@ -227,76 +222,67 @@ def cmd_bounds(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_budget,
-                        default=os.environ.get("IONET_BUDGET") or 500_000,
-                        help="exploration budget in states (env IONET_BUDGET)")
-    common.add_argument("--candidates", type=int, default=200_000,
-                        help="candidate-marking budget for structural liveness")
-    common.add_argument("--subset-cap", type=int, default=16, dest="subset_cap",
-                        help="max |P| for witness subset enumeration")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", help="write output to a file instead of stdout")
+    flags = {
+        "--marking": dict(help="comma-separated counts, else the stored marking"),
+        "--budget": dict(type=_positive("--budget or IONET_BUDGET"),
+                         default=os.environ.get("IONET_BUDGET") or 500_000,
+                         help="exploration budget in states (env IONET_BUDGET)"),
+        "--candidates": dict(type=_positive("--candidates"), default=200_000,
+                             help="candidate-marking budget for structural liveness"),
+        "--subset-cap": dict(type=_positive("--subset-cap"), default=16,
+                             help="max |P| for witness subset enumeration"),
+        "--json": dict(action="store_true", help="machine-readable output"),
+        "--out": dict(help="write output to a file instead of stdout"),
+    }
 
     parser = argparse.ArgumentParser(prog="ionet", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="net class flags")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_classify)
+    def command(name, fn, help_text, *names):
+        """A subcommand reading exactly the shared flags in `names`."""
+        p = sub.add_parser(name, help=help_text)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("live", parents=[common], help="decide liveness of a marking")
-    p.add_argument("file")
-    p.add_argument("--marking", help="comma-separated counts, else the stored marking")
-    p.set_defaults(fn=cmd_live)
+    command("classify", cmd_classify, "net class flags",
+            "--json").add_argument("file")
+    command("live", cmd_live, "decide liveness of a marking",
+            "--marking", "--budget", "--subset-cap", "--json").add_argument("file")
+    command("slp", cmd_slp, "decide structural liveness",
+            "--budget", "--candidates", "--subset-cap", "--json").add_argument("file")
+    command("witness", cmd_witness, "search a non-liveness witness",
+            "--marking", "--subset-cap", "--json").add_argument("file")
+    command("truncate", cmd_truncate, "cap a marking at 2*w*|P|",
+            "--marking", "--json").add_argument("file")
+    command("bounds", cmd_bounds, "per-class token bounds",
+            "--json").add_argument("file")
+    command("ordinarize", cmd_ordinarize, "rewrite a weighted net into an ordinary one",
+            "--out").add_argument("file")
 
-    p = sub.add_parser("slp", parents=[common], help="decide structural liveness")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_slp)
-
-    p = sub.add_parser("witness", parents=[common], help="search a non-liveness witness")
-    p.add_argument("file")
-    p.add_argument("--marking")
-    p.set_defaults(fn=cmd_witness)
-
-    p = sub.add_parser("truncate", parents=[common], help="cap a marking at 2*w*|P|")
-    p.add_argument("file")
-    p.add_argument("--marking")
-    p.set_defaults(fn=cmd_truncate)
-
-    p = sub.add_parser("bounds", parents=[common], help="per-class token bounds")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("ordinarize", parents=[common],
-                       help="rewrite a weighted net into an ordinary one")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_ordinarize)
-
-    p = sub.add_parser("lba", parents=[common], help="compile a machine and word")
+    p = command("lba", cmd_lba, "compile a machine and word", "--out")
     p.add_argument("specfile")
     p.add_argument("word")
     p.add_argument("--stage", choices=STAGES, default="Nbar")
     p.add_argument("--idle-moves", action="store_true", dest="idle_moves",
                    help="keep move transitions that rewrite a symbol to itself")
-    p.set_defaults(fn=cmd_lba)
 
-    p = sub.add_parser("check-reduction", parents=[common],
-                       help="acceptance vs liveness vs structural liveness")
+    p = command("check-reduction", cmd_check_reduction,
+                "acceptance vs liveness vs structural liveness",
+                "--budget", "--candidates", "--json")
     p.add_argument("specfile")
     p.add_argument("word")
     p.add_argument("--skip-slp", action="store_true")
-    p.set_defaults(fn=cmd_check_reduction)
 
-    p = sub.add_parser("gen", parents=[common], help="draw a seeded random net")
+    p = command("gen", cmd_gen, "draw a seeded random net", "--out")
     p.add_argument("--class", dest="cls", default="io",
                    choices=("io", "imo", "bio", "bimo"))
     p.add_argument("--places", type=int, default=4)
     p.add_argument("--trans", type=int, default=4)
     p.add_argument("--wmax", type=int, default=1)
-    p.set_defaults(fn=cmd_gen)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -308,7 +294,7 @@ def main(argv=None):
         return args.fn(args)
     except (BudgetExceeded, SubsetCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.json:
+        if getattr(args, "json", False):
             stats = {"wall_ms": (time.monotonic() - t0) * 1000.0}
             if isinstance(exc, BudgetExceeded):
                 stats["configs_explored"] = exc.explored

@@ -105,17 +105,3 @@ def random_net_in_row(row, n_places, n_trans, seed, wmax=3):
         return net
     raise RuntimeError(f"could not draw a net for row {row!r} with seed {seed}")
 
-
-def random_execution(net, start, max_len, rng):
-    """A random fireable sequence from `start`, up to `max_len` steps."""
-    from .nets import enabled, fire
-    seq = []
-    m = tuple(start)
-    for _ in range(max_len):
-        options = [t for t in net.transitions if enabled(net, m, t)]
-        if not options:
-            break
-        t = rng.choice(options)
-        m = fire(net, m, t)
-        seq.append(t)
-    return seq

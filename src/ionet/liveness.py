@@ -238,6 +238,15 @@ class Witness:
     t_dead: tuple       # transition names, declaration order
     path: tuple = None  # optional steps from the queried marking to m_wit
 
+    @classmethod
+    def from_hit(cls, net, hit, m_wit, path=()):
+        """The witness of a `WitnessIndex.witness_at` hit at `m_wit`."""
+        indices, dead = hit
+        return cls(m_wit=m_wit,
+                   p_cruc=tuple(net.places[i] for i in indices),
+                   t_dead=tuple(net.transitions[ti] for ti in sorted(dead)),
+                   path=path)
+
     def to_dict(self):
         return {
             "m_wit": list(self.m_wit),
@@ -343,7 +352,7 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 # canonical D = T minus E, which subsumes every witness on (marking, S).
 
 class _SubsetData:
-    __slots__ = ("indices", "t_i", "fire", "covers", "universal")
+    __slots__ = ("indices", "t_i", "fire", "covers")
 
     def __init__(self, net, indices):
         self.indices = indices
@@ -362,7 +371,6 @@ class _SubsetData:
         self.t_i = tuple(t_i)
         self.fire = tuple(fire)
         self.covers = tuple(covers)
-        self.universal = all(t_i)
 
     @property
     def viable(self):
@@ -427,16 +435,8 @@ class WitnessIndex:
         self.memo[key] = result
         return result
 
-    def witness_at(self, marking, strict=False):
+    def witness_at(self, marking):
         """First witness at the marking in (size, lex) subset order."""
-        if strict:
-            for data in self.entries:
-                if not data.universal:
-                    continue
-                dead = self.dead_set(data, _sub(marking, data.indices))
-                if dead:
-                    return (data.indices, dead)
-            return None
         if marking in self.at_memo:
             return self.at_memo[marking]
         found = None
@@ -458,28 +458,15 @@ def witness_index(net, subset_cap=16):
     return idx
 
 
-def find_witness(net, marking, subset_cap=16, strict=False):
-    """Search every subset of places for a witness at the given marking.
-
-    In strict mode the whole transition set must restrict to single-token
-    moves on the subset, mirroring the coarser check; the default follows the
-    weaker (complete) condition that only non-dead transitions must.
-    """
+def find_witness(net, marking, subset_cap=16):
+    """Search every subset of places for a witness at the given marking."""
     net.check_marking(marking)
-    idx = witness_index(net, subset_cap)
-    hit = idx.witness_at(tuple(marking), strict=strict)
-    if hit is None:
-        return None
-    indices, dead = hit
-    return Witness(
-        m_wit=tuple(marking),
-        p_cruc=tuple(net.places[i] for i in indices),
-        t_dead=tuple(net.transitions[ti] for ti in sorted(dead)),
-        path=(),
-    )
+    marking = tuple(marking)
+    hit = witness_index(net, subset_cap).witness_at(marking)
+    return None if hit is None else Witness.from_hit(net, hit, marking)
 
 
-def constructed_witness(net, graph, node_budget=200_000):
+def constructed_witness(net, graph):
     """Build a witness on a completed reach graph without subset enumeration.
 
     Finds a reachable marking where the transition set splits into dead and

@@ -462,103 +462,51 @@ def _try_drains(net, start, targets, idx):
         final = tuple(counts)
         hit = idx.witness_at(final)
         if hit is not None:
-            return _witness_from(net, hit, final, tuple(path))
+            return Witness.from_hit(net, hit, final, tuple(path))
     return None
 
 
-def _witness_from(net, idx_hit, counts, path):
-    indices, dead = idx_hit
-    return Witness(
-        m_wit=counts,
-        p_cruc=tuple(net.places[i] for i in indices),
-        t_dead=tuple(net.transitions[ti] for ti in sorted(dead)),
-        path=path,
-    )
-
-
-def _guided_search(net, start, targets, node_budget, idx):
-    """Best-first probe of the capped space toward the witness candidates.
-
-    Returns (witness, explored) or (None, explored) when the budget runs out
-    or nothing is confirmed; incomplete by design, the closure phase decides.
-    """
+def _capped_closure(net, start, targets, node_budget, idx):
+    """Exhaustive capped exploration, flag-dominance pruned, visiting the
+    configurations in best-first order toward the witness candidates (plain
+    breadth first without any).  Complete: returns (witness, explored), with
+    the witness's path leading from `start`, or (None, explored) for a clean
+    closure; raises BudgetExceeded."""
     h = _heuristic(net, targets)
-    heap = [(h(start.counts), 0, start)]
-    visited = {start.counts: [start.saturated]}
-    parents = {start: None}
-    popped = set()
-    counter = 1
-    explored = 0
-    while heap:
-        _, _, state = heapq.heappop(heap)
-        if state in popped:
-            continue
-        popped.add(state)
-        explored += 1
-        if explored > node_budget:
-            return None, explored
-        hit = idx.witness_at(state.counts)
-        if hit is not None:
-            path = []
-            cur = state
-            while parents[cur] is not None:
-                prev, label = parents[cur]
-                path.append(label)
-                cur = prev
-            return _witness_from(net, hit, state.counts, tuple(reversed(path))), explored
-        for label, nxt in capped_successors(net, state):
-            if _admit(visited, nxt):
-                parents[nxt] = (state, label)
-                heapq.heappush(heap, (h(nxt.counts), counter, nxt))
-                counter += 1
-    return None, explored
-
-
-def _closure_search(net, start, node_budget, idx):
-    """Exhaustive capped exploration (plain breadth first, flag-dominance
-    pruned).  Complete: returns (witness, explored), with the witness's path
-    leading from `start`, or (None, explored) for a clean closure; raises
-    BudgetExceeded."""
     states = [start]
     parents = [-1]   # index of each state's parent in `states`
     labels = [None]  # step from the parent
     visited = {start.counts: [start.saturated]}
-    k = 0
-    while k < len(states):
-        if k >= node_budget:
-            raise BudgetExceeded(k + 1)
+    heap = [(h(start.counts), 0)]  # ties go to the earlier state
+    explored = 0
+    while heap:
+        if explored >= node_budget:
+            raise BudgetExceeded(explored + 1)
+        explored += 1
+        _, k = heapq.heappop(heap)
         state = states[k]
         hit = idx.witness_at(state.counts)
         if hit is not None:
             path = []
-            j = k
-            while parents[j] >= 0:
-                path.append(labels[j])
-                j = parents[j]
-            return _witness_from(net, hit, state.counts, tuple(reversed(path))), k + 1
+            while parents[k] >= 0:
+                path.append(labels[k])
+                k = parents[k]
+            return Witness.from_hit(net, hit, state.counts, tuple(reversed(path))), explored
         for label, nxt in capped_successors(net, state):
             if _admit(visited, nxt):
+                heapq.heappush(heap, (h(nxt.counts), len(states)))
                 states.append(nxt)
                 parents.append(k)
                 labels.append(label)
-        k += 1
-    return None, k
+    return None, explored
 
 
 def _capped_search(net, m0, targets, node_budget, idx):
     start = capped_config(net, m0)
-    explored = 0
-    if targets:
-        witness = _try_drains(net, start, targets, idx)
-        if witness is not None:
-            return witness, explored
-        witness, n1 = _guided_search(net, start, targets,
-                                     min(node_budget, 1_000), idx)
-        explored += n1
-        if witness is not None:
-            return witness, explored
-    witness, n2 = _closure_search(net, start, node_budget, idx)
-    return witness, explored + n2
+    witness = _try_drains(net, start, targets, idx)
+    if witness is not None:
+        return witness, 0
+    return _capped_closure(net, start, targets, node_budget, idx)
 
 
 def _conservative_large(net, m0, node_budget):

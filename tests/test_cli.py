@@ -164,6 +164,26 @@ def test_bad_budget_rejected(monkeypatch, capsys, raw):
         main(["live", str(FIXTURES / "io_fragile.net")])
     assert exc.value.code == 2
     assert "IONET_BUDGET" in capsys.readouterr().err
+    # only subcommands that explore read the budget
+    code, out, _ = run(capsys, "classify", str(FIXTURES / "io_fragile.net"))
+    assert code == 0 and "ord-io" in out
     monkeypatch.setenv("IONET_BUDGET", "7")
     code, out, _ = run(capsys, "live", str(FIXTURES / "io_fragile.net"))
     assert code == 0 and ": live" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("live", "io_fragile.net", "--out", "x.net"),
+    ("classify", "io_fragile.net", "--budget", "5"),
+    ("slp", "bimo_pump.net", "--candidates", "0"),
+    ("slp", "bimo_pump.net", "--subset-cap", "-1"),
+    ("witness", "bimo_pump.net", "--subset-cap", "0"),
+])
+def test_unread_or_nonpositive_flags_rejected(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    cmd, name, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(FIXTURES / name), *flags])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "x.net").exists()

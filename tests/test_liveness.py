@@ -191,15 +191,6 @@ def test_find_witness_subset_cap():
         find_witness(net, (0,) * 5, subset_cap=4)
 
 
-def test_find_witness_strict_mode(witness_net):
-    net, m0 = witness_net
-    m_wit = replay(net, m0, ["t3", "t4", "t2", "t1", "t1", "t6", "t6", "t6"]).final
-    strict = find_witness(net, m_wit, strict=True)
-    if strict is not None:
-        # a strict witness is in particular a plain one
-        assert check_witness(net, strict, variant="ordinary").sound
-
-
 def test_witness_soundness_invariant():
     # whenever the checker validates a found witness, every listed transition
     # really is dead at the witness marking

@@ -12,7 +12,7 @@ from ionet import (
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.liveness import witness_index
-from ionet.slp import _closure_search
+from ionet.slp import _AbstractEngine, _abstract_engine, _capped_closure
 from tests.conftest import load_net
 
 
@@ -393,18 +393,73 @@ FIXTURE_NONLIVE = (
 )
 
 
+def _probe_targets(net, marking):
+    maybe, targets, _ = _abstract_engine(net, 16).probe(truncate(net, marking), 500_000)
+    return maybe, targets
+
+
 @pytest.mark.parametrize("name,marking", FIXTURE_NONLIVE)
 def test_closure_search_path_replays(name, marking):
+    """Breadth first (no targets) and best first (the probe's targets)."""
     net, _ = load_net(name)
     assert is_nonlive(net, marking).is_nonlive
-    cfg = capped_config(net, marking)
-    witness, _ = _closure_search(net, cfg, 500_000, witness_index(net))
-    assert witness is not None and witness.path is not None
-    for step in witness.path:
-        cfg = dict(capped_successors(net, cfg))[step]
-    assert cfg.counts == witness.m_wit
+    maybe, targets = _probe_targets(net, marking)
+    assert maybe and targets
     variant = "ordinary" if classify(net).ordinary else "weighted"
-    assert check_witness(net, witness, variant=variant).sound
+    for order in ((), targets):
+        cfg = capped_config(net, marking)
+        witness, _ = _capped_closure(net, cfg, order, 500_000, witness_index(net))
+        assert witness is not None and witness.path is not None
+        for step in witness.path:
+            cfg = dict(capped_successors(net, cfg))[step]
+        assert cfg.counts == witness.m_wit
+        assert check_witness(net, witness, variant=variant).sound
+
+
+def test_capped_closure_exhausts_live_markings():
+    """Guided toward another marking's witness candidates, the search still
+    visits the whole capped space of a live marking and finds nothing."""
+    box = list(itertools.product(range(3), repeat=3))
+    cases = 0
+    for seed in range(100):
+        net = random_net("io" if seed % 2 else "imo",
+                         n_places=3, n_trans=3, wmax=1, seed=seed)
+        exact = [is_live_exact(net, m, node_budget=300_000) for m in box]
+        nonlive = [m for m, e in zip(box, exact) if e is False]
+        if not nonlive:
+            continue
+        _, targets = _probe_targets(net, nonlive[0])
+        assert targets
+        for m, e in zip(box, exact):
+            if e is True:
+                cases += 1
+                witness, explored = _capped_closure(
+                    net, capped_config(net, m), targets, 500_000, witness_index(net))
+                assert witness is None and explored > 0, (seed, m)
+    assert cases >= 150
+
+
+def test_is_nonlive_live_after_positive_probe(monkeypatch):
+    """A probe that flags a live marking (over-approximation) leaves the
+    answer to the capped search, which must come back live."""
+    net, m0 = load_net("io_fragile")
+    assert is_live_exact(net, m0) is True
+    _, targets = _probe_targets(net, (1, 1, 1, 0, 0, 1))
+    monkeypatch.setattr(_AbstractEngine, "probe",
+                        lambda self, marking, node_budget: (True, targets, 0))
+    v = is_nonlive(net, m0)
+    assert (v.status, v.method) == ("live", "capped-search")
+    assert v.witness is None and v.configs_explored > 0
+
+
+def test_abstract_successors_drain_top():
+    """Taking a token from a TOP place leaves it TOP or exactly m-1."""
+    net = Net("move", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
+    engine = _AbstractEngine(net, 16)
+    top = engine.m
+    assert sorted(engine.successors((top, 0))) == [(top - 1, 1), (top, 1)]
+    assert sorted(engine.successors((top, top))) == [(top - 1, top), (top, top)]
+    assert engine.successors((top - 1, 0)) == [(top - 2, 1)]
 
 
 def _fresh(net):
