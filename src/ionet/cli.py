@@ -40,11 +40,8 @@ def _positive(source):
 
 
 def _load_net(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_net(fh.read())
-    except OSError as exc:
-        raise NetError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_net(fh.read())
 
 
 def _parse_marking(net, text):
@@ -306,6 +303,9 @@ def main(argv=None):
         return EXIT_INVALID
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # a file named on the command line
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import DUMMY_PLACE, classify, is_imo_msets
-from .nets import Net, NetError, UnknownNode, mleq, msize, carrier, successors
+from .nets import Net, NetError, UnknownNode, mleq, msize, carrier, pre_mset, successors
 from .structure import _tarjan, relaxed_net, rich_poor, sccs
 
 
@@ -108,17 +108,11 @@ def cover_basis(net, target, node_budget=200_000):
 def dead_at(net, marking, t, node_budget=200_000):
     """True iff no marking reachable from `marking` enables `t`."""
     net.check_marking(marking)
-    basis = cover_basis(net, pre_mset_of(net, t), node_budget)
+    basis = cover_basis(net, pre_mset(net, t), node_budget)
     if isinstance(basis, BudgetExceeded):
         return basis
     m = tuple(marking)
     return not any(mleq(b, m) for b in basis)
-
-
-def pre_mset_of(net, t):
-    if t not in net.trans_index:
-        raise UnknownNode(f"unknown transition {t!r}")
-    return net._pre[net.trans_index[t]]
 
 
 def _fates(graph):
@@ -167,7 +161,7 @@ def is_live_exact(net, m0, node_budget=200_000):
 def cached_cover_basis(net, t, node_budget=200_000):
     cache = net._analysis.setdefault("cover_basis", {})
     if t not in cache:
-        cache[t] = cover_basis(net, pre_mset_of(net, t), node_budget)
+        cache[t] = cover_basis(net, pre_mset(net, t), node_budget)
     return cache[t]
 
 
@@ -352,10 +346,11 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 # canonical D = T minus E, which subsumes every witness on (marking, S).
 
 class _SubsetData:
-    __slots__ = ("indices", "t_i", "fire", "covers")
+    __slots__ = ("indices", "mask", "t_i", "fire", "covers")
 
-    def __init__(self, net, indices):
-        self.indices = indices
+    def __init__(self, net, mask):
+        self.mask = mask  # bit i set iff place i is in the subset
+        self.indices = indices = tuple(i for i in range(len(net.places)) if mask >> i & 1)
         n_t = len(net.transitions)
         t_i = []
         fire = []
@@ -382,21 +377,11 @@ class _SubsetData:
 class WitnessIndex:
     """Per-net cache of subset data and memoized restricted explorations."""
 
-    def __init__(self, net, subset_cap=16):
-        if len(net.places) > subset_cap:
-            raise SubsetCapExceeded(
-                f"|P|={len(net.places)} exceeds the subset enumeration cap {subset_cap}")
+    def __init__(self, net):
         self.net = net
-        self.entries = []
-        n = len(net.places)
-        masks = sorted(range(1, 1 << n),
-                       key=lambda m: (bin(m).count("1"),
-                                      tuple(i for i in range(n) if m >> i & 1)))
-        for mask in masks:
-            indices = tuple(i for i in range(n) if mask >> i & 1)
-            data = _SubsetData(net, indices)
-            if data.viable:
-                self.entries.append(data)
+        subsets = (_SubsetData(net, mask) for mask in range(1, 1 << len(net.places)))
+        self.entries = sorted((data for data in subsets if data.viable),
+                              key=lambda data: (len(data.indices), data.indices))
         self.memo = {}
         self.at_memo = {}
 
@@ -435,25 +420,35 @@ class WitnessIndex:
         self.memo[key] = result
         return result
 
-    def witness_at(self, marking):
-        """First witness at the marking in (size, lex) subset order."""
-        if marking in self.at_memo:
-            return self.at_memo[marking]
+    def witness_at(self, marking, inexact=0):
+        """First witness at the marking in (size, lex) subset order, as
+        (place indices, dead transition indices), or None.  Subsets touching
+        a place of the `inexact` bitmask are skipped: their counts there are
+        only known to be large."""
+        key = (marking, inexact)
+        hit = self.at_memo.get(key, 0)
+        if hit != 0:
+            return hit
         found = None
         for data in self.entries:
+            if data.mask & inexact:
+                continue
             dead = self.dead_set(data, _sub(marking, data.indices))
             if dead:
                 found = (data.indices, dead)
                 break
-        self.at_memo[marking] = found
+        self.at_memo[key] = found
         return found
 
 
 def witness_index(net, subset_cap=16):
+    if len(net.places) > subset_cap:
+        raise SubsetCapExceeded(
+            f"|P|={len(net.places)} exceeds the subset enumeration cap {subset_cap}")
     cache = net._analysis
     idx = cache.get("witness_index")
     if idx is None:
-        idx = WitnessIndex(net, subset_cap)
+        idx = WitnessIndex(net)
         cache["witness_index"] = idx
     return idx
 

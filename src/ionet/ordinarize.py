@@ -32,11 +32,12 @@ def _ring_names(net):
     return wmax
 
 
-def ordinarize(net, unit_rotations=True):
+def ordinarize(net):
     """Return the ordinary net plus the ring bookkeeping.
 
-    Isolated places get rings of size one; `unit_rotations=False` drops the
-    vacuous self-rotation on size-one rings.
+    Places of weight at most one, isolated ones included, get rings of size
+    one without a rotation: it would move nothing, and as a transition of
+    its own it would be dead wherever its place stays unmarked.
     """
     if not classify(net).bimo:
         raise NotBimo("ordinarization is defined on the branching-observation family")
@@ -58,7 +59,7 @@ def ordinarize(net, unit_rotations=True):
         places.extend(names)
         rings[p] = names
         rots = []
-        if k > 1 or unit_rotations:
+        if k > 1:
             for j in range(1, k + 1):
                 rot = f"{p}.rot{j}"
                 if rot in taken:

@@ -158,7 +158,6 @@ class _AbstractEngine:
         self.idx = witness_index(net, subset_cap)
         if any(d < -1 for delta in net._delta for d in delta):
             raise NotBimo("abstract engine requires single-token source moves")
-        self.flag_memo = {}
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
 
@@ -196,29 +195,6 @@ class _AbstractEngine:
                 out.append(tuple(alt))
         return out
 
-    def flags(self, state):
-        """Witness candidates visible at an abstract state (exact part only)."""
-        hit = self.flag_memo.get(state, 0)
-        if hit != 0:
-            return hit
-        m = self.m
-        found = None
-        for data in self.idx.entries:
-            exact = True
-            for i in data.indices:
-                if state[i] >= m:
-                    exact = False
-                    break
-            if not exact:
-                continue
-            r = tuple(state[i] for i in data.indices)
-            dead = self.idx.dead_set(data, r)
-            if dead:
-                found = (data.indices, r)
-                break
-        self.flag_memo[state] = found
-        return found
-
     def probe(self, marking, node_budget):
         """(may_be_nonlive, witness targets, abstract states explored).  A
         False first component is a proof of liveness.
@@ -238,7 +214,7 @@ class _AbstractEngine:
         return bool(targets), list(targets), explored
 
     def _search(self, start, node_budget):
-        reach = self.reach
+        reach, witness_at, m = self.reach, self.idx.witness_at, self.m
         seen = {start}
         queue = deque([start])
         targets = []
@@ -248,9 +224,11 @@ class _AbstractEngine:
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
-            f = self.flags(s)
-            if f:
-                targets.append(f)
+            # only subsets on which every count is exact can be flagged
+            hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m))
+            if hit:
+                indices = hit[0]
+                targets.append((indices, tuple(s[i] for i in indices)))
                 if len(targets) >= 8:
                     return tuple(targets), explored
                 continue

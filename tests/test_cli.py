@@ -130,6 +130,19 @@ def test_invalid_file(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--out", "missing_dir/x.net"),
+    ("lba", "missing.lba", "ab"),
+    ("check-reduction", "missing.lba", "ab"),
+    ("live", "missing.net"),
+])
+def test_missing_path_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_resource_limits_exit_3(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     spec = str(FIXTURES / "lba" / "even_a_2.lba")

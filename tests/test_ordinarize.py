@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ionet import (
     NotBimo, Net, classify, check_liveness_transfer, embed_marking, enabled,
@@ -26,20 +27,22 @@ def test_ordinarize_rotation_cycles(weighted_net):
     ordn, omap = ordinarize(net)
     for p, ring in omap.rings.items():
         rots = omap.rotations[p]
-        assert len(rots) == len(ring)
+        assert len(rots) == (len(ring) if len(ring) > 1 else 0)
         for j, rot in enumerate(rots):
             assert ordn.flow[(ring[j], rot)] == 1
             assert ordn.flow[(rot, ring[(j + 1) % len(ring)])] == 1
 
 
-def test_ordinarize_unit_rings_optional():
+def test_ordinarize_unit_rings_have_no_rotation():
     net = Net("ord", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
-    with_rot, _ = ordinarize(net)
-    assert "p.rot1" in with_rot.trans_index
-    without, _ = ordinarize(net, unit_rotations=False)
-    assert "p.rot1" not in without.trans_index
+    ordn, omap = ordinarize(net)
+    assert "p.rot1" not in ordn.trans_index
+    assert omap.rotations == {"p": (), "q": ()}
     # behaviourally the unit rings change nothing
-    assert classify(without).io
+    assert classify(ordn).io
+    # an isolated unmarked place: a self-rotation on it would be dead
+    net = parse_net("net n\nplace p1 tokens=2\nplace p2\ntrans t1 pre p1:2 post p1:2\n")[0]
+    assert check_liveness_transfer(net, (2, 0)).ring_status == "live"
 
 
 def test_ordinarize_requires_family():
@@ -155,3 +158,19 @@ def test_liveness_transfer_random():
         rep = check_liveness_transfer(net, m, node_budget=800_000)
         assert rep.original_status in ("live", "nonlive")
         assert rep.agree, (seed, m)
+
+
+@st.composite
+def _small_family_cases(draw):
+    net = random_net(draw(st.sampled_from(("io", "imo", "bio", "bimo"))),
+                     n_places=draw(st.integers(1, 3)), n_trans=draw(st.integers(1, 3)),
+                     wmax=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)))
+    n = len(net.places)
+    return net, tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300)
+@given(_small_family_cases())
+def test_liveness_transfer_property(case):
+    net, m = case
+    assert check_liveness_transfer(net, m).agree

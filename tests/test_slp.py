@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from ionet import (
     CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
     capped_config, capped_successors, check_witness, classify, dead_at,
-    decide_slp, enabled, fire, is_live_exact, is_nonlive, slp_01_shortcut,
-    truncate,
+    decide_slp, enabled, fire, is_live_exact, is_nonlive, parse_net,
+    slp_01_shortcut, truncate,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.liveness import witness_index
 from ionet.slp import _AbstractEngine, _abstract_engine, _capped_closure
-from tests.conftest import load_net
+from tests.conftest import FIXTURES, load_net
 
 
 def test_bounds_table(fragile_net, weighted_net):
@@ -184,6 +184,23 @@ def test_is_nonlive_truncation_invariant():
         a = is_nonlive(net, m, node_budget=800_000)
         b = is_nonlive(net, truncate(net, m), node_budget=800_000)
         assert a.status == b.status
+
+
+@st.composite
+def _over_cap_cases(draw):
+    net = random_net(draw(st.sampled_from(("io", "imo", "bio", "bimo"))),
+                     n_places=draw(st.integers(1, 3)), n_trans=draw(st.integers(1, 3)),
+                     wmax=draw(st.integers(1, 3)), seed=draw(st.integers(0, 10**6)))
+    top = cap_value(net) * 3 // 2
+    n = len(net.places)
+    return net, tuple(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300)
+@given(_over_cap_cases())
+def test_truncation_invariant_property(case):
+    net, m = case
+    assert is_nonlive(net, m).status == is_nonlive(net, truncate(net, m)).status
 
 
 def test_witness_path_replays_in_capped_space(pump_net):
@@ -486,3 +503,62 @@ def test_shared_net_matches_fresh_nets(row):
             assert [(got[m].status, got[m].method) for m in markings] == want, (row, k)
         statuses.update(status for status, _ in want)
     assert statuses == {"live", "nonlive"}
+
+
+def _first_exact_witness(idx, state, top):
+    """Reference for `witness_at(state, mask)`: the first subset whose every
+    place, tested one by one, has an exact count (below `top`) and which has
+    a dead set there."""
+    for data in idx.entries:
+        for i in data.indices:
+            if state[i] >= top:
+                break
+        else:
+            dead = idx.dead_set(data, tuple(state[i] for i in data.indices))
+            if dead:
+                return data.indices, dead
+    return None
+
+
+def _probed_nets():
+    """(name, net) after deciding some markings: every fixture, on its first
+    32 0/1 markings and its stored marking, and seeded nets of each A-06
+    row, on six 0/1 markings and six up to 1.5 times the cap."""
+    for path in sorted(FIXTURES.glob("*.net")):
+        net, stored = parse_net(path.read_text())
+        markings = itertools.islice(itertools.product((0, 1), repeat=len(net.places)), 32)
+        for m in [*markings, *([stored] if stored else [])]:
+            is_nonlive(net, m)
+        yield path.stem, net
+    for row in ("ord-io", "ord-imo", "io", "imo", "ord-bimo"):
+        rng = random.Random(73)
+        for k in range(8):
+            net = random_net_in_row(row, n_places=3 + k % 3, n_trans=1 + k % 4,
+                                    seed=800 + k)
+            cap = cap_value(net)
+            for top in [2] * 6 + [cap + cap // 2 + 1] * 6:
+                is_nonlive(net, tuple(rng.randrange(top) for _ in net.places))
+            yield f"{row}/{k}", net
+
+
+def test_witness_at_mask_matches_exactness_loop():
+    """On every abstract state the probe memoised, the masked lookup answers
+    as testing exactness place by place does.  The plain lookup of the same
+    state must still give the first witness; it is checked on nets of up to
+    seven places, since on bio_dense's twelve it explores for many seconds."""
+    told_apart = 0
+    for name, net in _probed_nets():
+        engine = net._analysis.get("abstract_engine")
+        if engine is None:
+            continue
+        idx, top = engine.idx, engine.m
+        for s in engine.reach:
+            mask = sum(1 << i for i, x in enumerate(s) if x >= top)
+            want = _first_exact_witness(idx, s, top)
+            assert idx.witness_at(s, mask) == want, (name, s)
+            if mask and len(net.places) <= 7:
+                plain = idx.witness_at(s)
+                assert plain == _first_exact_witness(idx, s, float("inf")), (name, s)
+                told_apart += plain != want
+    # states where skipping the inexact subsets changes the answer
+    assert told_apart
