@@ -9,14 +9,15 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from ionet import bounds_for, classify, decide_slp, parse_net  # noqa: E402
+from ionet.cli import _positive  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--budget", type=int, default=2_000_000)
-    ap.add_argument("--candidates", type=int, default=5_000)
+    ap.add_argument("--budget", type=_positive("--budget"), default=2_000_000)
+    ap.add_argument("--candidates", type=_positive("--candidates"), default=5_000)
     args = ap.parse_args()
     for path in sorted(FIXTURES.glob("*.net")):
         net, marking = parse_net(path.read_text())

@@ -39,9 +39,18 @@ def _positive(source):
     return parse
 
 
+def _read(path):
+    """Text of a file named on the command line; bytes that are not UTF-8
+    are invalid input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise NetError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_net(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_net(fh.read())
+    return parse_net(_read(path))
 
 
 def _parse_marking(net, text):
@@ -175,8 +184,7 @@ def cmd_ordinarize(args):
 
 
 def cmd_lba(args):
-    with open(args.specfile, "r", encoding="utf-8") as fh:
-        spec = parse_lba(fh.read())
+    spec = parse_lba(_read(args.specfile))
     net, marking = build_stage(spec, args.word, args.stage,
                                include_idle_moves=args.idle_moves)
     _write(args, serialize_net(net, marking))
@@ -184,8 +192,7 @@ def cmd_lba(args):
 
 
 def cmd_check_reduction(args):
-    with open(args.specfile, "r", encoding="utf-8") as fh:
-        spec = parse_lba(fh.read())
+    spec = parse_lba(_read(args.specfile))
     report = reduction_correctness_check(
         spec, args.word, node_budget=args.budget,
         candidate_budget=args.candidates, check_slp=not args.skip_slp)

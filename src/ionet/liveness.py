@@ -346,7 +346,7 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 # canonical D = T minus E, which subsumes every witness on (marking, S).
 
 class _SubsetData:
-    __slots__ = ("indices", "mask", "t_i", "fire", "covers")
+    __slots__ = ("indices", "mask", "t_i", "blockers", "fire", "covers")
 
     def __init__(self, net, mask):
         self.mask = mask  # bit i set iff place i is in the subset
@@ -364,6 +364,8 @@ class _SubsetData:
             if imo and (any(pre) or any(post)):
                 fire.append((pre, tuple(q - p for p, q in zip(pre, post))))
         self.t_i = tuple(t_i)
+        # bit ti set iff transition ti is outside T_I
+        self.blockers = sum(1 << ti for ti, imo in enumerate(t_i) if not imo)
         self.fire = tuple(fire)
         self.covers = tuple(covers)
 
@@ -429,9 +431,23 @@ class WitnessIndex:
         hit = self.at_memo.get(key, 0)
         if hit != 0:
             return hit
+        # short[i]: the transitions whose pre-mset needs more tokens on place
+        # i than the marking holds.  A transition is covered at the start of
+        # a subset's exploration iff no place of the subset is short for it,
+        # and `dead_set` answers None there if that transition is outside T_I.
+        short = [0] * len(marking)
+        for ti, support in enumerate(self.net._pre_support):
+            for i, w in support:
+                if marking[i] < w:
+                    short[i] |= 1 << ti
         found = None
         for data in self.entries:
             if data.mask & inexact:
+                continue
+            unmet = 0
+            for i in data.indices:
+                unmet |= short[i]
+            if data.blockers & ~unmet:
                 continue
             dead = self.dead_set(data, _sub(marking, data.indices))
             if dead:

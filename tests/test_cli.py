@@ -1,5 +1,7 @@
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -143,6 +145,15 @@ def test_missing_path_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [("classify",), ("live",), ("lba", "ab")])
+def test_non_utf8_file_exit_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.net"
+    bad.write_bytes(b"\xff\xfe" + bytes(range(256)))
+    code, _, err = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err
+
+
 def test_resource_limits_exit_3(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     spec = str(FIXTURES / "lba" / "even_a_2.lba")
@@ -200,3 +211,12 @@ def test_unread_or_nonpositive_flags_rejected(tmp_path, monkeypatch, capsys, arg
     assert exc.value.code == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "x.net").exists()
+
+
+@pytest.mark.parametrize("flags", [("--candidates", "0"), ("--budget", "-3")])
+def test_fixture_report_rejects_nonpositive_counts(flags):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "fixture_report.py"
+    proc = subprocess.run([sys.executable, str(script), *flags],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "must be a positive integer" in proc.stderr and not proc.stdout

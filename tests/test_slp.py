@@ -11,7 +11,7 @@ from ionet import (
     slp_01_shortcut, truncate,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.liveness import witness_index
+from ionet.liveness import _sub, witness_index
 from ionet.slp import _AbstractEngine, _abstract_engine, _capped_closure
 from tests.conftest import FIXTURES, load_net
 
@@ -562,3 +562,73 @@ def test_witness_at_mask_matches_exactness_loop():
                 told_apart += plain != want
     # states where skipping the inexact subsets changes the answer
     assert told_apart
+
+
+def _covered_outside_t_i(data, r):
+    """Reference for the start rejection: some transition outside T_I has
+    its restricted pre-mset covered by `r`, so `dead_set` fails at once."""
+    return any(not imo and all(p <= x for p, x in zip(pre, r))
+               for imo, pre in zip(data.t_i, data.covers))
+
+
+def _boundary_markings(net):
+    """Markings one token below, at and above each pre arc weight: each
+    transition's pre-mset with one of its places moved by -1, 0 or +1, and
+    the uniform markings around every weight of the net."""
+    n = len(net.places)
+    weights = {w for support in net._pre_support for _, w in support}
+    out = {(w + d,) * n for w in weights for d in (-1, 0, 1)}
+    for pre, support in zip(net._pre, net._pre_support):
+        for i, w in support:
+            for d in (-1, 0, 1):
+                out.add(pre[:i] + (w + d,) + pre[i + 1:])
+    return sorted(out)
+
+
+def _start_nets():
+    yield "bio_dense", load_net("bio_dense")[0]
+    for row in ("ord-io", "ord-imo", "io", "imo", "ord-bimo", "bimo"):
+        for k in range(6):
+            yield f"{row}/{k}", random_net_in_row(
+                row, n_places=3 + k % 3, n_trans=1 + k % 4, seed=900 + k)
+
+
+def test_witness_at_start_rejection():
+    """`witness_at` runs `dead_set` on exactly the subsets, up to the one it
+    returns, that the start test does not reject; a rejected pair has no
+    dead set.  On nets of up to seven places the answer is the first
+    witness over all subsets."""
+    rejected = weighted = 0
+    for name, net in _start_nets():
+        weighted += net.max_weight == 3
+        idx = witness_index(net)
+        for m in _boundary_markings(net):
+            idx.memo.clear()
+            idx.at_memo.clear()
+            got = idx.witness_at(m)
+            searched = (idx.entries if got is None else
+                        idx.entries[:[d.indices for d in idx.entries].index(got[0]) + 1])
+            assert set(idx.memo) == {
+                (d.indices, _sub(m, d.indices)) for d in searched
+                if not _covered_outside_t_i(d, _sub(m, d.indices))}, (name, m)
+            for data in idx.entries:
+                r = _sub(m, data.indices)
+                if _covered_outside_t_i(data, r):
+                    rejected += 1
+                    assert idx.dead_set(data, r) is None, (name, m, data.indices)
+            if len(net.places) <= 7:
+                assert got == _first_exact_witness(idx, m, float("inf")), (name, m)
+    assert rejected and weighted
+
+
+def test_dense_memo_holds_no_rejected_pair():
+    """Deciding markings of bio_dense leaves no pair in the `dead_set` memo
+    that the start test rejects: those never reach a BFS."""
+    net, stored = parse_net((FIXTURES / "bio_dense.net").read_text())
+    for m in [stored, *itertools.islice(itertools.product((0, 1), repeat=12), 32)]:
+        is_nonlive(net, m, node_budget=2_000_000)
+    idx = witness_index(net)
+    by_indices = {data.indices: data for data in idx.entries}
+    assert idx.memo
+    for indices, r in idx.memo:
+        assert not _covered_outside_t_i(by_indices[indices], r), (indices, r)
