@@ -360,9 +360,11 @@ class _SubsetData:
             post = _sub(net._post[ti], indices)
             imo = is_imo_msets(pre, post)
             t_i.append(imo)
-            covers.append(pre)
-            if imo and (any(pre) or any(post)):
-                fire.append((pre, tuple(q - p for p, q in zip(pre, post))))
+            # the restricted pre-mset as (subset position, weight) pairs
+            support = tuple((k, w) for k, w in enumerate(pre) if w)
+            covers.append(support)
+            if imo and (support or any(post)):
+                fire.append((support, tuple(q - p for p, q in zip(pre, post))))
         self.t_i = tuple(t_i)
         # bit ti set iff transition ti is outside T_I
         self.blockers = sum(1 << ti for ti, imo in enumerate(t_i) if not imo)
@@ -373,7 +375,7 @@ class _SubsetData:
     def viable(self):
         # a transition with an empty restricted pre-mset is always covered,
         # so it must be inside T_I for any witness to exist on this subset
-        return all(imo or any(pre) for imo, pre in zip(self.t_i, self.covers))
+        return all(imo or pre for imo, pre in zip(self.t_i, self.covers))
 
 
 class WitnessIndex:
@@ -388,45 +390,57 @@ class WitnessIndex:
         self.at_memo = {}
 
     def dead_set(self, data, r, node_budget=1_000_000):
-        """Canonical dead set for (subset, restricted marking) or None."""
+        """Canonical dead set for (subset, restricted marking) or None.
+
+        The exploration stops as soon as every transition is covered, since
+        the dead set is then empty; the answer is the same as exploring to
+        the end."""
         key = (data.indices, r)
         hit = self.memo.get(key, 0)
         if hit != 0:
             return hit
-        n_t = len(self.net.transitions)
         t_i = data.t_i
-        covered = [False] * n_t
+        uncovered = list(enumerate(data.covers))
         seen = {r}
         queue = deque([r])
         explored = 0
-        result = None
         while queue:
             m = queue.popleft()
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
-            for ti in range(n_t):
-                if not covered[ti] and mleq(data.covers[ti], m):
-                    if not t_i[ti]:
+            rest = []
+            for item in uncovered:
+                for k, w in item[1]:
+                    if m[k] < w:
+                        rest.append(item)
+                        break
+                else:
+                    if not t_i[item[0]]:
                         self.memo[key] = None
                         return None
-                    covered[ti] = True
+            uncovered = rest
+            if not uncovered:
+                break
             for pre, delta in data.fire:
-                if mleq(pre, m):
+                for k, w in pre:
+                    if m[k] < w:
+                        break
+                else:
                     nm = tuple(a + d for a, d in zip(m, delta))
                     if nm not in seen:
                         seen.add(nm)
                         queue.append(nm)
-        if not all(covered):
-            result = frozenset(ti for ti in range(n_t) if not covered[ti])
+        result = frozenset(ti for ti, _ in uncovered) if uncovered else None
         self.memo[key] = result
         return result
 
-    def witness_at(self, marking, inexact=0):
+    def witness_at(self, marking, inexact=0, node_budget=1_000_000):
         """First witness at the marking in (size, lex) subset order, as
         (place indices, dead transition indices), or None.  Subsets touching
         a place of the `inexact` bitmask are skipped: their counts there are
-        only known to be large."""
+        only known to be large.  Each restricted exploration may visit
+        `node_budget` states; raises BudgetExceeded beyond that."""
         key = (marking, inexact)
         hit = self.at_memo.get(key, 0)
         if hit != 0:
@@ -449,7 +463,7 @@ class WitnessIndex:
                 unmet |= short[i]
             if data.blockers & ~unmet:
                 continue
-            dead = self.dead_set(data, _sub(marking, data.indices))
+            dead = self.dead_set(data, _sub(marking, data.indices), node_budget)
             if dead:
                 found = (data.indices, dead)
                 break

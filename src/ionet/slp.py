@@ -225,7 +225,8 @@ class _AbstractEngine:
             if explored > node_budget:
                 raise BudgetExceeded(explored)
             # only subsets on which every count is exact can be flagged
-            hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m))
+            hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
+                             node_budget)
             if hit:
                 indices = hit[0]
                 targets.append((indices, tuple(s[i] for i in indices)))
@@ -404,7 +405,7 @@ def _drain_plan(net, indices):
     return result
 
 
-def _try_drains(net, start, targets, idx):
+def _try_drains(net, start, targets, node_budget, idx):
     """Deterministically drain toward each witness candidate; cheap and
     sound (every batched step is a sequence of capped firings), but not
     complete."""
@@ -438,7 +439,7 @@ def _try_drains(net, start, targets, idx):
             if not moved:
                 break
         final = tuple(counts)
-        hit = idx.witness_at(final)
+        hit = idx.witness_at(final, node_budget=node_budget)
         if hit is not None:
             return Witness.from_hit(net, hit, final, tuple(path))
     return None
@@ -463,7 +464,7 @@ def _capped_closure(net, start, targets, node_budget, idx):
         explored += 1
         _, k = heapq.heappop(heap)
         state = states[k]
-        hit = idx.witness_at(state.counts)
+        hit = idx.witness_at(state.counts, node_budget=node_budget)
         if hit is not None:
             path = []
             while parents[k] >= 0:
@@ -481,7 +482,7 @@ def _capped_closure(net, start, targets, node_budget, idx):
 
 def _capped_search(net, m0, targets, node_budget, idx):
     start = capped_config(net, m0)
-    witness = _try_drains(net, start, targets, idx)
+    witness = _try_drains(net, start, targets, node_budget, idx)
     if witness is not None:
         return witness, 0
     return _capped_closure(net, start, targets, node_budget, idx)

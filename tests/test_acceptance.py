@@ -94,7 +94,6 @@ def test_a05_dense_separation(dense_net):
 ROWS = ("ord-io", "ord-imo", "io", "imo", "ord-bimo")
 
 
-@pytest.mark.slow
 def test_a06_truncation_equivalence():
     rng = random.Random(2026)
     per_row = 300
@@ -172,7 +171,6 @@ def _markings_with_total(n, total):
             yield (head,) + rest
 
 
-@pytest.mark.slow
 def test_a08_capped_decision_matches_exact():
     rng = random.Random(808)
     for k in range(500):
@@ -305,7 +303,6 @@ def test_a11_rejecting_side_full_refutation():
     assert verdict.status == "not_structurally_live"
 
 
-@pytest.mark.slow
 def test_a12_ring_rewrite_preserves_liveness():
     rng = random.Random(1212)
     for k in range(200):
