@@ -12,9 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import DUMMY_PLACE, classify, is_imo_msets
-from .nets import Net, NetError, UnknownNode, mleq, msize, carrier, pre_mset, successors
-from .structure import _tarjan, relaxed_net, rich_poor, sccs
+from .classify import DUMMY_PLACE, is_imo_msets
+from .nets import (Net, NetError, UnknownNode, mleq, msize, carrier, place_masks,
+                   pre_mset, successors)
+from .structure import _is_siphon_mask, _tarjan, relaxed_net, rich_poor, sccs
 
 
 class SubsetCapExceeded(NetError):
@@ -158,13 +159,6 @@ def is_live_exact(net, m0, node_budget=200_000):
     return not any(dead)
 
 
-def cached_cover_basis(net, t, node_budget=200_000):
-    cache = net._analysis.setdefault("cover_basis", {})
-    if t not in cache:
-        cache[t] = cover_basis(net, pre_mset(net, t), node_budget)
-    return cache[t]
-
-
 def find_dl_marking(net, m0, node_budget=200_000):
     """Some reachable marking where each transition is dead or live and at
     least one is dead; None iff m0 is live.
@@ -178,9 +172,12 @@ def find_dl_marking(net, m0, node_budget=200_000):
     net.check_marking(m0)
     if is_nonlive(net, m0, node_budget=node_budget).is_live:
         return None
-    bases = [cached_cover_basis(net, t, node_budget) for t in net.transitions]
-    if any(isinstance(b, BudgetExceeded) for b in bases):
-        return BudgetExceeded()
+    bases = []
+    for t in net.transitions:
+        basis = cover_basis(net, pre_mset(net, t), node_budget)
+        if isinstance(basis, BudgetExceeded):
+            return basis
+        bases.append(basis)
     restricted = {}
     seen = {tuple(m0)}
     queue = deque(seen)
@@ -344,47 +341,41 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 # restricted pre-mset ever gets covered, S yields a witness exactly when
 # E stays inside T_I and misses some transition.  The dead set is then the
 # canonical D = T minus E, which subsumes every witness on (marking, S).
+# Only siphons can carry one: a transition with no pre-place in S is always
+# covered, so it must be in T_I, and a T_I transition that reads nothing on S
+# writes nothing on S either.
 
 class _SubsetData:
-    __slots__ = ("indices", "mask", "t_i", "blockers", "fire", "covers")
+    __slots__ = ("indices", "mask", "blockers", "fire", "covers")
 
     def __init__(self, net, mask):
         self.mask = mask  # bit i set iff place i is in the subset
         self.indices = indices = tuple(i for i in range(len(net.places)) if mask >> i & 1)
-        n_t = len(net.transitions)
-        t_i = []
+        self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
         covers = []
-        for ti in range(n_t):
+        for ti in range(len(net.transitions)):
             pre = _sub(net._pre[ti], indices)
             post = _sub(net._post[ti], indices)
-            imo = is_imo_msets(pre, post)
-            t_i.append(imo)
             # the restricted pre-mset as (subset position, weight) pairs
             support = tuple((k, w) for k, w in enumerate(pre) if w)
             covers.append(support)
-            if imo and (support or any(post)):
+            if not is_imo_msets(pre, post):
+                self.blockers |= 1 << ti
+            elif support:
                 fire.append((support, tuple(q - p for p, q in zip(pre, post))))
-        self.t_i = tuple(t_i)
-        # bit ti set iff transition ti is outside T_I
-        self.blockers = sum(1 << ti for ti, imo in enumerate(t_i) if not imo)
         self.fire = tuple(fire)
         self.covers = tuple(covers)
 
-    @property
-    def viable(self):
-        # a transition with an empty restricted pre-mset is always covered,
-        # so it must be inside T_I for any witness to exist on this subset
-        return all(imo or pre for imo, pre in zip(self.t_i, self.covers))
-
 
 class WitnessIndex:
-    """Per-net cache of subset data and memoized restricted explorations."""
+    """Per-net cache of siphon data and memoized restricted explorations."""
 
     def __init__(self, net):
         self.net = net
-        subsets = (_SubsetData(net, mask) for mask in range(1, 1 << len(net.places)))
-        self.entries = sorted((data for data in subsets if data.viable),
+        masks = place_masks(net)
+        siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
+        self.entries = sorted((_SubsetData(net, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
         self.memo = {}
         self.at_memo = {}
@@ -399,7 +390,7 @@ class WitnessIndex:
         hit = self.memo.get(key, 0)
         if hit != 0:
             return hit
-        t_i = data.t_i
+        blockers = data.blockers
         uncovered = list(enumerate(data.covers))
         seen = {r}
         queue = deque([r])
@@ -416,7 +407,7 @@ class WitnessIndex:
                         rest.append(item)
                         break
                 else:
-                    if not t_i[item[0]]:
+                    if blockers >> item[0] & 1:
                         self.memo[key] = None
                         return None
             uncovered = rest
@@ -484,7 +475,7 @@ def witness_index(net, subset_cap=16):
 
 
 def find_witness(net, marking, subset_cap=16):
-    """Search every subset of places for a witness at the given marking."""
+    """Search every siphon for a witness at the given marking."""
     net.check_marking(marking)
     marking = tuple(marking)
     hit = witness_index(net, subset_cap).witness_at(marking)
@@ -505,28 +496,17 @@ def constructed_witness(net, graph):
     v0, dead, live = res
     live_set = set(live)
 
-    # bottom SCC of the live-fired subgraph reachable from v0
+    # a bottom SCC of the subgraph reachable from v0, where no dead
+    # transition fires; Tarjan emits a sink component first
     reach = [v0]
-    seen = {v0}
+    local = {v0: 0}
     for v in reach:
-        for t, w in graph.succ[v]:
-            if t in live_set and w not in seen:
-                seen.add(w)
+        for _, w in graph.succ[v]:
+            if w not in local:
+                local[w] = len(reach)
                 reach.append(w)
-    local = {v: i for i, v in enumerate(reach)}
-    succ = [[] for _ in reach]
-    for v in reach:
-        for t, w in graph.succ[v]:
-            if t in live_set and w in local:
-                succ[local[v]].append(local[w])
-    comps = _tarjan(len(reach), succ)
-    bottom = None
-    for comp in comps:
-        outs = {w for v in comp for w in succ[v]}
-        if outs <= set(comp):
-            bottom = comp
-            break
-    nodes = [reach[v] for v in bottom]
+    succ = [[local[w] for _, w in graph.succ[v]] for v in reach]
+    nodes = [reach[v] for v in _tarjan(len(reach), succ)[0]]
     v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
     m_star = graph.nodes[v_star]
 

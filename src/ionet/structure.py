@@ -175,7 +175,12 @@ def is_siphon(net, place_set):
         if p not in net.place_index:
             raise UnknownNode(f"unknown place {p!r}")
         mask |= 1 << net.place_index[p]
-    return all(pre & mask for pre, post in place_masks(net) if post & mask)
+    return _is_siphon_mask(place_masks(net), mask)
+
+
+def _is_siphon_mask(masks, s):
+    """`is_siphon` on a place bitmask `s`, given the net's `place_masks`."""
+    return all(pre & s for pre, post in masks if post & s)
 
 
 def unmarked_siphon(net, marking, minimize=False):

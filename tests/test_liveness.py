@@ -11,7 +11,7 @@ from ionet import (
 from ionet import liveness
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking
-from tests.conftest import load_lba
+from tests.conftest import load_lba, load_net
 
 
 def _recursive_reach(net, m0, limit=50_000):
@@ -121,6 +121,19 @@ def test_find_dl_marking_witness_net(witness_net):
     keep = [t for t in net.transitions if t in live]
     flow = {k: w for k, w in net.flow.items() if k[0] in keep or k[1] in keep}
     assert is_live_exact(Net("live", net.places, keep, flow), m_dl) is True
+
+
+def test_find_dl_marking_budget_is_per_call():
+    """A call that runs out of budget reports the search that ran out and
+    leaves nothing behind: the next call, with the default budget, answers
+    as on a fresh net."""
+    net, m0 = load_net("bimo_witness")
+    small = find_dl_marking(net, m0, node_budget=3)
+    assert isinstance(small, BudgetExceeded) and small.explored == 4
+    fresh, _ = load_net("bimo_witness")
+    res = find_dl_marking(net, m0)
+    assert res == find_dl_marking(fresh, m0)
+    assert res[0] == (0, 1, 0, 1, 0, 4, 4)
 
 
 def test_find_dl_marking_none_for_live(fragile_net):

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from ionet import (
     CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
     capped_config, capped_successors, check_witness, classify, dead_at,
-    decide_slp, enabled, fire, is_live_exact, is_nonlive, mleq, parse_net,
-    slp_01_shortcut, truncate,
+    decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
+    parse_net, slp_01_shortcut, truncate,
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet import liveness
 from ionet.liveness import _sub, witness_index
 from ionet.slp import _AbstractEngine, _abstract_engine, _capped_closure
 from tests.conftest import FIXTURES, load_net
@@ -576,8 +577,52 @@ def test_witness_at_mask_matches_exactness_loop():
 def _covered_outside_t_i(data, r):
     """Reference for the start rejection: some transition outside T_I has
     its restricted pre-mset covered by `r`, so `dead_set` fails at once."""
-    return any(not imo and all(w <= r[k] for k, w in pre)
-               for imo, pre in zip(data.t_i, data.covers))
+    return any(data.blockers >> ti & 1 and all(w <= r[k] for k, w in pre)
+               for ti, pre in enumerate(data.covers))
+
+
+def _viable_reference(net, indices):
+    """The test the index used to keep a subset: every transition with an
+    empty restricted pre-mset moves a single token on it."""
+    return all(any(net._pre[ti][i] for i in indices)
+               or is_imo_msets(_sub(net._pre[ti], indices), _sub(net._post[ti], indices))
+               for ti in range(len(net.transitions)))
+
+
+def _siphon_nets():
+    for path in sorted(FIXTURES.glob("*.net")):
+        yield path.stem, parse_net(path.read_text())[0]
+    for row in ("ord-io", "ord-imo", "io", "imo", "ord-bimo", "bimo"):
+        for k in range(12):
+            yield f"{row}/{k}", random_net_in_row(
+                row, n_places=3 + k % 4, n_trans=1 + k % 5, seed=1_000 + k)
+
+
+def test_witness_index_enumerates_siphons(monkeypatch):
+    """The index keeps exactly the nonempty siphons, in (size, indices)
+    order; they are the subsets the old per-subset test kept.  Only they
+    get a `_SubsetData`: bio_dense builds 440 of its 4 095 subsets."""
+    weighted = 0
+    for name, net in _siphon_nets():
+        weighted += net.max_weight > 1
+        n = len(net.places)
+        subsets = [c for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
+        got = [data.indices for data in witness_index(net).entries]
+        assert got == [s for s in subsets
+                       if is_siphon(net, {net.places[i] for i in s})], name
+        assert got == [s for s in subsets if _viable_reference(net, s)], name
+    assert weighted
+
+    built = []
+    init = liveness._SubsetData.__init__
+
+    def counting_init(self, net, mask):
+        built.append(mask)
+        init(self, net, mask)
+
+    monkeypatch.setattr(liveness._SubsetData, "__init__", counting_init)
+    net, _ = load_net("bio_dense")
+    assert len(witness_index(net).entries) == len(built) == 440
 
 
 def _boundary_markings(net):
