@@ -283,9 +283,8 @@ def build_parser():
     p = command("gen", cmd_gen, "draw a seeded random net", "--out")
     p.add_argument("--class", dest="cls", default="io",
                    choices=("io", "imo", "bio", "bimo"))
-    p.add_argument("--places", type=int, default=4)
-    p.add_argument("--trans", type=int, default=4)
-    p.add_argument("--wmax", type=int, default=1)
+    for flag, default in (("--places", 4), ("--trans", 4), ("--wmax", 1)):
+        p.add_argument(flag, type=_positive(flag), default=default)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

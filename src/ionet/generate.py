@@ -72,8 +72,8 @@ def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None,
 def random_marking(net, max_tokens, rng):
     total = rng.randrange(max_tokens + 1)
     m = [0] * len(net.places)
-    for _ in range(total):
-        m[rng.randrange(len(net.places))] += 1 if net.places else 0
+    for _ in range(total if m else 0):
+        m[rng.randrange(len(m))] += 1
     return tuple(m)
 
 

@@ -1,22 +1,37 @@
 """Bounded-tape machines and their encodings as observation nets.
 
 A machine over tape alphabet {a, b} with one deterministic rule per
-(state, symbol) is compiled in four stages:
+(state, symbol) is compiled in four stages.  Places: head places p_q_i and
+cell places p_i_x for every state q, tape position i and symbol x; the
+initial marking puts one token on p_q0_1, on p_i_w(i) for each letter of the
+word w, and from Ndprime on also on p_run.  For the k-th rule
+(q, x) -> (q', x', m) at a position i with i + m on the tape:
 
-  N       cell and head places, one transition per rule and tape position;
-  Nprime  every rule transition split into begin/move/end so each step moves
-          a single token under one observation;
-  Ndprime a run/free control pair: once the accepting head place is marked
-          the control token frees reshuffle transitions that can install any
-          configuration;
-  Nbar    the free-to-run return replaced by a chain that re-installs the
-          initial configuration cell by cell, with abort transitions.
+  N        t_ins{k}_{i}:        p_q_i p_i_x     -> p_q'_{i+m} p_i_x'
+  Nprime   the step split around a place ins = p_ins{k}_{i}, so that each
+           transition moves a single token under one observation:
+           t_ins{k}_{i}_begin:  p_q_i p_i_x     -> p_i_x ins
+           t_ins{k}_{i}_move:   p_i_x ins       -> ins p_i_x'  (only if x != x'
+                                or idle moves are requested)
+           t_ins{k}_{i}_end:    ins p_i_x'      -> p_i_x' p_q'_{i+m}
+  Ndprime  Nprime plus a run/free control pair:
+           t_A:                 p_run p_acc_1   -> p_acc_1 p_free
+           t_A2:                p_free p_acc_1  -> p_acc_1 p_run
+           and reshuffles that install any configuration while free:
+           t_{q}_{i}_{r}_{j}:   p_q_i p_free    -> p_free p_r_j
+           t_c{i}_{x}_{y}:      p_i_x p_free    -> p_free p_i_y   (y != x)
+  Nbar     Ndprime with t_A2 replaced by a chain that re-installs the initial
+           configuration cell by cell (p_init0 is p_free), with aborts:
+           t_init{i}:           p_init{i-1} p_i_w(i) -> p_i_w(i) p_init{i}
+           t_rev{i}:            p_init{i}       -> p_free
+           t_run:               p_init{n} p_q0_1 -> p_q0_1 p_run
 
 The marked net of stage Nbar is live exactly when the machine accepts the
 word, which also ties acceptance to structural liveness.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .nets import Net, NetError, ParseError
@@ -79,7 +94,7 @@ def parse_lba(text):
     """Line format: states/init/accept/reject declarations plus rule lines
     `rule <q> <x> <q'> <x'> <L|R>`."""
     states = None
-    initial = accept = reject = None
+    named = {}  # init/accept/reject -> state
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -89,24 +104,20 @@ def parse_lba(text):
         kind = parts[0]
         if kind == "states":
             states = tuple(parts[1:])
-        elif kind == "init":
+        elif kind in ("init", "accept", "reject"):
             if len(parts) != 2:
-                raise ParseError("expected: init <state>", line_no)
-            initial = parts[1]
-        elif kind == "accept":
-            accept = parts[1]
-        elif kind == "reject":
-            reject = parts[1]
+                raise ParseError(f"expected: {kind} <state>", line_no)
+            named[kind] = parts[1]
         elif kind == "rule":
             if len(parts) != 6 or parts[5] not in MOVES:
                 raise ParseError("expected: rule <q> <x> <q'> <x'> <L|R>", line_no)
             rules.append((parts[1], parts[2], parts[3], parts[4], MOVES[parts[5]]))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)
-    if states is None or initial is None or accept is None or reject is None:
+    if states is None or len(named) != 3:
         raise ParseError("missing states/init/accept/reject declaration")
-    return LbaSpec(states=states, initial=initial, accept=accept, reject=reject,
-                   rules=tuple(rules)).validate()
+    return LbaSpec(states=states, initial=named["init"], accept=named["accept"],
+                   reject=named["reject"], rules=tuple(rules)).validate()
 
 
 def simulate_lba(spec, word, step_budget=100_000):
@@ -160,120 +171,64 @@ def build_stage(spec, word, stage, include_idle_moves=False):
     if not word or any(x not in ALPHABET for x in word):
         raise ConventionViolated(f"word must be a nonempty string over {ALPHABET}")
     n = len(word)
-    places = []
-    flow = {}
+    cells = range(1, n + 1)
+    places = [_head_place(q, i) for q in spec.states for i in cells]
+    places += [_cell_place(i, x) for i in cells for x in ALPHABET]
     trans = []
-    for q in spec.states:
-        for i in range(1, n + 1):
-            places.append(_head_place(q, i))
-    for i in range(1, n + 1):
-        for x in ALPHABET:
-            places.append(_cell_place(i, x))
+    flow = {}
 
-    valid = []  # (rule index, rule, position)
-    for k, rule in enumerate(spec.rules, start=1):
-        for i in range(1, n + 1):
-            if 1 <= i + rule[4] <= n:
-                valid.append((k, rule, i))
+    def arc(t, pre, post):
+        trans.append(t)
+        flow.update({(p, t): 1 for p in pre})
+        flow.update({(t, p): 1 for p in post})
 
-    if stage == "N":
-        for k, (q, x, q2, x2, m), i in valid:
-            t = f"t_ins{k}_{i}"
-            trans.append(t)
-            flow[(_head_place(q, i), t)] = 1
-            flow[(_cell_place(i, x), t)] = 1
-            flow[(t, _head_place(q2, i + m))] = 1
-            flow[(t, _cell_place(i, x2))] = 1
-    else:
-        for k, (q, x, q2, x2, m), i in valid:
+    for k, (q, x, q2, x2, m) in enumerate(spec.rules, start=1):
+        for i in cells:
+            if not 1 <= i + m <= n:
+                continue
+            head, head2 = _head_place(q, i), _head_place(q2, i + m)
+            cell, cell2 = _cell_place(i, x), _cell_place(i, x2)
+            if stage == "N":
+                arc(f"t_ins{k}_{i}", (head, cell), (head2, cell2))
+                continue
             ins = f"p_ins{k}_{i}"
             places.append(ins)
-            begin = f"t_ins{k}_{i}_begin"
-            trans.append(begin)
-            flow[(_head_place(q, i), begin)] = 1
-            flow[(_cell_place(i, x), begin)] = 1
-            flow[(begin, _cell_place(i, x))] = 1
-            flow[(begin, ins)] = 1
+            arc(f"t_ins{k}_{i}_begin", (head, cell), (cell, ins))
             if x != x2 or include_idle_moves:
-                move = f"t_ins{k}_{i}_move"
-                trans.append(move)
-                flow[(_cell_place(i, x), move)] = 1
-                flow[(ins, move)] = 1
-                flow[(move, ins)] = 1
-                flow[(move, _cell_place(i, x2))] = 1
-            end = f"t_ins{k}_{i}_end"
-            trans.append(end)
-            flow[(ins, end)] = 1
-            flow[(_cell_place(i, x2), end)] = 1
-            flow[(end, _cell_place(i, x2))] = 1
-            flow[(end, _head_place(q2, i + m))] = 1
+                arc(f"t_ins{k}_{i}_move", (cell, ins), (ins, cell2))
+            arc(f"t_ins{k}_{i}_end", (ins, cell2), (cell2, head2))
 
     if stage in ("Ndprime", "Nbar"):
-        places.extend(["p_run", "p_free"])
+        places += ["p_run", "p_free"]
         acc = _head_place(spec.accept, 1)
-        trans.append("t_A")
-        flow[("p_run", "t_A")] = 1
-        flow[(acc, "t_A")] = 1
-        flow[("t_A", acc)] = 1
-        flow[("t_A", "p_free")] = 1
+        arc("t_A", ("p_run", acc), (acc, "p_free"))
         if stage == "Ndprime":
-            trans.append("t_A2")
-            flow[("p_free", "t_A2")] = 1
-            flow[(acc, "t_A2")] = 1
-            flow[("t_A2", acc)] = 1
-            flow[("t_A2", "p_run")] = 1
-        heads = [(q, i) for q in spec.states for i in range(1, n + 1)]
-        for q, i in heads:
-            for q2, i2 in heads:
-                if (q, i) == (q2, i2):
-                    continue
-                t = f"t_{q}_{i}_{q2}_{i2}"
-                trans.append(t)
-                flow[(_head_place(q, i), t)] = 1
-                flow[("p_free", t)] = 1
-                flow[(t, "p_free")] = 1
-                flow[(t, _head_place(q2, i2))] = 1
-        for i in range(1, n + 1):
-            for x in ALPHABET:
-                y = "b" if x == "a" else "a"
-                t = f"t_c{i}_{x}_{y}"
-                trans.append(t)
-                flow[(_cell_place(i, x), t)] = 1
-                flow[("p_free", t)] = 1
-                flow[(t, "p_free")] = 1
-                flow[(t, _cell_place(i, y))] = 1
+            arc("t_A2", ("p_free", acc), (acc, "p_run"))
+        for (q, i), (q2, i2) in itertools.permutations(
+                [(q, i) for q in spec.states for i in cells], 2):
+            arc(f"t_{q}_{i}_{q2}_{i2}", (_head_place(q, i), "p_free"),
+                ("p_free", _head_place(q2, i2)))
+        for i in cells:
+            for x, y in zip(ALPHABET, reversed(ALPHABET)):
+                arc(f"t_c{i}_{x}_{y}", (_cell_place(i, x), "p_free"),
+                    ("p_free", _cell_place(i, y)))
 
     if stage == "Nbar":
-        for i in range(1, n + 1):
-            places.append(f"p_init{i}")
-        for i in range(1, n + 1):
-            t = f"t_init{i}"
-            trans.append(t)
+        places += [f"p_init{i}" for i in cells]
+        for i in cells:
             src = "p_free" if i == 1 else f"p_init{i - 1}"
-            flow[(src, t)] = 1
             cell = _cell_place(i, word[i - 1])
-            flow[(cell, t)] = 1
-            flow[(t, cell)] = 1
-            flow[(t, f"p_init{i}")] = 1
-            rev = f"t_rev{i}"
-            trans.append(rev)
-            flow[(f"p_init{i}", rev)] = 1
-            flow[(rev, "p_free")] = 1
-        trans.append("t_run")
-        flow[(f"p_init{n}", "t_run")] = 1
+            arc(f"t_init{i}", (src, cell), (cell, f"p_init{i}"))
+            arc(f"t_rev{i}", (f"p_init{i}",), ("p_free",))
         q0 = _head_place(spec.initial, 1)
-        flow[(q0, "t_run")] = 1
-        flow[("t_run", q0)] = 1
-        flow[("t_run", "p_run")] = 1
+        arc("t_run", (f"p_init{n}", q0), (q0, "p_run"))
 
     net = Net(f"{spec.initial}-{word}-{stage}", places, trans, flow)
-    marking = [0] * len(net.places)
-    marking[net.place_index[_head_place(spec.initial, 1)]] = 1
-    for i, x in enumerate(word, start=1):
-        marking[net.place_index[_cell_place(i, x)]] = 1
+    start = {_head_place(spec.initial, 1)}
+    start.update(_cell_place(i, x) for i, x in enumerate(word, start=1))
     if stage in ("Ndprime", "Nbar"):
-        marking[net.place_index["p_run"]] = 1
-    return net, tuple(marking)
+        start.add("p_run")
+    return net, tuple(int(p in start) for p in net.places)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ class ReachGraph:
         self.root = tuple(root)
         self.nodes = [self.root]
         self.index = {self.root: 0}
-        self.edges = []            # (src_index, transition, dst_index)
         self.succ = [[]]           # per node: (transition, dst_index)
         self.parent = [None]       # (src_index, transition) BFS tree
 
@@ -75,7 +74,6 @@ def reach_graph(net, m0, node_budget=200_000):
                 g.succ.append([])
                 g.parent.append((v, t))
                 queue.append(j)
-            g.edges.append((v, t, j))
             g.succ[v].append((t, j))
     return g
 

@@ -31,7 +31,7 @@ from .liveness import (
     constructed_witness, reach_graph, witness_index,
 )
 from .nets import NetError, place_masks
-from .structure import unmarked_siphon
+from .structure import relaxed_net, unmarked_siphon
 
 
 class NotOrdImo(NetError):
@@ -301,16 +301,11 @@ def _relaxed_arcs(net):
     cached = net._analysis.get("relaxed_arcs")
     if cached is not None:
         return cached
-    from .classify import presentation, dummy_augment, DUMMY_PLACE
-    base = dummy_augment(net)
-    arcs = []
-    for t in net.transitions:
-        pres = presentation(base, t)
-        src = None if pres.source == DUMMY_PLACE else net.place_index[pres.source]
-        dests = tuple(sorted(net.place_index[d] for d in set(pres.destinations)
-                             if d != DUMMY_PLACE))
-        arcs.append((src, dests))
-    arcs = tuple(arcs)
+    rlx = relaxed_net(net)
+    dummy = len(net.places)  # index of the dummy place, if the relaxed net has one
+    arcs = tuple((None if src == dummy else src,
+                  tuple(i for i, w in enumerate(post) if w and i != dummy))
+                 for ((src, _),), post in zip(rlx._pre_support, rlx._post))
     net._analysis["relaxed_arcs"] = arcs
     return arcs
 

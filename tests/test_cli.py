@@ -213,6 +213,31 @@ def test_unread_or_nonpositive_flags_rejected(tmp_path, monkeypatch, capsys, arg
     assert not (tmp_path / "x.net").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--places", "0"), ("--trans", "-1"), ("--wmax", "0"), ("--places", "x"),
+])
+def test_gen_rejects_nonpositive_counts(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *flags, "--out", "x.net"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flags[0]} must be a positive integer" in err and "Traceback" not in err
+    assert not (tmp_path / "x.net").exists()
+
+
+@pytest.mark.parametrize("kind", ["accept", "reject"])
+def test_lba_bare_single_state_line_exit_2(tmp_path, capsys, kind):
+    text = (FIXTURES / "lba" / "even_a_2.lba").read_text()
+    spec = tmp_path / "bad.lba"
+    spec.write_text("".join(kind + "\n" if raw.startswith(kind + " ") else raw
+                            for raw in text.splitlines(keepends=True)))
+    code, out, err = run(capsys, "lba", str(spec), "ab")
+    assert code == 2 and not out
+    assert err.startswith("error:") and f"expected: {kind} <state>" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [("--candidates", "0"), ("--budget", "-3")])
 def test_fixture_report_rejects_nonpositive_counts(flags):
     script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "fixture_report.py"

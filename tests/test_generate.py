@@ -1,5 +1,7 @@
-from ionet import classify, serialize_net
-from ionet.generate import random_net, random_net_in_row
+import random
+
+from ionet import Net, classify, serialize_net
+from ionet.generate import random_marking, random_net, random_net_in_row
 
 
 def test_generator_is_seed_deterministic():
@@ -34,3 +36,12 @@ def test_row_generator_hits_each_row():
             assert getattr(nc, cls)
             if not ordinary:
                 assert nc.max_weight >= 2
+
+
+def test_random_marking_empty_net_and_seeded_draws():
+    assert random_marking(Net("empty", [], [], {}), 5, random.Random(0)) == ()
+    # the draws for nets with places, as seeded tests rely on them
+    rng = random.Random(5)
+    net = random_net("io", n_places=4, n_trans=3, seed=2)
+    assert [random_marking(net, 6, rng) for _ in range(4)] == [
+        (1, 0, 2, 1), (2, 2, 1, 1), (2, 3, 0, 1), (0, 1, 1, 1)]

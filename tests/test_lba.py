@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,10 +6,15 @@ import pytest
 from ionet import (
     BudgetExceeded, ConventionViolated, NonDeterministic, build_stage,
     classify, dead_at, enabled, fire, is_live_exact, parse_lba, reach_graph,
-    replay, simulate_lba,
+    ParseError, replay, serialize_net, simulate_lba,
 )
-from ionet.lba import LbaSpec
-from tests.conftest import load_lba
+from ionet.lba import ALPHABET, STAGES, LbaSpec
+from tests.conftest import FIXTURES, load_lba
+
+# SHA-256 of the serialized compiled nets of test_compiled_nets_are_pinned,
+# recorded from the compiler's output: any change to a compiled net (place or
+# transition order, flow or initial marking) changes it.
+COMPILED_DIGEST = "f8c724c00d39de52dccd4a119e63c4d41451cc00623c97c7cd480fdd18aec5ff"
 
 
 def _hand_run(spec, word):
@@ -63,6 +69,39 @@ def test_simulate_validation():
                    reject="rej", rules=(("q1", "a", "q0", "a", 1),))
     with pytest.raises(Exception):
         back.validate()
+
+
+@pytest.mark.parametrize("line", ["accept", "reject", "init", "accept acc rej"])
+def test_parse_lba_single_state_lines_need_one_name(line):
+    text = (FIXTURES / "lba" / "even_a_2.lba").read_text()
+    kind = line.split()[0]
+    bad = "".join(line + "\n" if raw.startswith(kind + " ") else raw
+                  for raw in text.splitlines(keepends=True))
+    with pytest.raises(ParseError, match=f"expected: {kind} <state>"):
+        parse_lba(bad)
+    missing = "".join(raw for raw in text.splitlines(keepends=True)
+                      if not raw.startswith(kind + " "))
+    with pytest.raises(ParseError, match="missing states/init/accept/reject"):
+        parse_lba(missing)
+
+
+def test_compiled_nets_are_pinned():
+    """Six fixture machines x every word of length <= 2 x four stages x both
+    idle-move settings: 288 nets, hashed in that order."""
+    digest = hashlib.sha256()
+    count = 0
+    for name in sorted(p.stem for p in (FIXTURES / "lba").glob("*.lba")):
+        spec = load_lba(name)
+        for n in (1, 2):
+            for word in map("".join, itertools.product(ALPHABET, repeat=n)):
+                for stage in STAGES:
+                    for idle in (False, True):
+                        net, m0 = build_stage(spec, word, stage,
+                                              include_idle_moves=idle)
+                        digest.update(serialize_net(net, m0).encode())
+                        count += 1
+    assert count == 288
+    assert digest.hexdigest() == COMPILED_DIGEST
 
 
 def test_stage_counts():
@@ -130,7 +169,7 @@ def test_stage_nbar_init_chain():
     g = reach_graph(net, m0)
     q0_home = net.place_index[f"p_{spec.initial}_1"]
     cells = [net.place_index[f"p_{i}_{x}"] for i, x in ((1, "a"), (2, "b"))]
-    reentries = [w for v, t, w in g.edges if t == "t_run"]
+    reentries = [w for out in g.succ for t, w in out if t == "t_run"]
     assert reentries  # the machine accepts, so the control token cycles
     for v in reentries:
         # completing the whole chain certifies the initial configuration

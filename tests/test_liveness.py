@@ -39,8 +39,9 @@ def test_reach_graph_matches_recursive_oracle():
         m0 = random_marking(net, 5, rng)
         g = reach_graph(net, m0, node_budget=50_000)
         assert set(g.index) == _recursive_reach(net, m0)
-        for v, t, w in g.edges:
-            assert fire(net, g.nodes[v], t) == g.nodes[w]
+        for v, out in enumerate(g.succ):
+            for t, w in out:
+                assert fire(net, g.nodes[v], t) == g.nodes[w]
 
 
 def test_reach_graph_budget_and_trivial(fragile_net):
@@ -262,8 +263,9 @@ def test_dl_characterization_on_finite_cases():
 
 def _ref_pred(graph):
     pred = [[] for _ in graph.nodes]
-    for v, _, w in graph.edges:
-        pred[w].append(v)
+    for v, out in enumerate(graph.succ):
+        for _, w in out:
+            pred[w].append(v)
     return pred
 
 
