@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Print class flags, bounds and structural-liveness verdicts for every
-fixture net.  Usage: python scripts/fixture_report.py [--budget N]"""
+fixture net, with how many box candidates each decision tested and how many
+of those the siphon test alone refuted.
+Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
 import sys
@@ -32,7 +34,8 @@ def main():
             cert = " cert=" + ",".join(map(str, verdict.certificate))
         print(f"{path.name:28} {nc.finest():9} |P|={len(net.places):3} "
               f"|T|={len(net.transitions):3} bounds=({b.first},{b.second}) "
-              f"{verdict.status}{cert}  [{dt:.1f}s]")
+              f"{verdict.status}{cert} candidates={verdict.candidates_tested} "
+              f"siphon_settled={verdict.siphon_settled}  [{dt:.1f}s]")
 
 
 if __name__ == "__main__":

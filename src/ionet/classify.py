@@ -81,16 +81,20 @@ def classify(net):
     ordinary = all(w == 1 for w in net.flow.values())
     conservative = True
     bimo = bio = imo = True
-    for ti in range(len(net.transitions)):
-        pre, post = net._pre[ti], net._post[ti]
-        if msize(pre) != msize(post):
+    # the `is_*_msets` tests on sparse pre-sets: with the dummy loop an empty
+    # pre-set has size 1 and the post-set one more token, so |pre| <= 2 and
+    # |pre| == |post| read the same with or without it
+    for support, post in zip(net._pre_support, net._post):
+        sp = sum(w for _, w in support)
+        same = sp == sum(post)
+        if not same:
             conservative = False
-        if not is_bimo_msets(pre, post):
+        if sum(w - post[i] for i, w in support if w > post[i]) > 1:
             bimo = bio = imo = False
             continue
-        if not is_bio_msets(pre, post):
+        if sp > 2:
             bio = False
-        if not is_imo_msets(pre, post):
+        if not same:
             imo = False
     result = NetClass(
         ordinary=ordinary,

@@ -193,16 +193,48 @@ def fire(net, marking, t):
     return madd(marking, net._delta[ti])
 
 
+def _move_table(net):
+    """Per-net move table, built on first use: each transition's sparse delta
+    `((place, d), ...)`, per place the bitmask of the transitions whose first
+    pre-place it is, and the bitmask of the transitions without pre-places."""
+    table = net._analysis.get("move_table")
+    if table is None:
+        watch = [0] * len(net.places)
+        free = 0
+        for ti, support in enumerate(net._pre_support):
+            if support:
+                watch[support[0][0]] |= 1 << ti
+            else:
+                free |= 1 << ti
+        deltas = tuple(tuple((i, d) for i, d in enumerate(delta) if d)
+                       for delta in net._delta)
+        table = (deltas, tuple(watch), free)
+        net._analysis["move_table"] = table
+    return table
+
+
 def successors(net, marking):
     """(transition index, successor marking) for every transition enabled at
-    the marking, in declaration order."""
+    the marking, in declaration order.  Only transitions watched by a marked
+    place, or without pre-places, are tested."""
+    deltas, watch, todo = _move_table(net)
+    for i, x in enumerate(marking):
+        if x:
+            todo |= watch[i]
+    supports = net._pre_support
     out = []
-    for ti, support in enumerate(net._pre_support):
-        for i, w in support:
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        ti = low.bit_length() - 1
+        for i, w in supports[ti]:
             if marking[i] < w:
                 break
         else:
-            out.append((ti, tuple(a + d for a, d in zip(marking, net._delta[ti]))))
+            m = list(marking)
+            for i, d in deltas[ti]:
+                m[i] += d
+            out.append((ti, tuple(m)))
     return out
 
 

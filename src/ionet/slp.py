@@ -31,7 +31,7 @@ from .liveness import (
     constructed_witness, reach_graph, witness_index,
 )
 from .nets import NetError, place_masks
-from .structure import relaxed_net, unmarked_siphon
+from .structure import _largest_siphon_mask, relaxed_moves, unmarked_siphon
 
 
 class NotOrdImo(NetError):
@@ -301,11 +301,9 @@ def _relaxed_arcs(net):
     cached = net._analysis.get("relaxed_arcs")
     if cached is not None:
         return cached
-    rlx = relaxed_net(net)
-    dummy = len(net.places)  # index of the dummy place, if the relaxed net has one
-    arcs = tuple((None if src == dummy else src,
-                  tuple(i for i, w in enumerate(post) if w and i != dummy))
-                 for ((src, _),), post in zip(rlx._pre_support, rlx._post))
+    index = net.place_index.get  # None for the dummy place
+    arcs = tuple((index(src), tuple(i for i in map(index, dests) if i is not None))
+                 for src, dests in relaxed_moves(net))
     net._analysis["relaxed_arcs"] = arcs
     return arcs
 
@@ -557,11 +555,13 @@ class SlpVerdict:
     certificate: tuple = None
     candidates_tested: int = 0
     configs_explored: int = 0
+    siphon_settled: int = 0  # candidates refuted by the siphon test alone
 
     def to_dict(self):
         out = {"verdict": self.status,
                "stats": {"candidates_tested": self.candidates_tested,
-                         "configs_explored": self.configs_explored}}
+                         "configs_explored": self.configs_explored,
+                         "siphon_settled": self.siphon_settled}}
         if self.certificate is not None:
             out["certificate"] = list(self.certificate)
         return out
@@ -608,21 +608,31 @@ def slp_01_shortcut(net, candidate_budget=200_000, node_budget=500_000, subset_c
 
 
 def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
-    """First live marking with components in [0, bound], in `_box_iter` order."""
-    tested = 0
-    explored = 0
+    """First live marking with components in [0, bound], in `_box_iter` order.
+    Candidates that `is_nonlive`'s siphon shortcut would refute are refuted
+    here on place bitmasks, exploring nothing."""
+    masks = place_masks(net)
+    read = 0  # places some transition reads from
+    for pre, _ in masks:
+        read |= pre
+    tested = explored = settled = 0
+
+    def verdict(status, certificate=None):
+        return SlpVerdict(status, certificate=certificate, candidates_tested=tested,
+                          configs_explored=explored, siphon_settled=settled)
+
     for cand in _box_iter(len(net.places), bound):
         if tested >= candidate_budget:
-            return SlpVerdict("budget_exceeded", candidates_tested=tested,
-                              configs_explored=explored)
+            return verdict("budget_exceeded")
         tested += 1
-        verdict = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
-        explored += verdict.configs_explored
-        if verdict.status == "budget_exceeded":
-            return SlpVerdict("budget_exceeded", candidates_tested=tested,
-                              configs_explored=explored)
-        if verdict.is_live:
-            return SlpVerdict("structurally_live", certificate=cand,
-                              candidates_tested=tested, configs_explored=explored)
-    return SlpVerdict("not_structurally_live", candidates_tested=tested,
-                      configs_explored=explored)
+        unmarked = sum(1 << i for i, x in enumerate(cand) if not x)
+        if _largest_siphon_mask(masks, unmarked) & read:
+            settled += 1
+            continue
+        v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
+        explored += v.configs_explored
+        if v.status == "budget_exceeded":
+            return verdict("budget_exceeded")
+        if v.is_live:
+            return verdict("structurally_live", cand)
+    return verdict("not_structurally_live")

@@ -4,8 +4,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import classify, dummy_augment, presentation, NotBimo
-from .nets import Net, UnknownNode, carrier, mleq, place_masks, successors
+from .classify import DUMMY_PLACE, NotBimo, classify, presentation
+from .nets import Net, NetError, UnknownNode, carrier, mleq, place_masks, successors
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,36 @@ class SearchResult:
     explored: int = 0
 
 
+def relaxed_moves(net):
+    """(source, destinations) of each transition's presentation, by
+    transition order: place names, each destination once and in place order,
+    with `DUMMY_PLACE` standing for the dummy of an empty pre-set."""
+    if not classify(net).bimo:
+        raise NotBimo("relaxed net requires a net of the branching-observation family")
+    if not all(net._pre_support) and (
+            DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index):
+        raise NetError(f"identifier {DUMMY_PLACE!r} is reserved")
+    moves = []
+    for t in net.transitions:
+        pres = presentation(net, t)
+        moves.append((pres.source, tuple(dict.fromkeys(pres.destinations))))
+    return tuple(moves)
+
+
 def relaxed_net(net):
     """Keep only the moving edges of each presentation, all with weight 1.
 
     Observation edges are dropped, so a transition keeps one incoming edge
     from its source place and one outgoing edge per destination place.
     """
-    if not classify(net).bimo:
-        raise NotBimo("relaxed net requires a net of the branching-observation family")
-    base = dummy_augment(net)
+    moves = relaxed_moves(net)
     flow = {}
-    for t in base.transitions:
-        pres = presentation(base, t)
-        flow[(pres.source, t)] = 1
-        for d in set(pres.destinations):
+    for t, (src, dests) in zip(net.transitions, moves):
+        flow[(src, t)] = 1
+        for d in dests:
             flow[(t, d)] = 1
-    return Net(net.name + ".relaxed", base.places, base.transitions, flow)
+    places = net.places if all(net._pre_support) else net.places + (DUMMY_PLACE,)
+    return Net(net.name + ".relaxed", places, net.transitions, flow)
 
 
 def _graph(net):
@@ -183,37 +197,40 @@ def _is_siphon_mask(masks, s):
     return all(pre & s for pre, post in masks if post & s)
 
 
+def _largest_siphon_mask(masks, s):
+    """Largest siphon inside the place bitmask `s`, as a bitmask (0 if none).
+
+    Runs the standard fixpoint: prune every place fed by a transition whose
+    pre-set misses the current set, until no transition does.
+    """
+    changed = True
+    while changed and s:
+        changed = False
+        for pre, post in masks:
+            if pre & s:
+                continue
+            hit = post & s
+            if hit:
+                s &= ~hit
+                changed = True
+    return s
+
+
 def unmarked_siphon(net, marking, minimize=False):
     """Largest siphon unmarked at the marking, or None.
 
-    Runs the standard fixpoint: start from all unmarked places and prune any
-    place fed by a transition whose pre-mset misses the current set.  With
-    `minimize`, greedily drops places while a nonempty siphon remains.
+    With `minimize`, greedily drops places while a nonempty siphon remains.
     """
     net.check_marking(marking)
     masks = place_masks(net)
-
-    def prune(s):
-        changed = True
-        while changed and s:
-            changed = False
-            for pre, post in masks:
-                if pre & s:
-                    continue
-                hit = post & s
-                if hit:
-                    s &= ~hit
-                    changed = True
-        return s
-
-    base = prune(sum(1 << i for i, x in enumerate(marking) if x == 0))
+    base = _largest_siphon_mask(masks, sum(1 << i for i, x in enumerate(marking) if x == 0))
     if not base:
         return None
     if minimize:
         for i in range(len(net.places)):
             bit = 1 << i
             if base & bit:
-                smaller = prune(base & ~bit)
+                smaller = _largest_siphon_mask(masks, base & ~bit)
                 if smaller:
                     base = smaller
     return tuple(p for i, p in enumerate(net.places) if base >> i & 1)

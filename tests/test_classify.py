@@ -3,10 +3,12 @@ import random
 import pytest
 
 from ionet import (
-    DUMMY_PLACE, Net, NotBimo, augment_marking, classify, dummy_augment,
+    DUMMY_PLACE, Net, NotBimo, augment_marking, build_stage, classify, dummy_augment,
     msize, msub, parse_net, post_mset, pre_mset, presentation, reach_graph,
 )
-from ionet.generate import random_net
+from ionet.classify import is_bimo_msets, is_bio_msets, is_imo_msets
+from ionet.generate import random_net, random_net_in_row
+from tests.conftest import load_lba, random_flow_net, with_spawns
 
 
 def test_classify_fixture_flags(siphon_net, fragile_net, pump_net, dense_net,
@@ -72,6 +74,52 @@ def test_classify_vs_naive_recheck():
         assert (_naive_flags(net) ==
                 (nc.ordinary, nc.conservative, nc.bimo, nc.bio, nc.imo, nc.io))
         assert getattr(nc, cls)
+
+
+def _mset_flags(net):
+    """`classify`'s flags transcribed from the per-transition multiset
+    definitions."""
+    pairs = list(zip(net._pre, net._post))
+    bimo = all(is_bimo_msets(pre, post) for pre, post in pairs)
+    return (all(w == 1 for w in net.flow.values()),
+            all(msize(pre) == msize(post) for pre, post in pairs),
+            bimo,
+            bimo and all(is_bio_msets(pre, post) for pre, post in pairs),
+            bimo and all(is_imo_msets(pre, post) for pre, post in pairs),
+            bimo and all(is_bio_msets(pre, post) and is_imo_msets(pre, post)
+                         for pre, post in pairs))
+
+
+def _classify_cases():
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(240):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=71_000 + k)
+        yield with_spawns(net, seed=k) if k % 3 == 0 else net
+    for k in range(300):
+        yield random_flow_net(72_000 + k, n_places=1 + k % 5, n_trans=1 + k % 6)
+    for name, words in (("accept_all_2", ("aa", "ab")), ("even_a_2", ("ab", "bb")),
+                        ("flip_2", ("ba",)), ("first_a_3", ("abb",))):
+        spec = load_lba(name)
+        for word in words:
+            for stage in ("N", "Nbar"):
+                yield build_stage(spec, word, stage)[0]
+
+
+def test_classify_matches_mset_definitions():
+    seen = set()
+    empty_pre = 0
+    for net in _classify_cases():
+        nc = classify(net)
+        flags = (nc.ordinary, nc.conservative, nc.bimo, nc.bio, nc.imo, nc.io)
+        assert flags == _mset_flags(net), net
+        assert nc.max_weight == max(net.flow.values(), default=1)
+        seen.add(flags)
+        empty_pre += not all(net._pre_support)
+    assert empty_pre >= 100
+    # ordinary and weighted, inside and outside each class
+    for k in range(6):
+        assert {f[k] for f in seen} == {False, True}, k
 
 
 def test_presentation_weighted(weighted_net):

@@ -73,6 +73,20 @@ def test_slp_command(capsys):
     assert code == 3
 
 
+def test_slp_json_reports_siphon_settled(capsys):
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out, _ = run(capsys, "slp", str(FIXTURES / "io_fragile.net"), "--json")
+    assert code == 0
+    data = json.loads(out)
+    jsonschema.validate(data, SCHEMA)
+    # 28 candidates up to the certificate, 21 of them refuted by a siphon
+    assert data["certificate"] == [0, 1, 0, 1, 0, 1]
+    assert (data["stats"]["candidates_tested"], data["stats"]["siphon_settled"]) == (28, 21)
+    data["stats"]["siphon_settled"] = -1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, SCHEMA)
+
+
 def test_witness_and_truncate_commands(capsys):
     code, out, _ = run(capsys, "witness", str(FIXTURES / "bimo_siphon.net"),
                        "--marking", "4,0,0,0,0,1", "--json")

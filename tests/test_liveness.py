@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import deque
 
@@ -10,8 +11,9 @@ from ionet import (
 )
 from ionet import liveness
 from ionet.liveness import constructed_witness
-from ionet.generate import random_net, random_marking
-from tests.conftest import load_lba, load_net
+from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet.nets import successors
+from tests.conftest import load_lba, load_net, random_flow_net, with_spawns
 
 
 def _recursive_reach(net, m0, limit=50_000):
@@ -382,3 +384,70 @@ def test_kernels_match_reference(monkeypatch):
             patch.setattr(liveness, "_dl_node", _ref_dl_node)
             assert witness == constructed_witness(net, g), (net, m)
     assert graphs >= 80 and live >= 10 and nonlive >= 10
+
+
+def _dense_successors(net, m):
+    """`successors` by its definition: every transition in declaration
+    order, enabled iff m >= pre, leading to m + delta."""
+    return [(ti, tuple(map(operator.add, m, delta)))
+            for ti, (pre, delta) in enumerate(zip(net._pre, net._delta))
+            if all(map(operator.ge, m, pre))]
+
+
+def _dense_reach_graph(net, m0, limit):
+    """Breadth-first closure over the dense successors, numbered in
+    discovery order: (nodes, succ, parent, successor list per expanded
+    node, whether it closed within `limit` nodes)."""
+    nodes, succ, parent, lists = [tuple(m0)], [[]], [None], []
+    index = {nodes[0]: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        lists.append(_dense_successors(net, nodes[v]))
+        for ti, nm in lists[-1]:
+            t = net.transitions[ti]
+            j = index.get(nm)
+            if j is None:
+                if len(nodes) >= limit:
+                    return nodes, succ, parent, lists, False
+                j = index[nm] = len(nodes)
+                nodes.append(nm)
+                succ.append([])
+                parent.append((v, t))
+                queue.append(j)
+            succ[v].append((t, j))
+    return nodes, succ, parent, lists, True
+
+
+def _successor_cases():
+    rng = random.Random(91)
+    for k in range(100):
+        row = ("ord-io", "ord-imo", "io", "imo", "ord-bimo")[k % 5]
+        net = random_net_in_row(row, n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=91_000 + k)
+        if k % 2:
+            net = with_spawns(net, seed=k)
+        yield net, random_marking(net, 1 + k % 6, rng)
+    for k in range(60):
+        net = random_flow_net(92_000 + k, n_places=1 + k % 4, n_trans=1 + k % 5)
+        yield net, random_marking(net, 1 + k % 5, rng)
+    yield from _kernel_cases()
+
+
+def test_successors_match_dense_definition():
+    """The move-table kernel lists the same firings in the same order as the
+    definition at every expanded node, and `reach_graph` numbers nodes,
+    edges and parents as the dense loop does (or runs out where it does)."""
+    closed = spawning = 0
+    for net, m in _successor_cases():
+        nodes, succ, parent, lists, done = _dense_reach_graph(net, m, limit=1_000)
+        for node, ref in zip(nodes, lists):
+            assert successors(net, node) == ref, (net, node)
+        g = reach_graph(net, m, node_budget=1_000)
+        if done:
+            assert (g.nodes, g.succ, g.parent) == (nodes, succ, parent), (net, m)
+            closed += 1
+        else:
+            assert isinstance(g, BudgetExceeded) and g.explored == len(nodes), (net, m)
+        spawning += not all(net._pre_support)
+    assert closed >= 150 and spawning >= 60

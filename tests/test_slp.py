@@ -9,14 +9,17 @@ from ionet import (
     CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
     capped_config, capped_successors, check_witness, classify, dead_at,
     decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
-    parse_net, slp_01_shortcut, truncate,
+    build_stage, parse_net, simulate_lba, slp_01_shortcut, truncate,
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet import liveness
 from ionet.liveness import _sub, witness_index
-from ionet.slp import _AbstractEngine, _abstract_engine, _capped_closure
-from tests.conftest import FIXTURES, load_net
+from ionet.slp import (
+    SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
+    _search_box,
+)
+from tests.conftest import FIXTURES, load_lba, load_net, with_spawns
 
 
 def test_bounds_table(fragile_net, weighted_net):
@@ -759,3 +762,79 @@ def test_node_budget_bounds_the_restricted_exploration():
     net = _ring(6, u={("p0", "u"): 40, ("u", "p0"): 40})
     v = is_nonlive(net, (30, 0, 0, 0, 0, 0), node_budget=10)
     assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "abstract", 11)
+
+
+def _ref_search_box(net, bound, candidate_budget, node_budget=500_000, subset_cap=16):
+    """The box loop with `is_nonlive` on every candidate; siphon verdicts
+    are the candidates the siphon test alone settles."""
+    tested = explored = settled = 0
+
+    def verdict(status, certificate=None):
+        return SlpVerdict(status, certificate=certificate, candidates_tested=tested,
+                          configs_explored=explored, siphon_settled=settled)
+
+    for cand in _box_iter(len(net.places), bound):
+        if tested >= candidate_budget:
+            return verdict("budget_exceeded")
+        tested += 1
+        v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
+        explored += v.configs_explored
+        settled += v.method == "siphon"
+        if v.status == "budget_exceeded":
+            return verdict("budget_exceeded")
+        if v.is_live:
+            return verdict("structurally_live", cand)
+    return verdict("not_structurally_live")
+
+
+def _first_bound(net):
+    return bounds_for(classify(net), len(net.places), net.max_weight).first
+
+
+def _accepting_machines():
+    """The eight accepting two-letter compiled machines."""
+    for name in ("accept_all_2", "reject_all_2", "even_a_2", "flip_2"):
+        spec = load_lba(name)
+        for word in ("aa", "ab", "ba", "bb"):
+            if simulate_lba(spec, word) == "accept":
+                yield lambda spec=spec, word=word: build_stage(spec, word, "Nbar")[0]
+
+
+def _box_cases():
+    """(fresh-net factory, bound, candidate budget)."""
+    machines = list(_accepting_machines())
+    assert len(machines) == 8
+    for make in machines:
+        yield make, _first_bound(make()), 2_000_000
+    for k in range(60):
+        row = ("ord-io", "ord-imo", "io", "imo", "ord-bimo", "bimo")[k % 6]
+        net = random_net_in_row(row, n_places=2 + k % 3, n_trans=1 + k % 4,
+                                seed=76_000 + k, wmax=2)
+        if k % 4 == 1:
+            net = with_spawns(net, seed=k)
+        yield (lambda net=net: _fresh(net)), _first_bound(net), 400
+    # budgets that run out at every candidate of a small box
+    for budget in range(1, 28):
+        yield (lambda: load_net("io_fragile")[0]), 1, budget
+    for budget in (1, 2, 7, 50):
+        yield machines[0], _first_bound(machines[0]()), budget
+
+
+def test_box_loop_matches_per_candidate_reference():
+    settled_at_budget = 0
+    for make, bound, budget in _box_cases():
+        got = _search_box(make(), bound, budget, 500_000, 16)
+        assert got == _ref_search_box(make(), bound, budget), (make(), bound, budget)
+        if got.status == "budget_exceeded" and budget > 1 and budget <= 50:
+            # did the budget run out on a candidate the siphon test settled?
+            before = _search_box(make(), bound, budget - 1, 500_000, 16)
+            settled_at_budget += got.siphon_settled > before.siphon_settled
+    assert settled_at_budget >= 10
+
+
+def test_box_loop_matches_per_candidate_reference_on_fixtures():
+    for path in sorted(FIXTURES.glob("*.net")):
+        net = load_net(path.stem)[0]
+        bound = _first_bound(net)
+        got = _search_box(net, bound, 3_000, 500_000, 16)
+        assert got == _ref_search_box(load_net(path.stem)[0], bound, 3_000), path.name

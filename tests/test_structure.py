@@ -4,11 +4,13 @@ import random
 import pytest
 
 from ionet import (
-    Net, classify, is_carrier_maximal, is_self_coverable, is_siphon,
-    reach_graph, relaxed_net, replay, rich_poor, sccs, unmarked_siphon,
-    carrier, mleq,
+    DUMMY_PLACE, Net, NetError, classify, dummy_augment, is_carrier_maximal,
+    is_self_coverable, is_siphon, presentation, reach_graph, relaxed_net, replay,
+    rich_poor, sccs, unmarked_siphon, carrier, mleq,
 )
-from ionet.generate import random_net, random_marking
+from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet.slp import _relaxed_arcs
+from tests.conftest import FIXTURES, load_net, random_flow_net, with_spawns
 
 
 def test_relaxed_witness_net_single_component(witness_net):
@@ -50,6 +52,69 @@ def test_relaxed_net_trivial_cases():
     assert rlx.places == ("p",) and rlx.transitions == ()
     comps = sccs(rlx)
     assert len(comps) == 1 and comps[0].is_top and comps[0].is_bottom
+
+
+def _ref_relaxed_net(net):
+    """The relaxed net built on the dummy-augmented net, one presentation
+    per transition."""
+    base = dummy_augment(net)
+    flow = {}
+    for t in base.transitions:
+        pres = presentation(base, t)
+        flow[(pres.source, t)] = 1
+        for d in set(pres.destinations):
+            flow[(t, d)] = 1
+    return Net(net.name + ".relaxed", base.places, base.transitions, flow)
+
+
+def _ref_relaxed_arcs(net):
+    """(source, destinations) indices read off the relaxed net's vectors,
+    the dummy place's index mapping to None."""
+    rlx = _ref_relaxed_net(net)
+    dummy = len(net.places)
+    return tuple((None if src == dummy else src,
+                  tuple(i for i, w in enumerate(post) if w and i != dummy))
+                 for ((src, _),), post in zip(rlx._pre_support, rlx._post))
+
+
+def _relaxed_cases():
+    for path in sorted(FIXTURES.glob("*.net")):
+        yield load_net(path.stem)[0]
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(240):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=73_000 + k)
+        yield with_spawns(net, seed=k, count=1 + k % 2) if k % 2 else net
+    for k in range(200):
+        yield random_flow_net(74_000 + k, n_places=1 + k % 4, n_trans=1 + k % 5)
+
+
+def test_relaxed_arcs_match_augmented_presentations():
+    checked = empty_pre = 0
+    for net in _relaxed_cases():
+        if not classify(net).bimo:
+            continue
+        ref = _ref_relaxed_net(net)
+        rlx = relaxed_net(net)
+        assert (rlx.name, rlx.places, rlx.transitions) == (ref.name, ref.places,
+                                                            ref.transitions)
+        assert rlx.flow == ref.flow, net
+        assert _relaxed_arcs(net) == _ref_relaxed_arcs(net), net
+        checked += 1
+        empty_pre += not all(net._pre_support)
+    assert checked >= 300 and empty_pre >= 120
+
+
+def test_relaxed_net_reserved_dummy_name():
+    flow = {("t", DUMMY_PLACE): 1, ("p", "u"): 1, ("u", "p"): 1}
+    clash = Net("clash", ["p", DUMMY_PLACE], ["t", "u"], flow)
+    for build in (relaxed_net, _relaxed_arcs):
+        with pytest.raises(NetError, match="reserved"):
+            build(clash)
+    # without an empty pre-set the name is an ordinary place
+    plain = Net("plain", ["p", DUMMY_PLACE], ["u"], {("p", "u"): 1, ("u", DUMMY_PLACE): 1})
+    assert _relaxed_arcs(plain) == ((0, (1,)),)
+    assert relaxed_net(plain).flow == _ref_relaxed_net(plain).flow
 
 
 def test_sccs_ring_chain_oracle():
