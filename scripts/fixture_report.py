@@ -25,10 +25,10 @@ def main():
         net, marking = parse_net(path.read_text())
         nc = classify(net)
         b = bounds_for(nc, len(net.places), nc.max_weight)
-        t0 = time.time()
+        t0 = time.perf_counter()
         verdict = decide_slp(net, candidate_budget=args.candidates,
                              node_budget=args.budget)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         cert = ""
         if verdict.certificate is not None:
             cert = " cert=" + ",".join(map(str, verdict.certificate))

@@ -344,10 +344,10 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 # writes nothing on S either.
 
 class _SubsetData:
-    __slots__ = ("indices", "mask", "blockers", "fire", "covers")
+    __slots__ = ("indices", "blockers", "fire", "covers")
 
     def __init__(self, net, mask):
-        self.mask = mask  # bit i set iff place i is in the subset
+        # bit i of `mask` set iff place i is in the subset
         self.indices = indices = tuple(i for i in range(len(net.places)) if mask >> i & 1)
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
@@ -375,6 +375,16 @@ class WitnessIndex:
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
         self.entries = sorted((_SubsetData(net, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
+        # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
+        # entries with place i, blocked[ti] those with ti outside their T_I
+        self.contains = [0] * len(net.places)
+        self.blocked = [0] * len(net.transitions)
+        for e, data in enumerate(self.entries):
+            for i in data.indices:
+                self.contains[i] |= 1 << e
+            for ti in range(len(net.transitions)):
+                if data.blockers >> ti & 1:
+                    self.blocked[ti] |= 1 << e
         self.memo = {}
         self.at_memo = {}
 
@@ -434,24 +444,28 @@ class WitnessIndex:
         hit = self.at_memo.get(key, 0)
         if hit != 0:
             return hit
-        # short[i]: the transitions whose pre-mset needs more tokens on place
-        # i than the marking holds.  A transition is covered at the start of
-        # a subset's exploration iff no place of the subset is short for it,
-        # and `dead_set` answers None there if that transition is outside T_I.
-        short = [0] * len(marking)
-        for ti, support in enumerate(self.net._pre_support):
-            for i, w in support:
-                if marking[i] < w:
-                    short[i] |= 1 << ti
+        # Drop the entries touching an inexact place, and those on which some
+        # transition outside T_I is covered at the start: it is short on no
+        # place of the entry, so `dead_set` would answer None at once.  A
+        # transition ti keeps the entries with ti in T_I (~blocked[ti]) or
+        # with a place where the marking holds fewer tokens than ti reads.
+        contains = self.contains
+        live = (1 << len(self.entries)) - 1
+        for i, c in enumerate(contains):
+            if inexact >> i & 1:
+                live &= ~c
+        for support, blocked in zip(self.net._pre_support, self.blocked):
+            if blocked:
+                short = 0
+                for i, w in support:
+                    if marking[i] < w:
+                        short |= contains[i]
+                live &= ~blocked | short
         found = None
-        for data in self.entries:
-            if data.mask & inexact:
-                continue
-            unmet = 0
-            for i in data.indices:
-                unmet |= short[i]
-            if data.blockers & ~unmet:
-                continue
+        while live:
+            low = live & -live
+            live ^= low
+            data = self.entries[low.bit_length() - 1]
             dead = self.dead_set(data, _sub(marking, data.indices), node_budget)
             if dead:
                 found = (data.indices, dead)

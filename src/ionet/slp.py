@@ -572,18 +572,25 @@ def _box_iter(n, bound):
     if n == 0:
         yield ()
         return
+    c = [0] * n
     for total in range(0, bound * n + 1):
-        yield from _compositions(n, total, bound)
-
-
-def _compositions(n, total, bound):
-    if n == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    for head in range(0, min(bound, total) + 1):
-        for rest in _compositions(n - 1, total - head, bound):
-            yield (head,) + rest
+        rest, first = total, -1
+        while True:
+            # the lex-least tail after `first` holding `rest`: packed right
+            for j in range(n - 1, first, -1):
+                c[j] = x = min(bound, rest)
+                rest -= x
+            yield tuple(c)
+            # the last place before the end that can take a token from its tail
+            rest = c[-1]
+            first = n - 2
+            while first >= 0 and (rest == 0 or c[first] == bound):
+                rest += c[first]
+                first -= 1
+            if first < 0:
+                break
+            c[first] += 1
+            rest -= 1
 
 
 def decide_slp(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16):

@@ -9,7 +9,7 @@ from ionet import (
     CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
     capped_config, capped_successors, check_witness, classify, dead_at,
     decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
-    build_stage, parse_net, simulate_lba, slp_01_shortcut, truncate,
+    build_stage, parse_net, replay, simulate_lba, slp_01_shortcut, truncate,
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
@@ -446,6 +446,18 @@ def test_closure_search_path_replays(name, marking):
         assert check_witness(net, witness, variant=variant).sound
 
 
+def test_dense_two_token_marking_is_pinned():
+    """A marking of bio_dense with at most two tokens per place: the probe
+    flags it at once and the capped search explores 34 911 configurations
+    before it reaches a witness."""
+    net, _ = load_net("bio_dense")
+    m = (2, 1, 1, 2, 1, 2, 1, 2, 2, 1, 2, 0)
+    v = is_nonlive(net, m)
+    assert (v.status, v.method, v.configs_explored) == ("nonlive", "capped-search", 34_911)
+    assert check_witness(net, v.witness).sound
+    assert replay(net, m, v.witness.path).final == v.witness.m_wit
+
+
 def test_capped_closure_exhausts_live_markings():
     """Guided toward another marking's witness candidates, the search still
     visits the whole capped space of a live marking and finds nothing."""
@@ -628,6 +640,25 @@ def test_witness_index_enumerates_siphons(monkeypatch):
     assert len(witness_index(net).entries) == len(built) == 440
 
 
+def test_witness_index_entry_bitmasks():
+    """`contains[i]` and `blocked[ti]` transpose the entries: bit e is set
+    iff place i is among entry e's `indices`, or bit ti of its `blockers`
+    is set."""
+    names = []
+    for name, net in _siphon_nets():
+        names.append(name)
+        idx = witness_index(net)
+        assert len(idx.contains) == len(net.places), name
+        assert len(idx.blocked) == len(net.transitions), name
+        for i, bits in enumerate(idx.contains):
+            assert bits == sum(1 << e for e, data in enumerate(idx.entries)
+                               if i in data.indices), (name, i)
+        for ti, bits in enumerate(idx.blocked):
+            assert bits == sum(1 << e for e, data in enumerate(idx.entries)
+                               if data.blockers >> ti & 1), (name, ti)
+    assert "bio_dense" in names
+
+
 def _boundary_markings(net):
     """Markings one token below, at and above each pre arc weight: each
     transition's pre-mset with one of its places moved by -1, 0 or +1, and
@@ -676,6 +707,33 @@ def test_witness_at_start_rejection():
             if len(net.places) <= 7:
                 assert got == _first_exact_witness(idx, m, float("inf")), (name, m)
     assert rejected and weighted
+
+
+def test_witness_at_start_rejection_with_inexact_places():
+    """On every abstract state the probe memoised, with its "many" mask,
+    `witness_at` runs `dead_set` on exactly the subsets, up to the one it
+    returns, that touch no inexact place and pass the start test."""
+    masked = 0
+    for name, net in _probed_nets():
+        engine = net._analysis.get("abstract_engine")
+        if engine is None:
+            continue
+        idx, top = engine.idx, engine.m
+        place_bits = [sum(1 << i for i in data.indices) for data in idx.entries]
+        for s in engine.reach:
+            mask = sum(1 << i for i, x in enumerate(s) if x >= top)
+            masked += mask != 0
+            idx.memo.clear()
+            idx.at_memo.clear()
+            got = idx.witness_at(s, mask)
+            searched = (len(idx.entries) if got is None else
+                        [d.indices for d in idx.entries].index(got[0]) + 1)
+            assert set(idx.memo) == {
+                (d.indices, _sub(s, d.indices))
+                for d, bits in zip(idx.entries[:searched], place_bits)
+                if not bits & mask and not _covered_outside_t_i(d, _sub(s, d.indices))
+            }, (name, s, mask)
+    assert masked
 
 
 def test_dense_memo_holds_no_rejected_pair():
@@ -818,6 +876,27 @@ def _box_cases():
         yield (lambda: load_net("io_fragile")[0]), 1, budget
     for budget in (1, 2, 7, 50):
         yield machines[0], _first_bound(machines[0]()), budget
+
+
+def _compositions(n, total, bound):
+    """Reference: the n-tuples over [0, bound] summing to `total`, in lex
+    order, by recursion on the first component."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(0, min(bound, total) + 1):
+        for rest in _compositions(n - 1, total - head, bound):
+            yield (head,) + rest
+
+
+def test_box_iter_matches_recursive_definition():
+    for n in range(7):
+        for bound in range(4):
+            want = [c for total in range(bound * n + 1)
+                    for c in _compositions(n, total, bound)]
+            assert list(_box_iter(n, bound)) == want, (n, bound)
+    assert list(_box_iter(0, 2)) == [()]
 
 
 def test_box_loop_matches_per_candidate_reference():
