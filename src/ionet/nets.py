@@ -3,7 +3,11 @@
 A net's places, transitions and flow are fixed at construction; markings
 are plain tuples of non-negative ints indexed by the net's place order.  The
 analyses fill per-net caches in `net._analysis` as they run, without locks,
-so a net is not safe to share across threads that analyse it.
+so a net is not safe to share across threads that analyse it.  The caches:
+"class", "move_table", "place_masks" and "relaxed_arcs" (fixed size);
+"drain_weights" and "drain_plans" (at most one entry per siphon); and
+"witness_index" and "abstract_engine", whose `witness_at`, `dead_set` and
+abstract reachability memos grow without bound as markings are decided.
 """
 from __future__ import annotations
 
@@ -82,7 +86,7 @@ class Net:
 
     __slots__ = (
         "name", "places", "transitions", "flow", "place_index", "trans_index",
-        "_pre", "_post", "_delta", "_pre_support", "max_weight", "_analysis",
+        "_pre", "_post", "_pre_support", "max_weight", "_analysis",
     )
 
     def __init__(self, name, places, transitions, flow):
@@ -120,17 +124,14 @@ class Net:
                 raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
             clean[(a, b)] = w
         self.flow = clean
-        pre, post, delta, support = [], [], [], []
+        pre, post, support = [], [], []
         for t in transitions:
             pv = tuple(clean.get((p, t), 0) for p in places)
-            qv = tuple(clean.get((t, p), 0) for p in places)
             pre.append(pv)
-            post.append(qv)
-            delta.append(tuple(q - p for p, q in zip(pv, qv)))
+            post.append(tuple(clean.get((t, p), 0) for p in places))
             support.append(tuple((i, w) for i, w in enumerate(pv) if w))
         self._pre = tuple(pre)
         self._post = tuple(post)
-        self._delta = tuple(delta)
         self._pre_support = tuple(support)
         self.max_weight = max(clean.values(), default=1)
         self._analysis = {}  # lazily filled caches keyed by analysis name
@@ -186,17 +187,24 @@ def enabled(net, marking, t):
 
 def fire(net, marking, t):
     net.check_marking(marking)
-    ti = _tindex(net, t)
+    return _fire(net, marking, _tindex(net, t))
+
+
+def _fire(net, marking, ti, step=None):
     for i, w in net._pre_support[ti]:
         if marking[i] < w:
-            raise NotEnabled(t, marking)
-    return madd(marking, net._delta[ti])
+            raise NotEnabled(net.transitions[ti], marking, step)
+    m = list(marking)
+    for i, d in _move_table(net)[0][ti]:
+        m[i] += d
+    return tuple(m)
 
 
 def _move_table(net):
     """Per-net move table, built on first use: each transition's sparse delta
-    `((place, d), ...)`, per place the bitmask of the transitions whose first
-    pre-place it is, and the bitmask of the transitions without pre-places."""
+    `((place, post - pre), ...)` over the places it changes, per place the
+    bitmask of the transitions whose first pre-place it is, and the bitmask
+    of the transitions without pre-places."""
     table = net._analysis.get("move_table")
     if table is None:
         watch = [0] * len(net.places)
@@ -206,17 +214,18 @@ def _move_table(net):
                 watch[support[0][0]] |= 1 << ti
             else:
                 free |= 1 << ti
-        deltas = tuple(tuple((i, d) for i, d in enumerate(delta) if d)
-                       for delta in net._delta)
+        deltas = tuple(tuple((i, q - p) for i, (p, q) in enumerate(zip(pre, post)) if p != q)
+                       for pre, post in zip(net._pre, net._post))
         table = (deltas, tuple(watch), free)
         net._analysis["move_table"] = table
     return table
 
 
-def successors(net, marking):
-    """(transition index, successor marking) for every transition enabled at
-    the marking, in declaration order.  Only transitions watched by a marked
-    place, or without pre-places, are tested."""
+def moves(net, marking):
+    """(transition index, sparse delta) for every transition enabled at the
+    marking, in declaration order.  Only transitions watched by a marked
+    place, or without pre-places, are tested.  Every forward kernel applies
+    the sparse deltas of this one walk in its own arithmetic."""
     deltas, watch, todo = _move_table(net)
     for i, x in enumerate(marking):
         if x:
@@ -231,10 +240,19 @@ def successors(net, marking):
             if marking[i] < w:
                 break
         else:
-            m = list(marking)
-            for i, d in deltas[ti]:
-                m[i] += d
-            out.append((ti, tuple(m)))
+            out.append((ti, deltas[ti]))
+    return out
+
+
+def successors(net, marking):
+    """(transition index, successor marking) for every transition enabled at
+    the marking, in declaration order."""
+    out = []
+    for ti, delta in moves(net, marking):
+        m = list(marking)
+        for i, d in delta:
+            m[i] += d
+        out.append((ti, tuple(m)))
     return out
 
 
@@ -257,11 +275,7 @@ def replay(net, start, sequence):
     steps = []
     m = tuple(start)
     for k, t in enumerate(sequence):
-        ti = _tindex(net, t)
-        for i, w in net._pre_support[ti]:
-            if m[i] < w:
-                raise NotEnabled(t, m, step=k)
-        m = madd(m, net._delta[ti])
+        m = _fire(net, m, _tindex(net, t), k)
         steps.append((t, m))
     return Execution(start=tuple(start), steps=tuple(steps))
 

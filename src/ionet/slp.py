@@ -30,7 +30,7 @@ from .liveness import (
     BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
     constructed_witness, reach_graph, witness_index,
 )
-from .nets import NetError, place_masks
+from .nets import NetError, _move_table, moves, place_masks
 from .structure import _largest_siphon_mask, relaxed_moves, unmarked_siphon
 
 
@@ -81,13 +81,9 @@ class CappedConfig(NamedTuple):
 
 def capped_config(net, marking):
     """Initial configuration: cap counts and record which places overflowed."""
-    net.check_marking(marking)
-    cap = cap_value(net)
-    flags = 0
-    for i, x in enumerate(marking):
-        if x > cap:
-            flags |= 1 << i
-    return CappedConfig(tuple(x if x < cap else cap for x in marking), flags)
+    counts = truncate(net, marking)
+    flags = sum(1 << i for i, (x, c) in enumerate(zip(marking, counts)) if x > c)
+    return CappedConfig(counts, flags)
 
 
 def capped_successors(net, cfg):
@@ -97,21 +93,16 @@ def capped_successors(net, cfg):
     cap = cap_value(net)
     counts, sat = cfg
     out = []
-    for ti, support in enumerate(net._pre_support):
-        for i, w in support:
-            if counts[i] < w:
-                break
-        else:
-            raw = list(counts)
-            flags = sat
-            for i, d in enumerate(net._delta[ti]):
-                if d:
-                    x = raw[i] + d
-                    if x > cap:
-                        x = cap
-                        flags |= 1 << i
-                    raw[i] = x
-            out.append((net.transitions[ti], CappedConfig(tuple(raw), flags)))
+    for ti, delta in moves(net, counts):
+        raw = list(counts)
+        flags = sat
+        for i, d in delta:
+            x = raw[i] + d
+            if x > cap:
+                x = cap
+                flags |= 1 << i
+            raw[i] = x
+        out.append((net.transitions[ti], CappedConfig(tuple(raw), flags)))
     if sat:
         for i, p in enumerate(net.places):
             if sat >> i & 1 and counts[i] < cap:
@@ -145,7 +136,8 @@ class _AbstractEngine:
     """Counts are exact below a small threshold m or TOP (= at least m).
 
     Firing is always possible from TOP values; a TOP value drained by one
-    token branches into "still TOP" and "exactly m-1".  Every reachable real
+    token (`is_nonlive` admits only nets whose transitions take at most one)
+    branches into "still TOP" and "exactly m-1".  Every reachable real
     marking is represented, so a run without witness states proves liveness.
     Witness states keep at most w tokens per crucial place, so any m > w
     detects them all; m = w + 2 keeps slightly more precision, which avoids
@@ -156,8 +148,6 @@ class _AbstractEngine:
         self.net = net
         self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
         self.idx = witness_index(net, subset_cap)
-        if any(d < -1 for delta in net._delta for d in delta):
-            raise NotBimo("abstract engine requires single-token source moves")
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
 
@@ -166,21 +156,12 @@ class _AbstractEngine:
         return tuple(x if x < m else m for x in marking)
 
     def successors(self, state):
-        net, m = self.net, self.m
+        m = self.m
         out = []
-        for ti in range(len(net.transitions)):
-            ok = True
-            for i, w in net._pre_support[ti]:
-                if state[i] < w:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        for _, delta in moves(self.net, state):
             base = list(state)
             drain = None
-            for i, d in enumerate(net._delta[ti]):
-                if d == 0:
-                    continue
+            for i, d in delta:
                 v = state[i]
                 if v == m:
                     if d < 0:
@@ -190,14 +171,13 @@ class _AbstractEngine:
                     base[i] = x if x < m else m
             out.append(tuple(base))
             if drain is not None:
-                alt = list(base)
-                alt[drain] = m - 1
-                out.append(tuple(alt))
+                base[drain] = m - 1
+                out.append(tuple(base))
         return out
 
     def probe(self, marking, node_budget):
-        """(may_be_nonlive, witness targets, abstract states explored).  A
-        False first component is a proof of liveness.
+        """(witness targets, abstract states explored).  No targets is a
+        proof of liveness.
 
         Outcomes are memoised per abstract state, so the probes of one net
         share their work: the search skips states proven clean and stops at
@@ -211,7 +191,7 @@ class _AbstractEngine:
         if targets is None:
             targets, explored = self._search(start, node_budget)
             reach[start] = targets
-        return bool(targets), list(targets), explored
+        return list(targets), explored
 
     def _search(self, start, node_budget):
         reach, witness_at, m = self.reach, self.idx.witness_at, self.m
@@ -366,8 +346,9 @@ def _heuristic(net, targets):
 def _drain_plan(net, indices):
     """Unconditional drain schedule for a place set, or None.
 
-    Uses only transitions with a single unit pre-place, which stay enabled
-    while their source is marked, processed from the innermost places out.
+    Uses only transitions with a single unit pre-place missing from their
+    post-set, which stay enabled while their source is marked, processed from
+    the innermost places out; each step is (place, transition, sparse delta).
     A marking can be pushed along the plan by batched arithmetic; the result
     is a genuinely reachable capped configuration.
     """
@@ -375,27 +356,23 @@ def _drain_plan(net, indices):
     if indices in cache:
         return cache[indices]
     weights = dict(zip(indices, _drain_weights(net, indices)))
-    inset = set(indices)
-    plan = []
-    covered = set()
     arcs = _relaxed_arcs(net)
-    order = sorted(indices, key=lambda i: -weights[i])
-    for i in order:
+    deltas = _move_table(net)[0]
+    plan = []
+    for i in sorted(indices, key=lambda i: -weights[i]):
         best = None
-        for ti in range(len(net.transitions)):
-            if net._pre_support[ti] != ((i, 1),):
-                continue
-            if net._delta[ti][i] >= 0:
+        for ti, support in enumerate(net._pre_support):
+            if support != ((i, 1),) or net._post[ti][i]:
                 continue
             spawn = sum(weights.get(d, 0) for d in arcs[ti][1])
             if best is None or spawn < best[0]:
                 best = (spawn, ti)
-        if best is not None:
-            plan.append((i, best[1]))
-            covered.add(i)
-    result = tuple(plan) if covered == inset else None
-    cache[indices] = result
-    return result
+        if best is None:
+            cache[indices] = None
+            return None
+        plan.append((i, best[1], deltas[best[1]]))
+    cache[indices] = plan = tuple(plan)
+    return plan
 
 
 def _try_drains(net, start, targets, node_budget, idx):
@@ -408,26 +385,17 @@ def _try_drains(net, start, targets, node_budget, idx):
         if plan is None:
             continue
         counts = list(start[0])
-        flags = start[1]
         path = []
         for _ in range(len(indices) + 1):
             moved = False
-            for i, ti in plan:
+            for i, ti, delta in plan:
                 k = counts[i]
                 if not k:
                     continue
-                delta = net._delta[ti]
-                if delta[i] >= 0:
-                    continue
-                label = net.transitions[ti]
-                for j, d in enumerate(delta):
-                    if d:
-                        x = counts[j] + d * k
-                        if x > cap:
-                            x = cap
-                            flags |= 1 << j
-                        counts[j] = x
-                path.extend([label] * k)
+                for j, d in delta:
+                    x = counts[j] + d * k
+                    counts[j] = x if x < cap else cap
+                path.extend([net.transitions[ti]] * k)
                 moved = True
             if not moved:
                 break
@@ -531,8 +499,8 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
     method = "abstract"
     try:
         engine = _abstract_engine(net, subset_cap)
-        maybe, targets, explored = engine.probe(trunc, node_budget)
-        if not maybe:
+        targets, explored = engine.probe(trunc, node_budget)
+        if not targets:
             return LivenessVerdict("live", configs_explored=explored, method=method)
         method = "capped-search"
         witness, n_configs = _capped_search(net, m0, targets, node_budget, idx)

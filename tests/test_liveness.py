@@ -388,9 +388,9 @@ def test_kernels_match_reference(monkeypatch):
 
 def _dense_successors(net, m):
     """`successors` by its definition: every transition in declaration
-    order, enabled iff m >= pre, leading to m + delta."""
-    return [(ti, tuple(map(operator.add, m, delta)))
-            for ti, (pre, delta) in enumerate(zip(net._pre, net._delta))
+    order, enabled iff m >= pre, leading to m - pre + post."""
+    return [(ti, tuple(x - p + q for x, p, q in zip(m, pre, post)))
+            for ti, (pre, post) in enumerate(zip(net._pre, net._post))
             if all(map(operator.ge, m, pre))]
 
 

@@ -100,19 +100,22 @@ def _successors_transcribed(net, cfg):
 
 
 def test_capped_successors_against_transcription():
+    """On bimo nets, and on the same nets with transitions that have no
+    pre-places."""
     rng = random.Random(53)
     checked = 0
     for seed in range(25):
         net = random_net("bimo", n_places=4, n_trans=3, wmax=2, seed=seed)
-        cap = cap_value(net)
-        for _ in range(2):
-            counts = tuple(rng.randrange(cap + 1) for _ in net.places)
-            sat = sum(1 << i for i in range(len(net.places))
-                      if rng.random() < 0.3 or counts[i] == cap)
-            cfg = CappedConfig(counts, sat)
-            assert capped_successors(net, cfg) == _successors_transcribed(net, cfg)
-            checked += 1
-    assert checked == 50
+        for net in (net, with_spawns(net, seed=seed)):
+            cap = cap_value(net)
+            for _ in range(2):
+                counts = tuple(rng.randrange(cap + 1) for _ in net.places)
+                sat = sum(1 << i for i in range(len(net.places))
+                          if rng.random() < 0.3 or counts[i] == cap)
+                cfg = CappedConfig(counts, sat)
+                assert capped_successors(net, cfg) == _successors_transcribed(net, cfg)
+                checked += 1
+    assert checked == 100
 
 
 def test_capped_successors_trivial_cases():
@@ -225,7 +228,7 @@ def test_witness_path_replays_in_capped_space(pump_net):
         else:
             matches = [c for _, c in capped_successors(net, cfg)]
             ti = net.trans_index[step]
-            raw = [a + d for a, d in zip(cfg.counts, net._delta[ti])]
+            raw = [a - p + q for a, p, q in zip(cfg.counts, net._pre[ti], net._post[ti])]
             cap = cap_value(net)
             sat = cfg.saturated
             for i, x in enumerate(raw):
@@ -424,8 +427,8 @@ FIXTURE_NONLIVE = (
 
 
 def _probe_targets(net, marking):
-    maybe, targets, _ = _abstract_engine(net, 16).probe(truncate(net, marking), 500_000)
-    return maybe, targets
+    targets, _ = _abstract_engine(net, 16).probe(truncate(net, marking), 500_000)
+    return targets
 
 
 @pytest.mark.parametrize("name,marking", FIXTURE_NONLIVE)
@@ -433,8 +436,8 @@ def test_closure_search_path_replays(name, marking):
     """Breadth first (no targets) and best first (the probe's targets)."""
     net, _ = load_net(name)
     assert is_nonlive(net, marking).is_nonlive
-    maybe, targets = _probe_targets(net, marking)
-    assert maybe and targets
+    targets = _probe_targets(net, marking)
+    assert targets
     variant = "ordinary" if classify(net).ordinary else "weighted"
     for order in ((), targets):
         cfg = capped_config(net, marking)
@@ -470,7 +473,7 @@ def test_capped_closure_exhausts_live_markings():
         nonlive = [m for m, e in zip(box, exact) if e is False]
         if not nonlive:
             continue
-        _, targets = _probe_targets(net, nonlive[0])
+        targets = _probe_targets(net, nonlive[0])
         assert targets
         for m, e in zip(box, exact):
             if e is True:
@@ -486,12 +489,63 @@ def test_is_nonlive_live_after_positive_probe(monkeypatch):
     answer to the capped search, which must come back live."""
     net, m0 = load_net("io_fragile")
     assert is_live_exact(net, m0) is True
-    _, targets = _probe_targets(net, (1, 1, 1, 0, 0, 1))
+    targets = _probe_targets(net, (1, 1, 1, 0, 0, 1))
     monkeypatch.setattr(_AbstractEngine, "probe",
-                        lambda self, marking, node_budget: (True, targets, 0))
+                        lambda self, marking, node_budget: (targets, 0))
     v = is_nonlive(net, m0)
     assert (v.status, v.method) == ("live", "capped-search")
     assert v.witness is None and v.configs_explored > 0
+
+
+def _abstract_successors_transcribed(engine, state):
+    """The abstract step by its definition, over every transition in
+    declaration order: fire when enabled, keep TOP places TOP, cap exact
+    counts at TOP, and branch a drained TOP place to exactly m-1."""
+    net, m = engine.net, engine.m
+    out = []
+    for pre, post in zip(net._pre, net._post):
+        if any(x < w for x, w in zip(state, pre)):
+            continue
+        base = list(state)
+        drain = None
+        for i, (p, q) in enumerate(zip(pre, post)):
+            d = q - p
+            if d == 0:
+                continue
+            if state[i] == m:
+                if d < 0:
+                    drain = i
+            else:
+                base[i] = min(state[i] + d, m)
+        out.append(tuple(base))
+        if drain is not None:
+            alt = list(base)
+            alt[drain] = m - 1
+            out.append(tuple(alt))
+    return out
+
+
+def test_abstract_successors_against_transcription():
+    """The move-table walk lists the abstract successors in the order of the
+    dense definition, on nets of every row, with and without transitions
+    that have no pre-places, at states mixing exact and TOP places."""
+    rng = random.Random(61)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    checked = mixed = 0
+    for k in range(48):
+        net = random_net_in_row(rows[k % 8], n_places=2 + k % 4, n_trans=1 + k % 5,
+                                seed=61_000 + k)
+        for net in (net, with_spawns(net, seed=k)):
+            engine = _AbstractEngine(net, 16)
+            top = engine.m
+            for _ in range(6):
+                state = tuple(rng.choice((top, rng.randrange(top)))
+                              for _ in net.places)
+                mixed += 0 < state.count(top) < len(state)
+                assert engine.successors(state) == \
+                    _abstract_successors_transcribed(engine, state), (net, state)
+                checked += 1
+    assert checked == 576 and mixed >= 100
 
 
 def test_abstract_successors_drain_top():
