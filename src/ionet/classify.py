@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nets import Net, NetError, UnknownNode, msize, msub
+from .nets import Net, NetError, msize, msub, post_mset, pre_mset
 
 DUMMY_PLACE = "__dummy"
 
@@ -81,15 +81,16 @@ def classify(net):
     ordinary = all(w == 1 for w in net.flow.values())
     conservative = True
     bimo = bio = imo = True
-    # the `is_*_msets` tests on sparse pre-sets: with the dummy loop an empty
+    # the `is_*_msets` tests on the arc pairs: with the dummy loop an empty
     # pre-set has size 1 and the post-set one more token, so |pre| <= 2 and
     # |pre| == |post| read the same with or without it
-    for support, post in zip(net._pre_support, net._post):
-        sp = sum(w for _, w in support)
-        same = sp == sum(post)
+    for pre, post in zip(net._pre, net._post):
+        sp = sum(w for _, w in pre)
+        same = sp == sum(w for _, w in post)
         if not same:
             conservative = False
-        if sum(w - post[i] for i, w in support if w > post[i]) > 1:
+        back = dict(post)
+        if sum(max(w - back.get(i, 0), 0) for i, w in pre) > 1:
             bimo = bio = imo = False
             continue
         if sp > 2:
@@ -115,10 +116,7 @@ def presentation(net, t):
     When no place loses a token the source is the lowest-index marked
     pre-place, which keeps derived constructions reproducible.
     """
-    if t not in net.trans_index:
-        raise UnknownNode(f"unknown transition {t!r}")
-    ti = net.trans_index[t]
-    pre, post = net._pre[ti], net._post[ti]
+    pre, post = pre_mset(net, t), post_mset(net, t)
     names = net.places
     if msize(pre) == 0:
         # dummy loop: source is the dummy, post gains the returned dummy token
@@ -159,7 +157,7 @@ def dummy_augment(net):
     Returns the input unchanged when no transition needs it.  Markings of the
     original net lift by appending one token for the dummy.
     """
-    needy = [t for ti, t in enumerate(net.transitions) if msize(net._pre[ti]) == 0]
+    needy = [t for t, pre in zip(net.transitions, net._pre) if not pre]
     if not needy:
         return net
     if DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index:

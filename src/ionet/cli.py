@@ -13,7 +13,7 @@ import time
 from . import __version__
 from .classify import classify
 from .generate import random_net
-from .lba import parse_lba, simulate_lba, build_stage, reduction_correctness_check, STAGES
+from .lba import parse_lba, build_stage, reduction_correctness_check, STAGES
 from .liveness import BudgetExceeded, SubsetCapExceeded, check_witness, find_witness
 from .nets import NetError, parse_net, serialize_net
 from .ordinarize import ordinarize, embed_marking
@@ -196,12 +196,12 @@ def cmd_check_reduction(args):
     report = reduction_correctness_check(
         spec, args.word, node_budget=args.budget,
         candidate_budget=args.candidates, check_slp=not args.skip_slp)
-    sim = simulate_lba(spec, args.word)
     payload = report.to_dict()
     payload["word"] = args.word
     _emit(args, payload, [
-        f"word {args.word!r}: machine={sim} marked-net="
-        f"{'live' if report.marked_live else 'nonlive'} slp={report.slp_status}",
+        f"word {args.word!r}: "
+        f"machine={'accept' if report.accepts else 'reject'} "
+        f"marked-net={'live' if report.marked_live else 'nonlive'} slp={report.slp_status}",
         f"agree: {report.agree}",
     ])
     if report.slp_status == "budget_exceeded":

@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import DUMMY_PLACE, is_imo_msets
+from .classify import is_imo_msets
 from .nets import (Net, NetError, UnknownNode, mleq, msize, carrier, place_masks,
-                   pre_mset, successors)
-from .structure import _is_siphon_mask, _tarjan, relaxed_net, rich_poor, sccs
+                   post_mset, pre_mset, successors)
+from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
 class SubsetCapExceeded(NetError):
@@ -87,13 +87,13 @@ def cover_basis(net, target, node_budget=200_000):
     basis = [target]
     work = deque([target])
     expansions = 0
+    vectors = [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
     while work:
         b = work.popleft()
-        for ti in range(len(net.transitions)):
+        for pre, post in vectors:
             expansions += 1
             if expansions > node_budget:
                 return BudgetExceeded(explored=expansions)
-            pre, post = net._pre[ti], net._post[ti]
             cand = tuple(p + (x - q if x > q else 0)
                          for p, q, x in zip(pre, post, b))
             if any(mleq(e, cand) for e in basis):
@@ -293,23 +293,23 @@ def check_witness(net, witness, variant="ordinary", node_budget=200_000):
     dead_idx = sorted(net.trans_index[t] for t in witness.t_dead)
     dead_set = set(dead_idx)
     alive_idx = [ti for ti in range(len(net.transitions)) if ti not in dead_set]
+    vectors = [(_sub(pre_mset(net, t), indices), _sub(post_mset(net, t), indices))
+               for t in net.transitions]
 
-    cond2 = all(
-        is_imo_msets(_sub(net._pre[ti], indices), _sub(net._post[ti], indices))
-        for ti in alive_idx)
+    cond2 = all(is_imo_msets(*vectors[ti]) for ti in alive_idx)
 
-    cond3 = _restricted_never_covers(net, indices, r, alive_idx, dead_idx, node_budget)
+    cond3 = _restricted_never_covers(vectors, r, alive_idx, dead_idx, node_budget)
     return WitnessReport(variant=variant, cond1=cond1, cond2=cond2, cond3=cond3)
 
 
-def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
-    """Explore the restriction firing `fire_idx` only; fail if any watched
+def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
+    """Explore the restriction, given by each transition's restricted
+    (pre, post) vectors, firing `fire_idx` only; fail if any watched
     transition's restricted pre-mset gets covered."""
-    watch = [(ti, _sub(net._pre[ti], indices)) for ti in watch_idx]
+    watch = [(ti, vectors[ti][0]) for ti in watch_idx]
     moves = []
     for ti in fire_idx:
-        pre = _sub(net._pre[ti], indices)
-        post = _sub(net._post[ti], indices)
+        pre, post = vectors[ti]
         if any(pre) or any(post):
             moves.append((pre, tuple(q - p for p, q in zip(pre, post))))
     seen = {r}
@@ -346,15 +346,15 @@ def _restricted_never_covers(net, indices, r, fire_idx, watch_idx, node_budget):
 class _SubsetData:
     __slots__ = ("indices", "blockers", "fire", "covers")
 
-    def __init__(self, net, mask):
+    def __init__(self, vectors, mask):
+        # `vectors`: each transition's (pre-set, post-set) count vectors;
         # bit i of `mask` set iff place i is in the subset
-        self.indices = indices = tuple(i for i in range(len(net.places)) if mask >> i & 1)
+        self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
         covers = []
-        for ti in range(len(net.transitions)):
-            pre = _sub(net._pre[ti], indices)
-            post = _sub(net._post[ti], indices)
+        for ti, (pre, post) in enumerate(vectors):
+            pre, post = _sub(pre, indices), _sub(post, indices)
             # the restricted pre-mset as (subset position, weight) pairs
             support = tuple((k, w) for k, w in enumerate(pre) if w)
             covers.append(support)
@@ -373,7 +373,8 @@ class WitnessIndex:
         self.net = net
         masks = place_masks(net)
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
-        self.entries = sorted((_SubsetData(net, s) for s in siphons),
+        vectors = [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
+        self.entries = sorted((_SubsetData(vectors, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
         # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
         # entries with place i, blocked[ti] those with ti outside their T_I
@@ -454,7 +455,7 @@ class WitnessIndex:
         for i, c in enumerate(contains):
             if inexact >> i & 1:
                 live &= ~c
-        for support, blocked in zip(self.net._pre_support, self.blocked):
+        for support, blocked in zip(self.net._pre, self.blocked):
             if blocked:
                 short = 0
                 for i, w in support:
@@ -499,14 +500,15 @@ def constructed_witness(net, graph):
 
     Finds a reachable marking where the transition set splits into dead and
     live parts, walks the live part down to a bottom component with maximal
-    carrier, and takes the poor components of the relaxed live-restriction as
-    the crucial places.  Works for nets too large for subset search.
+    carrier, and takes as the crucial places the poor strongly connected
+    components of the place graph whose edges are the live transitions'
+    relaxed arcs: a component of k places is poor when it holds fewer than k
+    tokens.  Works for nets too large for subset search.
     """
     res = _dl_node(graph)
     if res is None:
         return None
     v0, dead, live = res
-    live_set = set(live)
 
     # a bottom SCC of the subgraph reachable from v0, where no dead
     # transition fires; Tarjan emits a sink component first
@@ -522,21 +524,21 @@ def constructed_witness(net, graph):
     v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
     m_star = graph.nodes[v_star]
 
-    flow = {k: w for k, w in net.flow.items()
-            if (k[0] in live_set) or (k[1] in live_set)}
-    live_net = Net(net.name + ".live", net.places, tuple(live), flow)
-    rlx = relaxed_net(live_net)
-    comps2 = sccs(rlx)
-    m_ext = m_star if len(rlx.places) == len(net.places) else m_star + (1,)
-    status = rich_poor(rlx, m_ext, comps2)
+    # the dummy of an empty pre-set holds its one token, and place-free
+    # components hold none of none, so neither is ever poor
+    arcs = relaxed_arcs(net)
+    succ = [[] for _ in net.places]
+    for t in live:
+        src, dests = arcs[net.trans_index[t]]
+        if src is not None:
+            succ[src].extend(dests)
     cruc = []
-    for comp in comps2:
-        if status[comp] == "poor":
-            cruc.extend(p for p in comp.places if p != DUMMY_PLACE)
-    cruc = tuple(sorted(cruc, key=net.place_index.get))
+    for comp in _tarjan(len(net.places), succ):
+        if sum(m_star[i] for i in comp) < len(comp):
+            cruc.extend(comp)
     return Witness(
         m_wit=m_star,
-        p_cruc=cruc,
+        p_cruc=tuple(net.places[i] for i in sorted(cruc)),
         t_dead=tuple(dead),
         path=graph.path_to(v_star),
     )

@@ -4,10 +4,11 @@ A net's places, transitions and flow are fixed at construction; markings
 are plain tuples of non-negative ints indexed by the net's place order.  The
 analyses fill per-net caches in `net._analysis` as they run, without locks,
 so a net is not safe to share across threads that analyse it.  The caches:
-"class", "move_table", "place_masks" and "relaxed_arcs" (fixed size);
-"drain_weights" and "drain_plans" (at most one entry per siphon); and
-"witness_index" and "abstract_engine", whose `witness_at`, `dead_set` and
-abstract reachability memos grow without bound as markings are decided.
+"class", "move_table", "place_masks" and "relaxed_arcs" (fixed size, the
+last built by `structure`); "drain_weights" and "drain_plans" (at most one
+entry per siphon); and "witness_index" and "abstract_engine", whose
+`witness_at`, `dead_set` and abstract reachability memos grow without bound
+as markings are decided.
 """
 from __future__ import annotations
 
@@ -81,12 +82,14 @@ class Net:
 
     `flow` maps (place, transition) and (transition, place) pairs to weights
     >= 1; absent pairs mean weight 0.  Place and transition order is fixed at
-    construction and determines marking indices and all tie-breaks.
+    construction and determines marking indices and all tie-breaks.  Each
+    transition's arcs are stored once more as `_pre` and `_post`: its
+    (place index, weight) pairs in ascending place order.
     """
 
     __slots__ = (
         "name", "places", "transitions", "flow", "place_index", "trans_index",
-        "_pre", "_post", "_pre_support", "max_weight", "_analysis",
+        "_pre", "_post", "max_weight", "_analysis",
     )
 
     def __init__(self, name, places, transitions, flow):
@@ -109,6 +112,8 @@ class Net:
         self.place_index = {p: i for i, p in enumerate(places)}
         self.trans_index = {t: i for i, t in enumerate(transitions)}
         clean = {}
+        pre = [[] for _ in transitions]
+        post = [[] for _ in transitions]
         for (a, b), w in flow.items():
             if not isinstance(w, int) or isinstance(w, bool):
                 raise NetError(f"weight for ({a}, {b}) must be an integer")
@@ -117,22 +122,15 @@ class Net:
             if w < 1 or w > MAX_WEIGHT:
                 raise NetError(f"weight {w} for ({a}, {b}) out of range")
             if a in self.place_index and b in self.trans_index:
-                pass
+                pre[self.trans_index[b]].append((self.place_index[a], w))
             elif a in self.trans_index and b in self.place_index:
-                pass
+                post[self.trans_index[a]].append((self.place_index[b], w))
             else:
                 raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
             clean[(a, b)] = w
         self.flow = clean
-        pre, post, support = [], [], []
-        for t in transitions:
-            pv = tuple(clean.get((p, t), 0) for p in places)
-            pre.append(pv)
-            post.append(tuple(clean.get((t, p), 0) for p in places))
-            support.append(tuple((i, w) for i, w in enumerate(pv) if w))
-        self._pre = tuple(pre)
-        self._post = tuple(post)
-        self._pre_support = tuple(support)
+        self._pre = tuple(tuple(sorted(arcs)) for arcs in pre)
+        self._post = tuple(tuple(sorted(arcs)) for arcs in post)
         self.max_weight = max(clean.values(), default=1)
         self._analysis = {}  # lazily filled caches keyed by analysis name
 
@@ -172,17 +170,25 @@ def _tindex(net, t):
         raise UnknownNode(f"unknown transition {t!r}") from None
 
 
+def _dense(net, arcs):
+    vec = [0] * len(net.places)
+    for i, w in arcs:
+        vec[i] = w
+    return tuple(vec)
+
+
 def pre_mset(net, t):
-    return net._pre[_tindex(net, t)]
+    """The pre-set of `t` as a count vector over the places."""
+    return _dense(net, net._pre[_tindex(net, t)])
 
 
 def post_mset(net, t):
-    return net._post[_tindex(net, t)]
+    return _dense(net, net._post[_tindex(net, t)])
 
 
 def enabled(net, marking, t):
     net.check_marking(marking)
-    return all(marking[i] >= w for i, w in net._pre_support[_tindex(net, t)])
+    return all(marking[i] >= w for i, w in net._pre[_tindex(net, t)])
 
 
 def fire(net, marking, t):
@@ -191,7 +197,7 @@ def fire(net, marking, t):
 
 
 def _fire(net, marking, ti, step=None):
-    for i, w in net._pre_support[ti]:
+    for i, w in net._pre[ti]:
         if marking[i] < w:
             raise NotEnabled(net.transitions[ti], marking, step)
     m = list(marking)
@@ -209,14 +215,17 @@ def _move_table(net):
     if table is None:
         watch = [0] * len(net.places)
         free = 0
-        for ti, support in enumerate(net._pre_support):
-            if support:
-                watch[support[0][0]] |= 1 << ti
+        deltas = []
+        for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+            if pre:
+                watch[pre[0][0]] |= 1 << ti
             else:
                 free |= 1 << ti
-        deltas = tuple(tuple((i, q - p) for i, (p, q) in enumerate(zip(pre, post)) if p != q)
-                       for pre, post in zip(net._pre, net._post))
-        table = (deltas, tuple(watch), free)
+            delta = dict(post)
+            for i, w in pre:
+                delta[i] = delta.get(i, 0) - w
+            deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
+        table = (tuple(deltas), tuple(watch), free)
         net._analysis["move_table"] = table
     return table
 
@@ -230,7 +239,7 @@ def moves(net, marking):
     for i, x in enumerate(marking):
         if x:
             todo |= watch[i]
-    supports = net._pre_support
+    supports = net._pre
     out = []
     while todo:
         low = todo & -todo
@@ -261,10 +270,8 @@ def place_masks(net):
     for place i; built on first use and cached on the net."""
     masks = net._analysis.get("place_masks")
     if masks is None:
-        masks = tuple(
-            (sum(1 << i for i, w in enumerate(pre) if w),
-             sum(1 << i for i, w in enumerate(post) if w))
-            for pre, post in zip(net._pre, net._post))
+        masks = tuple((sum(1 << i for i, _ in pre), sum(1 << i for i, _ in post))
+                      for pre, post in zip(net._pre, net._post))
         net._analysis["place_masks"] = masks
     return masks
 
@@ -401,11 +408,8 @@ def serialize_net(net, marking=None):
             out.append(f"place {p} tokens={marking[i]}")
         else:
             out.append(f"place {p}")
-    for t in net.transitions:
-        ti = net.trans_index[t]
+    for t, pre, post in zip(net.transitions, net._pre, net._post):
         line = [f"trans {t}"]
-        pre = [(i, w) for i, w in enumerate(net._pre[ti]) if w]
-        post = [(i, w) for i, w in enumerate(net._post[ti]) if w]
         if pre:
             line.append("pre " + " ".join(_entry(net.places[i], w) for i, w in pre))
         if post:

@@ -22,16 +22,6 @@ class OrdinarizeMap:
     ring_size: dict      # original place -> ring length
 
 
-def _ring_names(net):
-    wmax = {}
-    for p in net.places:
-        best = 0
-        for t in net.transitions:
-            best = max(best, net.flow.get((p, t), 0), net.flow.get((t, p), 0))
-        wmax[p] = best
-    return wmax
-
-
 def ordinarize(net):
     """Return the ordinary net plus the ring bookkeeping.
 
@@ -41,17 +31,19 @@ def ordinarize(net):
     """
     if not classify(net).bimo:
         raise NotBimo("ordinarization is defined on the branching-observation family")
-    wmax = _ring_names(net)
+    ring_size = dict.fromkeys(net.places, 1)  # each place's largest arc weight
+    for arcs in net._pre + net._post:
+        for i, w in arcs:
+            p = net.places[i]
+            ring_size[p] = max(ring_size[p], w)
     rings = {}
     rotations = {}
-    ring_size = {}
     places = []
     trans = []
     flow = {}
     taken = set(net.transitions)
     for p in net.places:
-        k = max(wmax[p], 1)
-        ring_size[p] = k
+        k = ring_size[p]
         names = tuple(f"{p}.{j}" for j in range(1, k + 1))
         for q in names:
             if q in taken:
@@ -69,13 +61,12 @@ def ordinarize(net):
                 flow[(rot, names[j % k])] = 1
         rotations[p] = tuple(rots)
         trans.extend(rots)
-    for t in net.transitions:
+    for t, pre, post in zip(net.transitions, net._pre, net._post):
         trans.append(t)
-        ti = net.trans_index[t]
-        for i, c in enumerate(net._pre[ti]):
+        for i, c in pre:
             for j in range(c):
                 flow[(rings[net.places[i]][j], t)] = 1
-        for i, c in enumerate(net._post[ti]):
+        for i, c in post:
             for j in range(c):
                 flow[(t, rings[net.places[i]][j])] = 1
     new = Net(net.name + ".ord", places, trans, flow)

@@ -31,7 +31,7 @@ from .liveness import (
     constructed_witness, reach_graph, witness_index,
 )
 from .nets import NetError, _move_table, moves, place_masks
-from .structure import _largest_siphon_mask, relaxed_moves, unmarked_siphon
+from .structure import _largest_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
 class NotOrdImo(NetError):
@@ -276,18 +276,6 @@ def _siphon_witness(net, marking):
     return Witness(m_wit=tuple(marking), p_cruc=tuple(s), t_dead=dead, path=())
 
 
-def _relaxed_arcs(net):
-    """(source index, destination indices) of each transition's presentation."""
-    cached = net._analysis.get("relaxed_arcs")
-    if cached is not None:
-        return cached
-    index = net.place_index.get  # None for the dummy place
-    arcs = tuple((index(src), tuple(i for i in map(index, dests) if i is not None))
-                 for src, dests in relaxed_moves(net))
-    net._analysis["relaxed_arcs"] = arcs
-    return arcs
-
-
 def _drain_weights(net, indices):
     """Steps for a token to leave the place set, following cheapest moves."""
     cache = net._analysis.setdefault("drain_weights", {})
@@ -299,7 +287,7 @@ def _drain_weights(net, indices):
     changed = True
     while changed:
         changed = False
-        for src, dests in _relaxed_arcs(net):
+        for src, dests in relaxed_arcs(net):
             if src not in dist:
                 continue
             if dests:
@@ -356,13 +344,14 @@ def _drain_plan(net, indices):
     if indices in cache:
         return cache[indices]
     weights = dict(zip(indices, _drain_weights(net, indices)))
-    arcs = _relaxed_arcs(net)
+    arcs = relaxed_arcs(net)
     deltas = _move_table(net)[0]
+    masks = place_masks(net)
     plan = []
     for i in sorted(indices, key=lambda i: -weights[i]):
         best = None
-        for ti, support in enumerate(net._pre_support):
-            if support != ((i, 1),) or net._post[ti][i]:
+        for ti, pre in enumerate(net._pre):
+            if pre != ((i, 1),) or masks[ti][1] >> i & 1:
                 continue
             spawn = sum(weights.get(d, 0) for d in arcs[ti][1])
             if best is None or spawn < best[0]:

@@ -30,20 +30,27 @@ class SearchResult:
     explored: int = 0
 
 
-def relaxed_moves(net):
+def relaxed_arcs(net):
     """(source, destinations) of each transition's presentation, by
-    transition order: place names, each destination once and in place order,
-    with `DUMMY_PLACE` standing for the dummy of an empty pre-set."""
+    transition order, as place indices: each destination once and in place
+    order.  The dummy of an empty pre-set is left out, its source read as
+    None.  Built on first use and cached on the net."""
+    arcs = net._analysis.get("relaxed_arcs")
+    if arcs is not None:
+        return arcs
     if not classify(net).bimo:
         raise NotBimo("relaxed net requires a net of the branching-observation family")
-    if not all(net._pre_support) and (
+    if not all(net._pre) and (
             DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index):
         raise NetError(f"identifier {DUMMY_PLACE!r} is reserved")
-    moves = []
+    index = net.place_index.get  # None for the dummy place
+    arcs = []
     for t in net.transitions:
         pres = presentation(net, t)
-        moves.append((pres.source, tuple(dict.fromkeys(pres.destinations))))
-    return tuple(moves)
+        dests = dict.fromkeys(map(index, pres.destinations))
+        arcs.append((index(pres.source), tuple(i for i in dests if i is not None)))
+    net._analysis["relaxed_arcs"] = arcs = tuple(arcs)
+    return arcs
 
 
 def relaxed_net(net):
@@ -52,14 +59,17 @@ def relaxed_net(net):
     Observation edges are dropped, so a transition keeps one incoming edge
     from its source place and one outgoing edge per destination place.
     """
-    moves = relaxed_moves(net)
+    dummy = len(net.places)
+    names = net.places + (DUMMY_PLACE,)
     flow = {}
-    for t, (src, dests) in zip(net.transitions, moves):
-        flow[(src, t)] = 1
+    for t, (src, dests) in zip(net.transitions, relaxed_arcs(net)):
+        if src is None:  # the dummy moves its token onto itself
+            src, dests = dummy, dests + (dummy,)
+        flow[(names[src], t)] = 1
         for d in dests:
-            flow[(t, d)] = 1
-    places = net.places if all(net._pre_support) else net.places + (DUMMY_PLACE,)
-    return Net(net.name + ".relaxed", places, net.transitions, flow)
+            flow[(t, names[d])] = 1
+    return Net(net.name + ".relaxed", net.places if all(net._pre) else names,
+               net.transitions, flow)
 
 
 def _graph(net):

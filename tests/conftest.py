@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from ionet import Net, parse_net, parse_lba
+from ionet import Net, parse_net, parse_lba, post_mset, pre_mset
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -16,6 +16,11 @@ settings.load_profile("seeded")
 
 def load_net(name):
     return parse_net((FIXTURES / f"{name}.net").read_text())
+
+
+def dense_arcs(net):
+    """(pre-set, post-set) count vectors of every transition, in order."""
+    return [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
 
 
 def load_lba(name):

@@ -8,7 +8,7 @@ from ionet import (
 )
 from ionet.classify import is_bimo_msets, is_bio_msets, is_imo_msets
 from ionet.generate import random_net, random_net_in_row
-from tests.conftest import load_lba, random_flow_net, with_spawns
+from tests.conftest import dense_arcs, load_lba, random_flow_net, with_spawns
 
 
 def test_classify_fixture_flags(siphon_net, fragile_net, pump_net, dense_net,
@@ -79,7 +79,7 @@ def test_classify_vs_naive_recheck():
 def _mset_flags(net):
     """`classify`'s flags transcribed from the per-transition multiset
     definitions."""
-    pairs = list(zip(net._pre, net._post))
+    pairs = dense_arcs(net)
     bimo = all(is_bimo_msets(pre, post) for pre, post in pairs)
     return (all(w == 1 for w in net.flow.values()),
             all(msize(pre) == msize(post) for pre, post in pairs),
@@ -115,7 +115,7 @@ def test_classify_matches_mset_definitions():
         assert flags == _mset_flags(net), net
         assert nc.max_weight == max(net.flow.values(), default=1)
         seen.add(flags)
-        empty_pre += not all(net._pre_support)
+        empty_pre += not all(net._pre)
     assert empty_pre >= 100
     # ordinary and weighted, inside and outside each class
     for k in range(6):

@@ -129,6 +129,29 @@ def test_lba_and_reduction_commands(tmp_path, capsys):
     assert data["agree"]
 
 
+def test_check_reduction_text_output(capsys, monkeypatch):
+    """Both text lines, with the machine's answer taken from the one run
+    inside the reduction check."""
+    import ionet.lba
+
+    runs = []
+    simulate = ionet.lba.simulate_lba
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(ionet.lba, "simulate_lba", counting)
+    spec = str(FIXTURES / "lba" / "even_a_2.lba")
+    code, out, _ = run(capsys, "check-reduction", spec, "ab", "--skip-slp")
+    assert code == 0
+    assert out.splitlines() == [
+        "word 'ab': machine=reject marked-net=nonlive slp=skipped",
+        "agree: True",
+    ]
+    assert len(runs) == 1
+
+
 def test_gen_command_deterministic(tmp_path, capsys):
     a = tmp_path / "a.net"
     b = tmp_path / "b.net"

@@ -5,15 +5,16 @@ from collections import deque
 import pytest
 
 from ionet import (
-    BudgetExceeded, Net, SubsetCapExceeded, Witness, build_stage, check_witness,
-    cover_basis, dead_at, enabled, find_dl_marking, find_witness, fire,
-    is_live_exact, mleq, pre_mset, reach_graph, replay, unmarked_siphon,
+    DUMMY_PLACE, BudgetExceeded, Net, SubsetCapExceeded, Witness, build_stage, carrier,
+    check_witness, cover_basis, dead_at, enabled, find_dl_marking, find_witness, fire,
+    is_live_exact, mleq, pre_mset, reach_graph, relaxed_net, replay, rich_poor, sccs,
+    unmarked_siphon,
 )
 from ionet import liveness
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import successors
-from tests.conftest import load_lba, load_net, random_flow_net, with_spawns
+from tests.conftest import dense_arcs, load_lba, load_net, random_flow_net, with_spawns
 
 
 def _recursive_reach(net, m0, limit=50_000):
@@ -288,7 +289,7 @@ def _ref_back_closure(pred, seeds):
 
 
 def _ref_enabled_nodes(graph, ti):
-    sup = graph.net._pre_support[ti]
+    sup = graph.net._pre[ti]
     return [v for v, m in enumerate(graph.nodes) if all(m[i] >= w for i, w in sup)]
 
 
@@ -324,8 +325,7 @@ def _ref_unmarked_siphon(net, marking, minimize=False):
         changed = True
         while changed and s:
             changed = False
-            for ti in range(len(net.transitions)):
-                pre, post = net._pre[ti], net._post[ti]
+            for pre, post in dense_arcs(net):
                 if any(pre[i] for i in s):
                     continue
                 hit = [i for i in s if post[i]]
@@ -386,11 +386,71 @@ def test_kernels_match_reference(monkeypatch):
     assert graphs >= 80 and live >= 10 and nonlive >= 10
 
 
+def _constructed_witness_transcribed(net, graph):
+    """`constructed_witness` with its crucial places found as first written:
+    the live-restriction `Net`, its relaxed net, that net's components and
+    their rich/poor status at the marking lifted by the dummy's token, and
+    the dummy place filtered out of the poor ones."""
+    res = liveness._dl_node(graph)
+    if res is None:
+        return None
+    v0, dead, live = res
+    live_set = set(live)
+    reach = [v0]
+    local = {v0: 0}
+    for v in reach:
+        for _, w in graph.succ[v]:
+            if w not in local:
+                local[w] = len(reach)
+                reach.append(w)
+    succ = [[local[w] for _, w in graph.succ[v]] for v in reach]
+    nodes = [reach[v] for v in liveness._tarjan(len(reach), succ)[0]]
+    v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
+    m_star = graph.nodes[v_star]
+    flow = {k: w for k, w in net.flow.items()
+            if (k[0] in live_set) or (k[1] in live_set)}
+    live_net = Net(net.name + ".live", net.places, tuple(live), flow)
+    rlx = relaxed_net(live_net)
+    comps2 = sccs(rlx)
+    m_ext = m_star if len(rlx.places) == len(net.places) else m_star + (1,)
+    status = rich_poor(rlx, m_ext, comps2)
+    cruc = []
+    for comp in comps2:
+        if status[comp] == "poor":
+            cruc.extend(p for p in comp.places if p != DUMMY_PLACE)
+    cruc = tuple(sorted(cruc, key=net.place_index.get))
+    return Witness(m_wit=m_star, p_cruc=cruc, t_dead=tuple(dead),
+                   path=graph.path_to(v_star))
+
+
+def test_constructed_witness_matches_transcription():
+    """The poor components of the place graph are the crucial places the
+    relaxed live-restriction gave, on the kernel cases and on a conservative
+    net whose transition without arcs brings the dummy place into the
+    relaxed net."""
+    flow = {("p", "move"): 1, ("move", "q"): 1, ("r1", "turn"): 1, ("turn", "r2"): 1,
+            ("r2", "back"): 1, ("back", "r1"): 1}
+    idle = Net("idle", ["p", "q", "r1", "r2"], ["move", "idle", "turn", "back"], flow)
+    witnesses = 0
+    for net, m in [*_kernel_cases(), (idle, (1, 0, 1, 0))]:
+        g = reach_graph(net, m, node_budget=20_000)
+        if isinstance(g, BudgetExceeded):
+            continue
+        want = _constructed_witness_transcribed(net, g)
+        assert constructed_witness(net, g) == want, (net, m)
+        witnesses += want is not None
+    assert witnesses >= 10
+    assert DUMMY_PLACE in relaxed_net(idle).places
+    w = constructed_witness(idle, reach_graph(idle, (1, 0, 1, 0)))
+    assert (w.m_wit, w.p_cruc, w.t_dead) == ((0, 1, 1, 0), ("p", "r1", "r2"), ("move",))
+    assert check_witness(idle, w).sound
+
+
 def _dense_successors(net, m):
     """`successors` by its definition: every transition in declaration
     order, enabled iff m >= pre, leading to m - pre + post."""
     return [(ti, tuple(x - p + q for x, p, q in zip(m, pre, post)))
-            for ti, (pre, post) in enumerate(zip(net._pre, net._post))
+            for ti, (pre, post) in enumerate(dense_arcs(net))
             if all(map(operator.ge, m, pre))]
 
 
@@ -449,5 +509,5 @@ def test_successors_match_dense_definition():
             closed += 1
         else:
             assert isinstance(g, BudgetExceeded) and g.explored == len(nodes), (net, m)
-        spawning += not all(net._pre_support)
+        spawning += not all(net._pre)
     assert closed >= 150 and spawning >= 60

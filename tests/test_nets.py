@@ -10,6 +10,7 @@ from ionet import (
 )
 from ionet.generate import random_net, random_marking
 from ionet.nets import MAX_WEIGHT
+from tests.conftest import with_spawns
 
 counts = st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4)
 
@@ -44,13 +45,18 @@ def test_siphon_net_msets(siphon_net):
 
 def test_mset_read_back_oracle():
     rng = random.Random(11)
+    spawning = 0
     for seed in range(30):
         net = random_net("bimo", n_places=5, n_trans=4, wmax=3, seed=seed)
-        for t in net.transitions:
-            pv, qv = pre_mset(net, t), post_mset(net, t)
-            for i, p in enumerate(net.places):
-                assert pv[i] == net.flow.get((p, t), 0)
-                assert qv[i] == net.flow.get((t, p), 0)
+        for net in (net, with_spawns(net, seed=seed)):
+            for t in net.transitions:
+                pv, qv = pre_mset(net, t), post_mset(net, t)
+                assert len(pv) == len(qv) == len(net.places)
+                for i, p in enumerate(net.places):
+                    assert pv[i] == net.flow.get((p, t), 0)
+                    assert qv[i] == net.flow.get((t, p), 0)
+                spawning += not any(pv)
+    assert spawning >= 30
 
 
 def test_enabled_matches_naive_loop(siphon_net):
@@ -281,3 +287,10 @@ def test_round_trip_every_accepted_net(case):
     assert (again.name, again.places, again.transitions, again.flow) == (
         net.name, net.places, net.transitions, net.flow)
     assert marking2 == marking
+    # the stored arc pairs read back as the flow, in ascending place order
+    for t, pre, post in zip(net.transitions, net._pre, net._post):
+        assert pre_mset(net, t) == tuple(net.flow.get((p, t), 0) for p in net.places)
+        assert post_mset(net, t) == tuple(net.flow.get((t, p), 0) for p in net.places)
+        for arcs in (pre, post):
+            assert [i for i, _ in arcs] == sorted({i for i, _ in arcs})
+            assert all(1 <= w <= MAX_WEIGHT for _, w in arcs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionet import (
-    CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value,
+    CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value, post_mset, pre_mset,
     capped_config, capped_successors, check_witness, classify, dead_at,
     decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
     build_stage, parse_net, replay, simulate_lba, slp_01_shortcut, truncate,
@@ -19,7 +19,7 @@ from ionet.slp import (
     SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
     _search_box,
 )
-from tests.conftest import FIXTURES, load_lba, load_net, with_spawns
+from tests.conftest import FIXTURES, dense_arcs, load_lba, load_net, with_spawns
 
 
 def test_bounds_table(fragile_net, weighted_net):
@@ -227,8 +227,8 @@ def test_witness_path_replays_in_capped_space(pump_net):
             cfg = succ[0]
         else:
             matches = [c for _, c in capped_successors(net, cfg)]
-            ti = net.trans_index[step]
-            raw = [a - p + q for a, p, q in zip(cfg.counts, net._pre[ti], net._post[ti])]
+            raw = [a - p + q for a, p, q in zip(cfg.counts, pre_mset(net, step),
+                                                post_mset(net, step))]
             cap = cap_value(net)
             sat = cfg.saturated
             for i, x in enumerate(raw):
@@ -503,7 +503,7 @@ def _abstract_successors_transcribed(engine, state):
     counts at TOP, and branch a drained TOP place to exactly m-1."""
     net, m = engine.net, engine.m
     out = []
-    for pre, post in zip(net._pre, net._post):
+    for pre, post in dense_arcs(net):
         if any(x < w for x, w in zip(state, pre)):
             continue
         base = list(state)
@@ -653,9 +653,9 @@ def _covered_outside_t_i(data, r):
 def _viable_reference(net, indices):
     """The test the index used to keep a subset: every transition with an
     empty restricted pre-mset moves a single token on it."""
-    return all(any(net._pre[ti][i] for i in indices)
-               or is_imo_msets(_sub(net._pre[ti], indices), _sub(net._post[ti], indices))
-               for ti in range(len(net.transitions)))
+    return all(any(pre[i] for i in indices)
+               or is_imo_msets(_sub(pre, indices), _sub(post, indices))
+               for pre, post in dense_arcs(net))
 
 
 def _siphon_nets():
@@ -718,9 +718,9 @@ def _boundary_markings(net):
     transition's pre-mset with one of its places moved by -1, 0 or +1, and
     the uniform markings around every weight of the net."""
     n = len(net.places)
-    weights = {w for support in net._pre_support for _, w in support}
+    weights = {w for support in net._pre for _, w in support}
     out = {(w + d,) * n for w in weights for d in (-1, 0, 1)}
-    for pre, support in zip(net._pre, net._pre_support):
+    for (pre, _), support in zip(dense_arcs(net), net._pre):
         for i, w in support:
             for d in (-1, 0, 1):
                 out.add(pre[:i] + (w + d,) + pre[i + 1:])
@@ -809,10 +809,12 @@ def _dead_set_reference(net, indices):
     covered, or None when that is empty or a covered transition is outside
     T_I."""
     n_t = len(net.transitions)
-    pres = [_sub(pre, indices) for pre in net._pre]
-    t_i = [is_imo_msets(pre, _sub(post, indices)) for pre, post in zip(pres, net._post)]
+    arcs = dense_arcs(net)
+    pres = [_sub(pre, indices) for pre, _ in arcs]
+    posts = [post for _, post in arcs]
+    t_i = [is_imo_msets(pre, _sub(post, indices)) for pre, post in zip(pres, posts)]
     moves = [(pre, tuple(q - p for p, q in zip(pre, _sub(post, indices))))
-             for pre, post, imo in zip(pres, net._post, t_i) if imo]
+             for pre, post, imo in zip(pres, posts, t_i) if imo]
 
     def explore(r):
         covered = [False] * n_t
@@ -971,3 +973,17 @@ def test_box_loop_matches_per_candidate_reference_on_fixtures():
         bound = _first_bound(net)
         got = _search_box(net, bound, 3_000, 500_000, 16)
         assert got == _ref_search_box(load_net(path.stem)[0], bound, 3_000), path.name
+
+
+def test_tracer_boundaries_resolve():
+    """Every name the benchmark tracer wraps still exists where its callers
+    look it up, so `perfbench/run.py --trace 1` keeps recording spans."""
+    import importlib.util
+
+    path = FIXTURES.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.BOUNDARIES) >= 10
+    for name, owner, attribute, _ in tracing.BOUNDARIES:
+        assert callable(getattr(owner, attribute, None)), name

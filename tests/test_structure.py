@@ -6,11 +6,11 @@ import pytest
 from ionet import (
     DUMMY_PLACE, Net, NetError, classify, dummy_augment, is_carrier_maximal,
     is_self_coverable, is_siphon, presentation, reach_graph, relaxed_net, replay,
-    rich_poor, sccs, unmarked_siphon, carrier, mleq,
+    rich_poor, sccs, unmarked_siphon, carrier, mleq, post_mset, pre_mset,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.slp import _relaxed_arcs
-from tests.conftest import FIXTURES, load_net, random_flow_net, with_spawns
+from ionet.structure import relaxed_arcs
+from tests.conftest import FIXTURES, dense_arcs, load_net, random_flow_net, with_spawns
 
 
 def test_relaxed_witness_net_single_component(witness_net):
@@ -42,8 +42,7 @@ def test_relaxed_single_moves_on_fragile(fragile_net):
     net, _ = fragile_net
     rlx = relaxed_net(net)
     for t in net.transitions:
-        ti = rlx.trans_index[t]
-        assert sum(rlx._pre[ti]) == 1 and sum(rlx._post[ti]) == 1
+        assert sum(pre_mset(rlx, t)) == 1 and sum(post_mset(rlx, t)) == 1
 
 
 def test_relaxed_net_trivial_cases():
@@ -74,7 +73,7 @@ def _ref_relaxed_arcs(net):
     dummy = len(net.places)
     return tuple((None if src == dummy else src,
                   tuple(i for i, w in enumerate(post) if w and i != dummy))
-                 for ((src, _),), post in zip(rlx._pre_support, rlx._post))
+                 for ((src, _),), (_, post) in zip(rlx._pre, dense_arcs(rlx)))
 
 
 def _relaxed_cases():
@@ -99,21 +98,21 @@ def test_relaxed_arcs_match_augmented_presentations():
         assert (rlx.name, rlx.places, rlx.transitions) == (ref.name, ref.places,
                                                             ref.transitions)
         assert rlx.flow == ref.flow, net
-        assert _relaxed_arcs(net) == _ref_relaxed_arcs(net), net
+        assert relaxed_arcs(net) == _ref_relaxed_arcs(net), net
         checked += 1
-        empty_pre += not all(net._pre_support)
+        empty_pre += not all(net._pre)
     assert checked >= 300 and empty_pre >= 120
 
 
 def test_relaxed_net_reserved_dummy_name():
     flow = {("t", DUMMY_PLACE): 1, ("p", "u"): 1, ("u", "p"): 1}
     clash = Net("clash", ["p", DUMMY_PLACE], ["t", "u"], flow)
-    for build in (relaxed_net, _relaxed_arcs):
+    for build in (relaxed_net, relaxed_arcs):
         with pytest.raises(NetError, match="reserved"):
             build(clash)
     # without an empty pre-set the name is an ordinary place
     plain = Net("plain", ["p", DUMMY_PLACE], ["u"], {("p", "u"): 1, ("u", DUMMY_PLACE): 1})
-    assert _relaxed_arcs(plain) == ((0, (1,)),)
+    assert relaxed_arcs(plain) == ((0, (1,)),)
     assert relaxed_net(plain).flow == _ref_relaxed_net(plain).flow
 
 
@@ -201,9 +200,9 @@ def test_is_siphon_definition_oracle():
             s = {p for p in names if rng.random() < 0.4}
             idx = {net.place_index[p] for p in s}
             naive = all(
-                any(net._pre[ti][i] for i in idx)
-                for ti in range(len(net.transitions))
-                if any(net._post[ti][i] for i in idx))
+                any(pre[i] for i in idx)
+                for pre, post in dense_arcs(net)
+                if any(post[i] for i in idx))
             assert is_siphon(net, s) == naive
 
 
@@ -300,9 +299,9 @@ def test_optimal_markings_spread_tokens():
                 assert comp.is_top
                 keep_idx = [net.place_index[p] for p in comp.places
                             if p in net.place_index]
-                for ti in range(len(net.transitions)):
-                    pre = tuple(net._pre[ti][i] for i in keep_idx)
-                    post = tuple(net._post[ti][i] for i in keep_idx)
+                for pre, post in dense_arcs(net):
+                    pre = tuple(pre[i] for i in keep_idx)
+                    post = tuple(post[i] for i in keep_idx)
                     assert is_imo_msets(pre, post)
     assert confirmed >= 10 and poor_seen >= 5
 
