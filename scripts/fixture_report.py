@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print class flags, bounds and structural-liveness verdicts for every
-fixture net, with how many box candidates each decision tested and how many
-of those the siphon test alone refuted.
+fixture net, then the verdict of every accepting two-letter compiled machine,
+with how many box candidates each decision tested and how many of those the
+siphon test alone refuted.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
@@ -10,10 +11,25 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from ionet import bounds_for, classify, decide_slp, parse_net  # noqa: E402
+from ionet import (  # noqa: E402
+    bounds_for, build_stage, classify, decide_slp, parse_lba, parse_net, simulate_lba,
+)
 from ionet.cli import _positive  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+MACHINES = ("accept_all_2", "reject_all_2", "even_a_2", "flip_2")
+
+
+def _decide(net, args):
+    """The verdict's status, certificate, counts and time, as one string."""
+    t0 = time.perf_counter()
+    verdict = decide_slp(net, candidate_budget=args.candidates, node_budget=args.budget)
+    dt = time.perf_counter() - t0
+    cert = ""
+    if verdict.certificate is not None:
+        cert = " cert=" + ",".join(map(str, verdict.certificate))
+    return (f"{verdict.status}{cert} candidates={verdict.candidates_tested} "
+            f"siphon_settled={verdict.siphon_settled}  [{dt:.2f}s]")
 
 
 def main():
@@ -25,17 +41,16 @@ def main():
         net, marking = parse_net(path.read_text())
         nc = classify(net)
         b = bounds_for(nc, len(net.places), nc.max_weight)
-        t0 = time.perf_counter()
-        verdict = decide_slp(net, candidate_budget=args.candidates,
-                             node_budget=args.budget)
-        dt = time.perf_counter() - t0
-        cert = ""
-        if verdict.certificate is not None:
-            cert = " cert=" + ",".join(map(str, verdict.certificate))
         print(f"{path.name:28} {nc.finest():9} |P|={len(net.places):3} "
               f"|T|={len(net.transitions):3} bounds=({b.first},{b.second}) "
-              f"{verdict.status}{cert} candidates={verdict.candidates_tested} "
-              f"siphon_settled={verdict.siphon_settled}  [{dt:.1f}s]")
+              f"{_decide(net, args)}")
+    for name in MACHINES:
+        spec = parse_lba((FIXTURES / "lba" / f"{name}.lba").read_text())
+        for word in ("aa", "ab", "ba", "bb"):
+            if simulate_lba(spec, word) == "accept":
+                net = build_stage(spec, word, "Nbar")[0]
+                print(f"{name + '/' + word:28} machine   |P|={len(net.places):3} "
+                      f"|T|={len(net.transitions):3} {_decide(net, args)}")
 
 
 if __name__ == "__main__":

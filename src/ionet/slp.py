@@ -31,7 +31,7 @@ from .liveness import (
     constructed_witness, reach_graph, witness_index,
 )
 from .nets import NetError, _move_table, moves, place_masks
-from .structure import _largest_siphon_mask, relaxed_arcs, unmarked_siphon
+from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
 class NotOrdImo(NetError):
@@ -573,12 +573,20 @@ def slp_01_shortcut(net, candidate_budget=200_000, node_budget=500_000, subset_c
 
 def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
     """First live marking with components in [0, bound], in `_box_iter` order.
+
     Candidates that `is_nonlive`'s siphon shortcut would refute are refuted
-    here on place bitmasks, exploring nothing."""
+    here, exploring nothing: first by a known siphon, one that refuted an
+    earlier candidate, shrunk to a minimal siphon that still meets the read
+    places, when none of its places is marked; else by the siphon fixpoint
+    on the unmarked places.  Both settle the same candidates: a union of
+    siphons is a siphon, so the largest siphon inside the unmarked places
+    contains every known siphon inside them, and meets the read places
+    whenever one of those does."""
     masks = place_masks(net)
     read = 0  # places some transition reads from
     for pre, _ in masks:
         read |= pre
+    known = []  # the known siphons, as place indices
     tested = explored = settled = 0
 
     def verdict(status, certificate=None):
@@ -589,14 +597,23 @@ def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
         if tested >= candidate_budget:
             return verdict("budget_exceeded")
         tested += 1
-        unmarked = sum(1 << i for i, x in enumerate(cand) if not x)
-        if _largest_siphon_mask(masks, unmarked) & read:
-            settled += 1
-            continue
-        v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
-        explored += v.configs_explored
-        if v.status == "budget_exceeded":
-            return verdict("budget_exceeded")
-        if v.is_live:
-            return verdict("structurally_live", cand)
+        for q in known:
+            for i in q:
+                if cand[i]:
+                    break
+            else:
+                break  # no place of q is marked
+        else:  # no known siphon applies: run the fixpoint
+            unmarked = sum(1 << i for i, x in enumerate(cand) if not x)
+            siphon = _shrink_siphon_mask(masks, unmarked, read)
+            if not siphon:
+                v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
+                explored += v.configs_explored
+                if v.status == "budget_exceeded":
+                    return verdict("budget_exceeded")
+                if v.is_live:
+                    return verdict("structurally_live", cand)
+                continue
+            known.append(tuple(i for i in range(len(cand)) if siphon >> i & 1))
+        settled += 1
     return verdict("not_structurally_live")

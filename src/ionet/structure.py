@@ -226,6 +226,25 @@ def _largest_siphon_mask(masks, s):
     return s
 
 
+def _shrink_siphon_mask(masks, s, keep):
+    """Siphon inside the place bitmask `s` that meets `keep`, such that
+    dropping any one of its places leaves no siphon meeting `keep`; 0 when
+    the largest siphon inside `s` misses `keep`.  From that largest siphon,
+    each place in index order is dropped when the largest siphon left still
+    meets `keep`."""
+    s = _largest_siphon_mask(masks, s)
+    if not s & keep:
+        return 0
+    rest = s
+    while rest:
+        bit = rest & -rest
+        smaller = _largest_siphon_mask(masks, s & ~bit)
+        if smaller & keep:
+            s = smaller
+        rest &= s & ~bit
+    return s
+
+
 def unmarked_siphon(net, marking, minimize=False):
     """Largest siphon unmarked at the marking, or None.
 
@@ -233,16 +252,13 @@ def unmarked_siphon(net, marking, minimize=False):
     """
     net.check_marking(marking)
     masks = place_masks(net)
-    base = _largest_siphon_mask(masks, sum(1 << i for i, x in enumerate(marking) if x == 0))
+    unmarked = sum(1 << i for i, x in enumerate(marking) if x == 0)
+    if minimize:  # keep: every place
+        base = _shrink_siphon_mask(masks, unmarked, (1 << len(net.places)) - 1)
+    else:
+        base = _largest_siphon_mask(masks, unmarked)
     if not base:
         return None
-    if minimize:
-        for i in range(len(net.places)):
-            bit = 1 << i
-            if base & bit:
-                smaller = _largest_siphon_mask(masks, base & ~bit)
-                if smaller:
-                    base = smaller
     return tuple(p for i, p in enumerate(net.places) if base >> i & 1)
 
 

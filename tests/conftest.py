@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from ionet import Net, parse_net, parse_lba, post_mset, pre_mset
+from ionet import Net, build_stage, parse_net, parse_lba, post_mset, pre_mset, simulate_lba
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -25,6 +25,15 @@ def dense_arcs(net):
 
 def load_lba(name):
     return parse_lba((FIXTURES / "lba" / f"{name}.lba").read_text())
+
+
+def accepting_machines():
+    """Factories of the eight accepting two-letter compiled machines."""
+    for name in ("accept_all_2", "reject_all_2", "even_a_2", "flip_2"):
+        spec = load_lba(name)
+        for word in ("aa", "ab", "ba", "bb"):
+            if simulate_lba(spec, word) == "accept":
+                yield lambda spec=spec, word=word: build_stage(spec, word, "Nbar")[0]
 
 
 @pytest.fixture(scope="session")

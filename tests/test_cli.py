@@ -282,3 +282,20 @@ def test_fixture_report_rejects_nonpositive_counts(flags):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "must be a positive integer" in proc.stderr and not proc.stdout
+
+
+def test_fixture_report_prints_machines():
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "fixture_report.py"
+    proc = subprocess.run([sys.executable, str(script), "--candidates", "3000"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(list(FIXTURES.glob("*.net"))) + 8
+    machines = [line for line in lines if " machine " in line]
+    assert [line.split()[0] for line in machines] == [
+        "accept_all_2/aa", "accept_all_2/ab", "accept_all_2/ba", "accept_all_2/bb",
+        "even_a_2/aa", "even_a_2/bb", "flip_2/aa", "flip_2/ba"]
+    for line in machines:
+        assert " structurally_live cert=" in line, line
+        assert ("candidates=1624 siphon_settled=1623 " in line
+                or "candidates=2947 siphon_settled=2946 " in line), line

@@ -9,8 +9,13 @@ from ionet import (
     rich_poor, sccs, unmarked_siphon, carrier, mleq, post_mset, pre_mset,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.structure import relaxed_arcs
-from tests.conftest import FIXTURES, dense_arcs, load_net, random_flow_net, with_spawns
+from ionet.nets import place_masks
+from ionet.structure import (
+    _is_siphon_mask, _largest_siphon_mask, _shrink_siphon_mask, relaxed_arcs,
+)
+from tests.conftest import (
+    FIXTURES, accepting_machines, dense_arcs, load_net, random_flow_net, with_spawns,
+)
 
 
 def test_relaxed_witness_net_single_component(witness_net):
@@ -215,6 +220,46 @@ def test_unmarked_siphon(siphon_net):
     small = unmarked_siphon(net, (4, 0, 0, 0, 0, 1), minimize=True)
     assert small is not None and is_siphon(net, small)
     assert set(small) <= set(found)
+
+
+def _shrink_cases():
+    """(net, read places): the accepting machines and seeded nets of every
+    bounds-table row, half of them with spawning transitions."""
+    nets = [make() for make in accepting_machines()]
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(64):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 4, n_trans=2 + k % 3,
+                                seed=91_000 + k, wmax=2)
+        nets.append(with_spawns(net, seed=k) if k // 8 % 2 else net)
+    for net in nets:
+        read = 0
+        for pre, _ in place_masks(net):
+            read |= pre
+        yield net, read
+
+
+def test_shrink_siphon_mask():
+    rng = random.Random(29)
+    unread = refused = 0
+    for net, read in _shrink_cases():
+        masks = place_masks(net)
+        full = (1 << len(net.places)) - 1
+        unread += read != full
+        for _ in range(12):
+            s = rng.getrandbits(len(net.places)) | rng.getrandbits(len(net.places))
+            for keep in (read, full, rng.getrandbits(len(net.places))):
+                got = _shrink_siphon_mask(masks, s, keep)
+                if not _largest_siphon_mask(masks, s) & keep:
+                    assert got == 0, (net, s, keep)
+                    refused += 1
+                    continue
+                assert got and got & ~s == 0, (net, s, keep)
+                assert _is_siphon_mask(masks, got) and got & keep, (net, s, keep)
+                for i in range(len(net.places)):
+                    if got >> i & 1:
+                        assert not _largest_siphon_mask(masks, got & ~(1 << i)) & keep, \
+                            (net, s, keep, i)
+    assert unread >= 10 and refused >= 100
 
 
 def test_self_coverable_witness_restriction(witness_net):
