@@ -2,7 +2,9 @@
 """Print class flags, bounds and structural-liveness verdicts for every
 fixture net, then the verdict of every accepting two-letter compiled machine,
 with how many box candidates each decision tested and how many of those the
-siphon test alone refuted.
+siphon test alone refuted.  Under each fixture inside the subset cap, a
+second line gives what its decision left in the witness index: the size of
+the `dead_set` memo, the number of clean points and the longest clean list.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
@@ -15,6 +17,7 @@ from ionet import (  # noqa: E402
     bounds_for, build_stage, classify, decide_slp, parse_lba, parse_net, simulate_lba,
 )
 from ionet.cli import _positive  # noqa: E402
+from ionet.liveness import SubsetCapExceeded, witness_index  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 MACHINES = ("accept_all_2", "reject_all_2", "even_a_2", "flip_2")
@@ -32,6 +35,17 @@ def _decide(net, args):
             f"siphon_settled={verdict.siphon_settled}  [{dt:.2f}s]")
 
 
+def _index_line(net):
+    """The witness index's memo and clean-list sizes, or None above the cap."""
+    try:
+        idx = witness_index(net)
+    except SubsetCapExceeded:
+        return None
+    clean = [len(data.clean) for data in idx.entries]
+    return (f"{'':28} witness index: memo={len(idx.memo)} clean={sum(clean)} "
+            f"longest_clean={max(clean, default=0)}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--budget", type=_positive("--budget"), default=2_000_000)
@@ -44,6 +58,9 @@ def main():
         print(f"{path.name:28} {nc.finest():9} |P|={len(net.places):3} "
               f"|T|={len(net.transitions):3} bounds=({b.first},{b.second}) "
               f"{_decide(net, args)}")
+        line = _index_line(net)
+        if line is not None:
+            print(line)
     for name in MACHINES:
         spec = parse_lba((FIXTURES / "lba" / f"{name}.lba").read_text())
         for word in ("aa", "ab", "ba", "bb"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .classify import is_imo_msets
 from .nets import (Net, NetError, UnknownNode, mleq, msize, carrier, place_masks,
@@ -344,12 +345,16 @@ def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
 # writes nothing on S either.
 
 class _SubsetData:
-    __slots__ = ("indices", "blockers", "fire", "covers")
+    __slots__ = ("indices", "take", "blockers", "fire", "covers", "clean")
 
     def __init__(self, vectors, mask):
         # `vectors`: each transition's (pre-set, post-set) count vectors;
         # bit i of `mask` set iff place i is in the subset
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+        # the restriction of a marking tuple to the subset, as a tuple (an
+        # itemgetter of one index would return the bare count; a slice does not)
+        self.take = (itemgetter(*indices) if len(indices) > 1
+                     else itemgetter(slice(indices[0], indices[0] + 1)))
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
         covers = []
@@ -364,6 +369,9 @@ class _SubsetData:
                 fire.append((support, tuple(q - p for p, q in zip(pre, post))))
         self.fire = tuple(fire)
         self.covers = tuple(covers)
+        # restricted markings where an exploration answered None, none of
+        # them dominating an earlier one; a list from the first one on
+        self.clean = ()
 
 
 class WitnessIndex:
@@ -392,13 +400,36 @@ class WitnessIndex:
     def dead_set(self, data, r, node_budget=1_000_000):
         """Canonical dead set for (subset, restricted marking) or None.
 
-        The exploration stops as soon as every transition is covered, since
-        the dead set is then empty; the answer is the same as exploring to
-        the end."""
+        None is closed upward in r: the T_I firings are monotone, so the
+        transitions ever covered only grow with r, and both grounds for None
+        (a transition outside T_I covered, or every transition covered)
+        persist.  A restriction that dominates a point of `data.clean` is
+        therefore answered None without exploring."""
         key = (data.indices, r)
         hit = self.memo.get(key, 0)
         if hit != 0:
             return hit
+        for c in data.clean:
+            for a, b in zip(c, r):
+                if a > b:
+                    break
+            else:
+                self.memo[key] = None
+                return None
+        dead = self._explore(data, r, node_budget)
+        self.memo[key] = dead
+        if dead is None:
+            if data.clean:
+                data.clean.append(r)
+            else:
+                data.clean = [r]
+        return dead
+
+    @staticmethod
+    def _explore(data, r, node_budget):
+        """The restricted exploration behind `dead_set`.  It stops as soon as
+        every transition is covered, since the dead set is then empty; the
+        answer is the same as exploring to the end."""
         blockers = data.blockers
         uncovered = list(enumerate(data.covers))
         seen = {r}
@@ -417,11 +448,10 @@ class WitnessIndex:
                         break
                 else:
                     if blockers >> item[0] & 1:
-                        self.memo[key] = None
                         return None
             uncovered = rest
             if not uncovered:
-                break
+                return None
             for pre, delta in data.fire:
                 for k, w in pre:
                     if m[k] < w:
@@ -431,9 +461,7 @@ class WitnessIndex:
                     if nm not in seen:
                         seen.add(nm)
                         queue.append(nm)
-        result = frozenset(ti for ti, _ in uncovered) if uncovered else None
-        self.memo[key] = result
-        return result
+        return frozenset(ti for ti, _ in uncovered)
 
     def witness_at(self, marking, inexact=0, node_budget=1_000_000):
         """First witness at the marking in (size, lex) subset order, as
@@ -467,7 +495,7 @@ class WitnessIndex:
             low = live & -live
             live ^= low
             data = self.entries[low.bit_length() - 1]
-            dead = self.dead_set(data, _sub(marking, data.indices), node_budget)
+            dead = self.dead_set(data, data.take(marking), node_budget)
             if dead:
                 found = (data.indices, dead)
                 break

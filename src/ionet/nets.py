@@ -7,8 +7,8 @@ so a net is not safe to share across threads that analyse it.  The caches:
 "class", "move_table", "place_masks" and "relaxed_arcs" (fixed size, the
 last built by `structure`); "drain_weights" and "drain_plans" (at most one
 entry per siphon); and "witness_index" and "abstract_engine", whose
-`witness_at`, `dead_set` and abstract reachability memos grow without bound
-as markings are decided.
+`witness_at`, `dead_set` and abstract reachability memos, and the index's
+per-subset clean lists, grow without bound as markings are decided.
 """
 from __future__ import annotations
 

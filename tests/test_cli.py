@@ -290,7 +290,20 @@ def test_fixture_report_prints_machines():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == len(list(FIXTURES.glob("*.net"))) + 8
+    fixtures = sorted(path.name for path in FIXTURES.glob("*.net"))
+    # every fixture is inside the subset cap, so each has an index line
+    assert len(lines) == 2 * len(fixtures) + 8
+    assert [line.split()[0] for line in lines[:2 * len(fixtures):2]] == fixtures
+    index = {}
+    for name, line in zip(fixtures, lines[1:2 * len(fixtures):2]):
+        head, _, counts = line.partition("witness index: ")
+        assert not head.strip() and counts, line
+        fields = dict(field.split("=") for field in counts.split())
+        assert list(fields) == ["memo", "clean", "longest_clean"], line
+        memo, clean, longest = (int(fields[k]) for k in fields)
+        assert longest <= clean <= memo, line
+        index[name] = memo, clean, longest
+    assert min(index["bio_dense.net"]) > 0
     machines = [line for line in lines if " machine " in line]
     assert [line.split()[0] for line in machines] == [
         "accept_all_2/aa", "accept_all_2/ab", "accept_all_2/ba", "accept_all_2/bb",

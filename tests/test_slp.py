@@ -897,6 +897,69 @@ def test_dead_set_matches_exhaustive_reference():
     assert dead and settled
 
 
+def test_dead_set_answers_do_not_depend_on_lookup_order():
+    """A restriction that dominates a clean point of its subset is answered
+    None without exploring, so the answers must not depend on which
+    restrictions were looked up before.  On every net of `_start_nets()`,
+    the restrictions of the markings around each arc weight (at most 12
+    tokens) are looked up in ascending, descending and shuffled order, each
+    on a fresh index, and every answer is the exhaustive reference's."""
+    rng = random.Random(83)
+    settled, weighted = set(), set()
+    for name, net in _start_nets():
+        if net.max_weight > 1:
+            weighted.add(name)
+        markings = _boundary_markings(net)
+        want = {}
+        for e, data in enumerate(witness_index(net).entries):
+            reference = _dead_set_reference(net, data.indices)
+            for r in {_sub(m, data.indices) for m in markings}:
+                if sum(r) <= 12:
+                    want[e, r] = reference(r)
+        ascending = sorted(want)
+        shuffled = ascending[:]
+        rng.shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled):
+            idx = liveness.WitnessIndex(net)
+            for e, r in order:
+                data = idx.entries[e]
+                fresh, points = (data.indices, r) not in idx.memo, len(data.clean)
+                got = idx.dead_set(data, r)
+                assert got == want[e, r], (name, data.indices, r)
+                if fresh and got is None and len(data.clean) == points:
+                    settled.add(name)
+    assert "bio_dense" in settled and settled & weighted
+
+
+def test_reference_none_is_closed_upward():
+    """The premise of the clean points: when the exhaustive reference
+    answers None at r on a subset, it answers None at every r' >= r.  Checked
+    on seeded io, imo, bio and bimo nets of at most four places, ordinary and
+    weighted, on every subset, at restrictions sampled below two tokens over
+    the largest arc weight and at one-token raises of them."""
+    rng = random.Random(89)
+    compared = weighted = 0
+    for row in ("ord-io", "io", "ord-imo", "imo", "ord-bio", "bio", "ord-bimo", "bimo"):
+        for k in range(6):
+            net = random_net_in_row(row, n_places=3 + k % 2, n_trans=1 + k % 4,
+                                    seed=1_100 + k)
+            weighted += net.max_weight > 1
+            n = len(net.places)
+            for size in range(1, n + 1):
+                for indices in itertools.combinations(range(n), size):
+                    reference = _dead_set_reference(net, indices)
+                    sample = {tuple(rng.randrange(net.max_weight + 2) for _ in indices)
+                              for _ in range(12)}
+                    sample |= {tuple(x + rng.randrange(2) for x in r) for r in sample}
+                    answers = {r: reference(r) for r in sample}
+                    for r, low in answers.items():
+                        for up, high in answers.items():
+                            if low is None and up != r and mleq(r, up):
+                                compared += 1
+                                assert high is None, (row, k, indices, r, up)
+    assert weighted and compared > 1_000
+
+
 def test_dead_set_stops_once_every_transition_is_covered():
     """At (5, ..., 5) on a ring every transition is covered at the first
     state, so the answer is settled before a second state is visited."""
