@@ -3,8 +3,9 @@
 fixture net, then the verdict of every accepting two-letter compiled machine,
 with how many box candidates each decision tested and how many of those the
 siphon test alone refuted.  Under each fixture inside the subset cap, a
-second line gives what its decision left in the witness index: the size of
-the `dead_set` memo, the number of clean points and the longest clean list.
+second line gives what its decision left in the witness index (the size of
+the `dead_set` memo, the number of clean points and the longest clean list),
+the index's number of entries, and how long a fresh index takes to build.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
@@ -17,7 +18,7 @@ from ionet import (  # noqa: E402
     bounds_for, build_stage, classify, decide_slp, parse_lba, parse_net, simulate_lba,
 )
 from ionet.cli import _positive  # noqa: E402
-from ionet.liveness import SubsetCapExceeded, witness_index  # noqa: E402
+from ionet.liveness import SubsetCapExceeded, WitnessIndex, witness_index  # noqa: E402
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 MACHINES = ("accept_all_2", "reject_all_2", "even_a_2", "flip_2")
@@ -36,14 +37,19 @@ def _decide(net, args):
 
 
 def _index_line(net):
-    """The witness index's memo and clean-list sizes, or None above the cap."""
+    """The witness index's memo and clean-list sizes, entries and build
+    time, or None above the cap."""
     try:
         idx = witness_index(net)
     except SubsetCapExceeded:
         return None
+    t0 = time.perf_counter()
+    WitnessIndex(net)
+    build_ms = (time.perf_counter() - t0) * 1e3
     clean = [len(data.clean) for data in idx.entries]
     return (f"{'':28} witness index: memo={len(idx.memo)} clean={sum(clean)} "
-            f"longest_clean={max(clean, default=0)}")
+            f"longest_clean={max(clean, default=0)} entries={len(idx.entries)} "
+            f"build_ms={build_ms:.1f}")
 
 
 def main():

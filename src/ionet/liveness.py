@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .classify import is_imo_msets
-from .nets import (Net, NetError, UnknownNode, mleq, msize, carrier, place_masks,
-                   post_mset, pre_mset, successors)
+from .nets import (Net, NetError, UnknownNode, _move_table, mleq, msize, carrier,
+                   place_masks, post_mset, pre_mset, successors)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
@@ -347,26 +347,31 @@ def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
 class _SubsetData:
     __slots__ = ("indices", "take", "blockers", "fire", "covers", "clean")
 
-    def __init__(self, vectors, mask):
-        # `vectors`: each transition's (pre-set, post-set) count vectors;
+    def __init__(self, table, mask):
+        # `table`: the net's `_move_table` (sparse deltas, pre arc pairs);
         # bit i of `mask` set iff place i is in the subset
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         # the restriction of a marking tuple to the subset, as a tuple (an
         # itemgetter of one index would return the bare count; a slice does not)
         self.take = (itemgetter(*indices) if len(indices) > 1
                      else itemgetter(slice(indices[0], indices[0] + 1)))
+        pos = dict(zip(indices, range(len(indices))))
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
         covers = []
-        for ti, (pre, post) in enumerate(vectors):
-            pre, post = _sub(pre, indices), _sub(post, indices)
+        for ti, (pre, delta) in enumerate(zip(table[3], table[0])):
             # the restricted pre-mset as (subset position, weight) pairs
-            support = tuple((k, w) for k, w in enumerate(pre) if w)
+            support = tuple([(pos[i], w) for i, w in pre if i in pos])
             covers.append(support)
-            if not is_imo_msets(pre, post):
+            vec = [0] * len(indices)  # the restricted delta
+            for i, x in delta:
+                if i in pos:
+                    vec[pos[i]] = x
+            # T_I: as many tokens enter the subset as leave it, at most one
+            if sum(vec) or sum([x for x in vec if x < 0]) < -1:
                 self.blockers |= 1 << ti
             elif support:
-                fire.append((support, tuple(q - p for p, q in zip(pre, post))))
+                fire.append((support, tuple(vec)))
         self.fire = tuple(fire)
         self.covers = tuple(covers)
         # restricted markings where an exploration answered None, none of
@@ -378,11 +383,11 @@ class WitnessIndex:
     """Per-net cache of siphon data and memoized restricted explorations."""
 
     def __init__(self, net):
-        self.net = net
+        self.pre = net._pre
         masks = place_masks(net)
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
-        vectors = [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
-        self.entries = sorted((_SubsetData(vectors, s) for s in siphons),
+        table = _move_table(net)
+        self.entries = sorted((_SubsetData(table, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
         # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
         # entries with place i, blocked[ti] those with ti outside their T_I
@@ -483,7 +488,7 @@ class WitnessIndex:
         for i, c in enumerate(contains):
             if inexact >> i & 1:
                 live &= ~c
-        for support, blocked in zip(self.net._pre, self.blocked):
+        for support, blocked in zip(self.pre, self.blocked):
             if blocked:
                 short = 0
                 for i, w in support:

@@ -8,7 +8,8 @@ so a net is not safe to share across threads that analyse it.  The caches:
 last built by `structure`); "drain_weights" and "drain_plans" (at most one
 entry per siphon); and "witness_index" and "abstract_engine", whose
 `witness_at`, `dead_set` and abstract reachability memos, and the index's
-per-subset clean lists, grow without bound as markings are decided.
+per-subset clean lists, grow without bound as markings are decided.  No
+cache points back at the net, so reference counting frees them with it.
 """
 from __future__ import annotations
 
@@ -209,8 +210,8 @@ def _fire(net, marking, ti, step=None):
 def _move_table(net):
     """Per-net move table, built on first use: each transition's sparse delta
     `((place, post - pre), ...)` over the places it changes, per place the
-    bitmask of the transitions whose first pre-place it is, and the bitmask
-    of the transitions without pre-places."""
+    bitmask of the transitions whose first pre-place it is, the bitmask of
+    the transitions without pre-places, and the net's `_pre` pairs."""
     table = net._analysis.get("move_table")
     if table is None:
         watch = [0] * len(net.places)
@@ -225,21 +226,25 @@ def _move_table(net):
             for i, w in pre:
                 delta[i] = delta.get(i, 0) - w
             deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
-        table = (tuple(deltas), tuple(watch), free)
+        table = (tuple(deltas), tuple(watch), free, net._pre)
         net._analysis["move_table"] = table
     return table
 
 
 def moves(net, marking):
     """(transition index, sparse delta) for every transition enabled at the
-    marking, in declaration order.  Only transitions watched by a marked
-    place, or without pre-places, are tested.  Every forward kernel applies
-    the sparse deltas of this one walk in its own arithmetic."""
-    deltas, watch, todo = _move_table(net)
+    marking, in declaration order: `_walk` on the net's move table."""
+    return _walk(_move_table(net), marking)
+
+
+def _walk(table, marking):
+    """The one enabled-transition walk, which every forward kernel runs on a
+    `_move_table` and applies in its own arithmetic: only transitions watched
+    by a marked place, or without pre-places, are tested."""
+    deltas, watch, todo, supports = table
     for i, x in enumerate(marking):
         if x:
             todo |= watch[i]
-    supports = net._pre
     out = []
     while todo:
         low = todo & -todo
@@ -257,7 +262,7 @@ def successors(net, marking):
     """(transition index, successor marking) for every transition enabled at
     the marking, in declaration order."""
     out = []
-    for ti, delta in moves(net, marking):
+    for ti, delta in _walk(_move_table(net), marking):
         m = list(marking)
         for i, d in delta:
             m[i] += d

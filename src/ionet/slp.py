@@ -30,7 +30,7 @@ from .liveness import (
     BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
     constructed_witness, reach_graph, witness_index,
 )
-from .nets import NetError, _move_table, moves, place_masks
+from .nets import NetError, _move_table, _walk, place_masks
 from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
@@ -93,7 +93,7 @@ def capped_successors(net, cfg):
     cap = cap_value(net)
     counts, sat = cfg
     out = []
-    for ti, delta in moves(net, counts):
+    for ti, delta in _walk(_move_table(net), counts):
         raw = list(counts)
         flags = sat
         for i, d in delta:
@@ -145,7 +145,7 @@ class _AbstractEngine:
     """
 
     def __init__(self, net, subset_cap):
-        self.net = net
+        self.table = _move_table(net)
         self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
         self.idx = witness_index(net, subset_cap)
         # abstract state -> witness targets reachable from it; () = proven clean
@@ -158,7 +158,7 @@ class _AbstractEngine:
     def successors(self, state):
         m = self.m
         out = []
-        for _, delta in moves(self.net, state):
+        for _, delta in _walk(self.table, state):
             base = list(state)
             drain = None
             for i, d in delta:

@@ -299,11 +299,14 @@ def test_fixture_report_prints_machines():
         head, _, counts = line.partition("witness index: ")
         assert not head.strip() and counts, line
         fields = dict(field.split("=") for field in counts.split())
-        assert list(fields) == ["memo", "clean", "longest_clean"], line
-        memo, clean, longest = (int(fields[k]) for k in fields)
+        assert list(fields) == ["memo", "clean", "longest_clean", "entries",
+                                "build_ms"], line
+        memo, clean, longest, entries = (int(fields[k]) for k in list(fields)[:4])
         assert longest <= clean <= memo, line
-        index[name] = memo, clean, longest
+        assert entries > 0 and float(fields["build_ms"]) >= 0, line
+        index[name] = memo, clean, longest, entries
     assert min(index["bio_dense.net"]) > 0
+    assert index["bio_dense.net"][3] == 440
     machines = [line for line in lines if " machine " in line]
     assert [line.split()[0] for line in machines] == [
         "accept_all_2/aa", "accept_all_2/ab", "accept_all_2/ba", "accept_all_2/bb",

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import deque
@@ -13,7 +14,7 @@ from ionet import (
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet import liveness
+from ionet import liveness, nets
 from ionet.liveness import _sub, witness_index
 from ionet.slp import (
     SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
@@ -499,11 +500,11 @@ def test_is_nonlive_live_after_positive_probe(monkeypatch):
     assert v.witness is None and v.configs_explored > 0
 
 
-def _abstract_successors_transcribed(engine, state):
-    """The abstract step by its definition, over every transition in
-    declaration order: fire when enabled, keep TOP places TOP, cap exact
+def _abstract_successors_transcribed(net, engine, state):
+    """The abstract step on `net` by its definition, over every transition
+    in declaration order: fire when enabled, keep TOP places TOP, cap exact
     counts at TOP, and branch a drained TOP place to exactly m-1."""
-    net, m = engine.net, engine.m
+    m = engine.m
     out = []
     for pre, post in dense_arcs(net):
         if any(x < w for x, w in zip(state, pre)):
@@ -545,7 +546,7 @@ def test_abstract_successors_against_transcription():
                               for _ in net.places)
                 mixed += 0 < state.count(top) < len(state)
                 assert engine.successors(state) == \
-                    _abstract_successors_transcribed(engine, state), (net, state)
+                    _abstract_successors_transcribed(net, engine, state), (net, state)
                 checked += 1
     assert checked == 576 and mixed >= 100
 
@@ -694,6 +695,108 @@ def test_witness_index_enumerates_siphons(monkeypatch):
     monkeypatch.setattr(liveness._SubsetData, "__init__", counting_init)
     net, _ = load_net("bio_dense")
     assert len(witness_index(net).entries) == len(built) == 440
+
+
+def test_decided_nets_are_freed_by_reference_counting():
+    """No per-net cache points back at its net, so a decided net, its caches
+    and its verdicts are freed as soon as they are dropped: with the cyclic
+    collector off, deciding fresh bio_dense and seeded row nets leaves it
+    nothing to collect."""
+    text = (FIXTURES / "bio_dense.net").read_text()
+    rng = random.Random(97)
+    gc.collect()
+    gc.disable()
+    try:
+        net, stored = parse_net(text)
+        verdicts = [is_nonlive(net, stored), decide_slp(net)]
+        assert {"witness_index", "abstract_engine"} <= set(net._analysis)
+        del net, verdicts
+        for row in ("ord-io", "ord-imo", "io", "imo", "ord-bimo"):
+            for k in range(6):
+                net = random_net_in_row(row, n_places=3 + k % 3, n_trans=1 + k % 4,
+                                        seed=10_000 + 13 * k)
+                cap = cap_value(net)
+                m = tuple(rng.randrange(cap + cap // 2 + 1) for _ in net.places)
+                verdicts = [is_nonlive(net, m), decide_slp(net)]
+                del net, verdicts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _subset_data_reference(net, indices):
+    """(blockers, covers, fire) of a `_SubsetData` by the dense build: each
+    transition's count vectors restricted to `indices`, T_I by
+    `is_imo_msets`."""
+    blockers, covers, fire = 0, [], []
+    for ti, (pre, post) in enumerate(dense_arcs(net)):
+        pre, post = _sub(pre, indices), _sub(post, indices)
+        support = tuple((k, w) for k, w in enumerate(pre) if w)
+        covers.append(support)
+        if not is_imo_msets(pre, post):
+            blockers |= 1 << ti
+        elif support:
+            fire.append((support, tuple(q - p for p, q in zip(pre, post))))
+    return blockers, tuple(covers), tuple(fire)
+
+
+def _general_nets():
+    """Seeded nets outside the immediate-observation family: each transition
+    takes and gives up to three weighted arcs on any places."""
+    for k in range(12):
+        rng = random.Random(1_200 + k)
+        places = [f"p{i}" for i in range(3 + k % 3)]
+        transitions = [f"t{i}" for i in range(2 + k % 4)]
+        flow = {}
+        for t in transitions:
+            for _ in range(rng.randint(0, 3)):
+                flow[rng.choice(places), t] = rng.randint(1, 2)
+            for _ in range(rng.randint(0, 3)):
+                flow[t, rng.choice(places)] = rng.randint(1, 2)
+        yield f"general/{k}", Net(f"g{k}", places, transitions, flow)
+
+
+def test_witness_index_build_matches_dense_reference(monkeypatch):
+    """Every entry's `blockers`, `covers` and `fire`, built from the stored
+    arc pairs and the move table's sparse deltas, are the dense build's, and
+    so are those of records built on every subset of nets of up to eight
+    places, siphon or not.  The sample holds transitions that T_I must
+    exclude although the deltas on the subset sum to 0 (two tokens leave and
+    two enter), and, on non-siphons only, transitions with an empty
+    restricted pre-set and a nonempty restricted post-set.  The build reads
+    no dense vector."""
+    entries = spawning = two_out = 0
+    for name, net in itertools.chain(_siphon_nets(), _general_nets()):
+        for data in witness_index(net).entries:
+            entries += 1
+            assert (data.blockers, data.covers, data.fire) == \
+                _subset_data_reference(net, data.indices), (name, data.indices)
+        if len(net.places) > 8:
+            continue
+        table = nets._move_table(net)
+        for mask in range(1, 1 << len(net.places)):
+            data = liveness._SubsetData(table, mask)
+            want = _subset_data_reference(net, data.indices)
+            assert (data.blockers, data.covers, data.fire) == want, (name, data.indices)
+            for ti, (pre, post) in enumerate(dense_arcs(net)):
+                pre, post = _sub(pre, data.indices), _sub(post, data.indices)
+                if not any(pre) and any(post):
+                    spawning += 1
+                elif sum(pre) == sum(post) and sum(nets.msub(pre, post)) > 1:
+                    two_out += 1
+                else:
+                    continue
+                assert data.blockers >> ti & 1, (name, data.indices, ti)
+    assert entries and spawning and two_out
+
+    def dense(*args):
+        raise AssertionError("dense vector built")
+
+    for module in (liveness, nets):
+        monkeypatch.setattr(module, "pre_mset", dense)
+        monkeypatch.setattr(module, "post_mset", dense)
+    net = load_net("bio_dense")[0]
+    assert len(liveness.WitnessIndex(net).entries) == 440
 
 
 def test_witness_index_entry_bitmasks():
