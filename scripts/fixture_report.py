@@ -5,7 +5,8 @@ with how many box candidates each decision tested and how many of those the
 siphon test alone refuted.  Under each fixture inside the subset cap, a
 second line gives what its decision left in the witness index (the size of
 the `dead_set` memo, the number of clean points and the longest clean list),
-the index's number of entries, and how long a fresh index takes to build.
+the index's number of entries, how long a fresh index takes to build, and
+how many `witness_at` lookups ran (the size of the `witness_at` memo).
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
@@ -37,8 +38,8 @@ def _decide(net, args):
 
 
 def _index_line(net):
-    """The witness index's memo and clean-list sizes, entries and build
-    time, or None above the cap."""
+    """The witness index's memo and clean-list sizes, entries, build time
+    and lookups run, or None above the cap."""
     try:
         idx = witness_index(net)
     except SubsetCapExceeded:
@@ -49,7 +50,7 @@ def _index_line(net):
     clean = [len(data.clean) for data in idx.entries]
     return (f"{'':28} witness index: memo={len(idx.memo)} clean={sum(clean)} "
             f"longest_clean={max(clean, default=0)} entries={len(idx.entries)} "
-            f"build_ms={build_ms:.1f}")
+            f"build_ms={build_ms:.1f} lookups={len(idx.at_memo)}")
 
 
 def main():

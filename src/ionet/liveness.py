@@ -383,7 +383,6 @@ class WitnessIndex:
     """Per-net cache of siphon data and memoized restricted explorations."""
 
     def __init__(self, net):
-        self.pre = net._pre
         masks = place_masks(net)
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
         table = _move_table(net)
@@ -399,6 +398,8 @@ class WitnessIndex:
             for ti in range(len(net.transitions)):
                 if data.blockers >> ti & 1:
                     self.blocked[ti] |= 1 << e
+        # (pre arcs, blocked) of the transitions outside some entry's T_I
+        self.blocking = tuple((pre, bits) for pre, bits in zip(net._pre, self.blocked) if bits)
         self.memo = {}
         self.at_memo = {}
 
@@ -478,23 +479,23 @@ class WitnessIndex:
         hit = self.at_memo.get(key, 0)
         if hit != 0:
             return hit
-        # Drop the entries touching an inexact place, and those on which some
+        # Reject the entries touching an inexact place, and those on which some
         # transition outside T_I is covered at the start: it is short on no
         # place of the entry, so `dead_set` would answer None at once.  A
-        # transition ti keeps the entries with ti in T_I (~blocked[ti]) or
-        # with a place where the marking holds fewer tokens than ti reads.
+        # transition ti rejects the entries with ti outside T_I (blocked[ti])
+        # that hold no place where the marking has fewer tokens than ti reads.
         contains = self.contains
-        live = (1 << len(self.entries)) - 1
+        rejected = 0
         for i, c in enumerate(contains):
             if inexact >> i & 1:
-                live &= ~c
-        for support, blocked in zip(self.pre, self.blocked):
-            if blocked:
-                short = 0
-                for i, w in support:
-                    if marking[i] < w:
-                        short |= contains[i]
-                live &= ~blocked | short
+                rejected |= c
+        for support, blocked in self.blocking:
+            short = 0
+            for i, w in support:
+                if marking[i] < w:
+                    short |= contains[i]
+            rejected |= blocked & ~short if short else blocked
+        live = ((1 << len(self.entries)) - 1) & ~rejected
         found = None
         while live:
             low = live & -live

@@ -211,22 +211,30 @@ def _move_table(net):
     """Per-net move table, built on first use: each transition's sparse delta
     `((place, post - pre), ...)` over the places it changes, per place the
     bitmask of the transitions whose first pre-place it is, the bitmask of
-    the transitions without pre-places, and the net's `_pre` pairs."""
+    the transitions without pre-places, the net's `_pre` pairs, per place
+    the bitmask of the transitions whose last pre-place it is, and per
+    transition `rest`: the pre arcs that a marked place does not settle (the
+    middle arcs, and an end arc of weight above 1)."""
     table = net._analysis.get("move_table")
     if table is None:
-        watch = [0] * len(net.places)
+        first = [0] * len(net.places)
+        last = [0] * len(net.places)
         free = 0
         deltas = []
+        rest = []
         for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
             if pre:
-                watch[pre[0][0]] |= 1 << ti
+                first[pre[0][0]] |= 1 << ti
+                last[pre[-1][0]] |= 1 << ti
             else:
                 free |= 1 << ti
+            rest.append(tuple(arc for k, arc in enumerate(pre)
+                              if arc[1] > 1 or 0 < k < len(pre) - 1))
             delta = dict(post)
             for i, w in pre:
                 delta[i] = delta.get(i, 0) - w
             deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
-        table = (tuple(deltas), tuple(watch), free, net._pre)
+        table = (tuple(deltas), tuple(first), free, net._pre, tuple(last), tuple(rest))
         net._analysis["move_table"] = table
     return table
 
@@ -239,18 +247,23 @@ def moves(net, marking):
 
 def _walk(table, marking):
     """The one enabled-transition walk, which every forward kernel runs on a
-    `_move_table` and applies in its own arithmetic: only transitions watched
-    by a marked place, or without pre-places, are tested."""
-    deltas, watch, todo, supports = table
+    `_move_table` and applies in its own arithmetic.  The candidates are the
+    transitions whose first and last pre-places are both marked, and those
+    without pre-places; only their `rest` arcs are tested, so a transition
+    reading at most two places with weight 1 is tested on no arc at all."""
+    deltas, first, todo, _, last, rest = table
+    a = b = 0
     for i, x in enumerate(marking):
         if x:
-            todo |= watch[i]
+            a |= first[i]
+            b |= last[i]
+    todo |= a & b
     out = []
     while todo:
         low = todo & -todo
         todo ^= low
         ti = low.bit_length() - 1
-        for i, w in supports[ti]:
+        for i, w in rest[ti]:
             if marking[i] < w:
                 break
         else:

@@ -156,11 +156,15 @@ class _AbstractEngine:
         return tuple(x if x < m else m for x in marking)
 
     def successors(self, state):
+        """(successor, dominates) pairs: `dominates` says the successor is at
+        least `state` on every place, TOP being the largest value.  It fails
+        when an exact place loses a token, and on the drained m-1 branch."""
         m = self.m
         out = []
         for _, delta in _walk(self.table, state):
             base = list(state)
             drain = None
+            up = True
             for i, d in delta:
                 v = state[i]
                 if v == m:
@@ -169,10 +173,11 @@ class _AbstractEngine:
                 else:
                     x = v + d
                     base[i] = x if x < m else m
-            out.append(tuple(base))
+                    up &= d > 0
+            out.append((tuple(base), up))
             if drain is not None:
                 base[drain] = m - 1
-                out.append(tuple(base))
+                out.append((tuple(base), False))
         return out
 
     def probe(self, marking, node_budget):
@@ -195,7 +200,9 @@ class _AbstractEngine:
 
     def _search(self, start, node_budget):
         reach, witness_at, m = self.reach, self.idx.witness_at, self.m
-        seen = {start}
+        # state -> whether it dominates an expanded state, whose lookup found
+        # no witness; None is closed upward, so such a state needs no lookup
+        seen = {start: False}
         queue = deque([start])
         targets = []
         explored = 0
@@ -204,21 +211,24 @@ class _AbstractEngine:
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
-            # only subsets on which every count is exact can be flagged
-            hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
-                             node_budget)
-            if hit:
-                indices = hit[0]
-                targets.append((indices, tuple(s[i] for i in indices)))
-                if len(targets) >= 8:
-                    return tuple(targets), explored
-                continue
-            for nxt in self.successors(s):
+            if not seen[s]:
+                # only subsets on which every count is exact can be flagged
+                hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
+                                 node_budget)
+                if hit:
+                    indices = hit[0]
+                    targets.append((indices, tuple(s[i] for i in indices)))
+                    if len(targets) >= 8:
+                        return tuple(targets), explored
+                    continue
+            for nxt, up in self.successors(s):
                 if nxt in seen:
+                    if up:
+                        seen[nxt] = True
                     continue
                 known = reach.get(nxt)
                 if known is None:
-                    seen.add(nxt)
+                    seen[nxt] = up
                     queue.append(nxt)
                 elif known:
                     return tuple(targets + list(known))[:8], explored

@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionet import (
-    Net, NetError, NotEnabled, ParseError, UnknownNode,
+    Net, NetError, NotEnabled, ParseError, UnknownNode, build_stage,
     carrier, enabled, fire, madd, mleq, mmin, msize, msub,
-    parse_net, post_mset, pre_mset, replay, serialize_net,
+    parse_net, post_mset, pre_mset, reach_graph, replay, serialize_net,
 )
-from ionet.generate import random_net, random_marking
-from ionet.nets import MAX_WEIGHT
-from tests.conftest import with_spawns
+from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet.nets import MAX_WEIGHT, moves
+from tests.conftest import dense_arcs, load_lba, random_flow_net, with_spawns
 
 counts = st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4)
 
@@ -80,6 +81,77 @@ def test_fire_single_step(siphon_net):
 def test_identity_firing():
     net = Net("loop", ["p"], ["t"], {("p", "t"): 1, ("t", "p"): 1})
     assert fire(net, (2,), "t") == (2,)
+
+
+def _moves_reference(arcs, m):
+    """Every (transition index, sparse delta) by the dense definition, on the
+    net's `dense_arcs`: the transitions whose pre-set the marking covers, in
+    ascending index."""
+    out = []
+    for ti, (pre, post) in enumerate(arcs):
+        if all(x >= w for x, w in zip(m, pre)):
+            out.append((ti, tuple((i, q - p) for i, (p, q) in enumerate(zip(pre, post))
+                                  if q != p)))
+    return out
+
+
+def _wide_net(seed):
+    """Transitions reading three or four places with weights 1 or 2, and
+    writing up to two."""
+    rng = random.Random(seed)
+    places = [f"p{i}" for i in range(5)]
+    trans = [f"t{k}" for k in range(4)]
+    flow = {}
+    for t in trans:
+        for p in rng.sample(places, rng.randint(3, 4)):
+            flow[(p, t)] = rng.randint(1, 2)
+        for p in rng.sample(places, rng.randint(0, 2)):
+            flow[(t, p)] = rng.randint(1, 2)
+    return Net(f"wide-{seed}", places, trans, flow)
+
+
+def _moves_cases():
+    """(net, markings): seeded nets of all eight rows with and without
+    pre-free transitions, weighted nets of no class, nets reading three or
+    more places, on every marking with at most three tokens per place (or
+    sampled ones), and the reach-graph nodes of a compiled machine."""
+    rng = random.Random(31)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    nets = []
+    for k in range(32):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=2 + k % 4,
+                                seed=3_100 + k)
+        nets += [net, with_spawns(net, seed=k)]
+    nets += [random_flow_net(3_200 + k, n_places=3, n_trans=5) for k in range(12)]
+    nets += [_wide_net(3_300 + k) for k in range(12)]
+    for net in nets:
+        if len(net.places) <= 4:
+            yield net, itertools.product(range(4), repeat=len(net.places))
+        else:
+            yield net, [tuple(rng.randrange(4) for _ in net.places) for _ in range(300)]
+    machine, m0 = build_stage(load_lba("first_a_3"), "abb", "Nbar")
+    yield machine, reach_graph(machine, m0).nodes
+
+
+def test_moves_match_dense_definition():
+    """`nets.moves` lists exactly the enabled transitions with their sparse
+    deltas, in ascending index: on transitions without pre-places, with end
+    arcs of weight 2 or more, and reading three or more places, where the
+    two watched pre-places do not settle the answer alone."""
+    free = heavy_ends = wide = markings = enabled_moves = 0
+    for net, ms in _moves_cases():
+        for pre in net._pre:
+            free += not pre
+            heavy_ends += bool(pre) and max(pre[0][1], pre[-1][1]) > 1
+            wide += len(pre) >= 3
+        arcs = dense_arcs(net)
+        for m in ms:
+            got = moves(net, m)
+            assert got == _moves_reference(arcs, m), (net, m)
+            markings += 1
+            enabled_moves += len(got)
+    assert free and heavy_ends and wide
+    assert markings > 10_000 and enabled_moves > markings
 
 
 def test_replay_full_sequence(siphon_net):
