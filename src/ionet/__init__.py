@@ -19,9 +19,9 @@ from .liveness import (
     check_witness, find_witness,
 )
 from .slp import (
-    Bounds, CappedConfig, LivenessVerdict, SlpVerdict, NotOrdImo,
+    Bounds, CappedConfig, LivenessVerdict, SlpVerdict,
     bounds_for, cap_value, truncate, capped_config,
-    capped_successors, is_nonlive, decide_slp, slp_01_shortcut,
+    capped_successors, is_nonlive, decide_slp,
 )
 from .ordinarize import (
     OrdinarizeMap, TransferReport, ordinarize, embed_marking, project_marking,

@@ -78,7 +78,7 @@ def classify(net):
     cached = net._analysis.get("class")
     if cached is not None:
         return cached
-    ordinary = all(w == 1 for w in net.flow.values())
+    ordinary = net.max_weight == 1
     conservative = True
     bimo = bio = imo = True
     # the `is_*_msets` tests on the arc pairs: with the dummy loop an empty

@@ -348,8 +348,8 @@ class _SubsetData:
     __slots__ = ("indices", "take", "blockers", "fire", "covers", "clean")
 
     def __init__(self, table, mask):
-        # `table`: the net's `_move_table` (sparse deltas, pre arc pairs);
-        # bit i of `mask` set iff place i is in the subset
+        # `table`: the net's `MoveTable`; bit i of `mask` set iff place i is
+        # in the subset
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         # the restriction of a marking tuple to the subset, as a tuple (an
         # itemgetter of one index would return the bare count; a slice does not)
@@ -359,7 +359,7 @@ class _SubsetData:
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
         covers = []
-        for ti, (pre, delta) in enumerate(zip(table[3], table[0])):
+        for ti, (pre, delta) in enumerate(zip(table.pre, table.deltas)):
             # the restricted pre-mset as (subset position, weight) pairs
             support = tuple([(pos[i], w) for i, w in pre if i in pos])
             covers.append(support)

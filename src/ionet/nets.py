@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_WEIGHT = 2**31 - 1
 
@@ -81,15 +82,16 @@ def carrier(marking):
 class Net:
     """Places, transitions and a weighted flow function.
 
-    `flow` maps (place, transition) and (transition, place) pairs to weights
-    >= 1; absent pairs mean weight 0.  Place and transition order is fixed at
-    construction and determines marking indices and all tie-breaks.  Each
-    transition's arcs are stored once more as `_pre` and `_post`: its
-    (place index, weight) pairs in ascending place order.
+    The constructor's `flow` maps (place, transition) and (transition, place)
+    pairs to weights >= 1; absent pairs and weight 0 mean no arc.  Place and
+    transition order is fixed at construction and determines marking indices
+    and all tie-breaks.  Each transition's arcs are stored once, as `_pre`
+    and `_post`: its (place index, weight) pairs in ascending place order.
+    `flow` is a view of them, built on demand.
     """
 
     __slots__ = (
-        "name", "places", "transitions", "flow", "place_index", "trans_index",
+        "name", "places", "transitions", "place_index", "trans_index",
         "_pre", "_post", "max_weight", "_analysis",
     )
 
@@ -112,7 +114,6 @@ class Net:
         self.transitions = transitions
         self.place_index = {p: i for i, p in enumerate(places)}
         self.trans_index = {t: i for i, t in enumerate(transitions)}
-        clean = {}
         pre = [[] for _ in transitions]
         post = [[] for _ in transitions]
         for (a, b), w in flow.items():
@@ -128,12 +129,24 @@ class Net:
                 post[self.trans_index[a]].append((self.place_index[b], w))
             else:
                 raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
-            clean[(a, b)] = w
-        self.flow = clean
         self._pre = tuple(tuple(sorted(arcs)) for arcs in pre)
         self._post = tuple(tuple(sorted(arcs)) for arcs in post)
-        self.max_weight = max(clean.values(), default=1)
+        self.max_weight = max((w for arcs in pre + post for _, w in arcs), default=1)
         self._analysis = {}  # lazily filled caches keyed by analysis name
+
+    @property
+    def flow(self):
+        """The weighted flow as a new dict, in transition order: each
+        transition's (place, transition) arcs, then its (transition, place)
+        arcs."""
+        places = self.places
+        out = {}
+        for t, pre, post in zip(self.transitions, self._pre, self._post):
+            for i, w in pre:
+                out[(places[i], t)] = w
+            for i, w in post:
+                out[(t, places[i])] = w
+        return out
 
     def __repr__(self):
         return f"Net({self.name!r}, |P|={len(self.places)}, |T|={len(self.transitions)})"
@@ -202,19 +215,23 @@ def _fire(net, marking, ti, step=None):
         if marking[i] < w:
             raise NotEnabled(net.transitions[ti], marking, step)
     m = list(marking)
-    for i, d in _move_table(net)[0][ti]:
+    for i, d in _move_table(net).deltas[ti]:
         m[i] += d
     return tuple(m)
 
 
+class MoveTable(NamedTuple):
+    """What the forward kernels read of a net; transition sets are bitmasks."""
+    deltas: tuple  # per transition, ((place, post - pre), ...) where nonzero
+    first: tuple   # per place, the transitions whose first pre-place it is
+    free: int      # the transitions without pre-places
+    pre: tuple     # the net's `_pre` pairs
+    last: tuple    # per place, the transitions whose last pre-place it is
+    rest: tuple    # per transition, the pre arcs left to test: middle, or weight > 1
+
+
 def _move_table(net):
-    """Per-net move table, built on first use: each transition's sparse delta
-    `((place, post - pre), ...)` over the places it changes, per place the
-    bitmask of the transitions whose first pre-place it is, the bitmask of
-    the transitions without pre-places, the net's `_pre` pairs, per place
-    the bitmask of the transitions whose last pre-place it is, and per
-    transition `rest`: the pre arcs that a marked place does not settle (the
-    middle arcs, and an end arc of weight above 1)."""
+    """The net's `MoveTable`, built on first use and cached on the net."""
     table = net._analysis.get("move_table")
     if table is None:
         first = [0] * len(net.places)
@@ -234,7 +251,8 @@ def _move_table(net):
             for i, w in pre:
                 delta[i] = delta.get(i, 0) - w
             deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
-        table = (tuple(deltas), tuple(first), free, net._pre, tuple(last), tuple(rest))
+        table = MoveTable(tuple(deltas), tuple(first), free, net._pre, tuple(last),
+                          tuple(rest))
         net._analysis["move_table"] = table
     return table
 
@@ -247,7 +265,7 @@ def moves(net, marking):
 
 def _walk(table, marking):
     """The one enabled-transition walk, which every forward kernel runs on a
-    `_move_table` and applies in its own arithmetic.  The candidates are the
+    `MoveTable` and applies in its own arithmetic.  The candidates are the
     transitions whose first and last pre-places are both marked, and those
     without pre-places; only their `rest` arcs are tested, so a transition
     reading at most two places with weight 1 is tested on no arc at all."""

@@ -34,10 +34,6 @@ from .nets import NetError, _move_table, _walk, place_masks
 from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
-class NotOrdImo(NetError):
-    pass
-
-
 @dataclass(frozen=True)
 class Bounds:
     """Per-class caps: live-marking component bound and liveness-determining bound."""
@@ -151,10 +147,6 @@ class _AbstractEngine:
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
 
-    def alpha(self, marking):
-        m = self.m
-        return tuple(x if x < m else m for x in marking)
-
     def successors(self, state):
         """(successor, dominates) pairs: `dominates` says the successor is at
         least `state` on every place, TOP being the largest value.  It fails
@@ -189,7 +181,8 @@ class _AbstractEngine:
         a state already known to reach targets, taking those over.  A
         start answered from the memo explores nothing.
         """
-        start = self.alpha(marking)
+        m = self.m
+        start = tuple(x if x < m else m for x in marking)
         reach = self.reach
         targets = reach.get(start)
         explored = 0
@@ -355,7 +348,7 @@ def _drain_plan(net, indices):
         return cache[indices]
     weights = dict(zip(indices, _drain_weights(net, indices)))
     arcs = relaxed_arcs(net)
-    deltas = _move_table(net)[0]
+    deltas = _move_table(net).deltas
     masks = place_masks(net)
     plan = []
     for i in sorted(indices, key=lambda i: -weights[i]):
@@ -440,14 +433,6 @@ def _capped_closure(net, start, targets, node_budget, idx):
     return None, explored
 
 
-def _capped_search(net, m0, targets, node_budget, idx):
-    start = capped_config(net, m0)
-    witness = _try_drains(net, start, targets, node_budget, idx)
-    if witness is not None:
-        return witness, 0
-    return _capped_closure(net, start, targets, node_budget, idx)
-
-
 def _conservative_large(net, m0, node_budget):
     """Exact decision on the reachability graph for nets too large for
     subset enumeration (conservative, so the graph is finite)."""
@@ -494,7 +479,6 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
             f"non-conservative net with |P|={len(net.places)} exceeds the "
             f"subset cap {subset_cap}")
 
-    idx = witness_index(net, subset_cap)
     method = "abstract"
     try:
         engine = _abstract_engine(net, subset_cap)
@@ -502,11 +486,14 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
         if not targets:
             return LivenessVerdict("live", configs_explored=explored, method=method)
         method = "capped-search"
-        witness, n_configs = _capped_search(net, m0, targets, node_budget, idx)
+        idx, start = engine.idx, capped_config(net, m0)
+        witness = _try_drains(net, start, targets, node_budget, idx)
+        if witness is None:
+            witness, n_configs = _capped_closure(net, start, targets, node_budget, idx)
+            explored += n_configs
     except BudgetExceeded as exc:
         return LivenessVerdict("budget_exceeded", configs_explored=explored + exc.explored,
                                method=method)
-    explored += n_configs
     if witness is None:
         return LivenessVerdict("live", configs_explored=explored, method=method)
     return LivenessVerdict("nonlive", witness=witness, configs_explored=explored,
@@ -570,15 +557,6 @@ def decide_slp(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16
     """
     bounds = bounds_for(classify(net), len(net.places), net.max_weight)
     return _search_box(net, bounds.first, candidate_budget, node_budget, subset_cap)
-
-
-def slp_01_shortcut(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16):
-    """Structural liveness via 0/1 markings only; complete for ordinary nets
-    whose transitions each move a single token."""
-    nc = classify(net)
-    if not (nc.imo and nc.ordinary):
-        raise NotOrdImo("the 0/1 shortcut requires an ordinary single-move net")
-    return _search_box(net, 1, candidate_budget, node_budget, subset_cap)
 
 
 def _search_box(net, bound, candidate_budget, node_budget, subset_cap):

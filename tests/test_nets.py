@@ -50,12 +50,13 @@ def test_mset_read_back_oracle():
     for seed in range(30):
         net = random_net("bimo", n_places=5, n_trans=4, wmax=3, seed=seed)
         for net in (net, with_spawns(net, seed=seed)):
+            flow = net.flow
             for t in net.transitions:
                 pv, qv = pre_mset(net, t), post_mset(net, t)
                 assert len(pv) == len(qv) == len(net.places)
                 for i, p in enumerate(net.places):
-                    assert pv[i] == net.flow.get((p, t), 0)
-                    assert qv[i] == net.flow.get((t, p), 0)
+                    assert pv[i] == flow.get((p, t), 0)
+                    assert qv[i] == flow.get((t, p), 0)
                 spawning += not any(pv)
     assert spawning >= 30
 
@@ -63,10 +64,11 @@ def test_mset_read_back_oracle():
 def test_enabled_matches_naive_loop(siphon_net):
     net, _ = siphon_net
     rng = random.Random(3)
+    flow = net.flow
     for _ in range(200):
         m = tuple(rng.randrange(3) for _ in net.places)
         for t in net.transitions:
-            naive = all(m[i] >= net.flow.get((p, t), 0)
+            naive = all(m[i] >= flow.get((p, t), 0)
                         for i, p in enumerate(net.places))
             assert enabled(net, m, t) == naive
 
@@ -355,14 +357,21 @@ def test_round_trip_every_accepted_net(case):
         net = Net(name, places, trans, flow)
     except NetError:
         return
+    # the view is the constructor's flow without its zero weights, and a copy
+    want = {k: w for k, w in flow.items() if w}
+    view = net.flow
+    assert view == want
+    view.clear()
+    view[("x", "y")] = 1
+    assert net.flow == want
     again, marking2 = parse_net(serialize_net(net, marking))
     assert (again.name, again.places, again.transitions, again.flow) == (
         net.name, net.places, net.transitions, net.flow)
     assert marking2 == marking
     # the stored arc pairs read back as the flow, in ascending place order
     for t, pre, post in zip(net.transitions, net._pre, net._post):
-        assert pre_mset(net, t) == tuple(net.flow.get((p, t), 0) for p in net.places)
-        assert post_mset(net, t) == tuple(net.flow.get((t, p), 0) for p in net.places)
+        assert pre_mset(net, t) == tuple(want.get((p, t), 0) for p in net.places)
+        assert post_mset(net, t) == tuple(want.get((t, p), 0) for p in net.places)
         for arcs in (pre, post):
             assert [i for i, _ in arcs] == sorted({i for i, _ in arcs})
             assert all(1 <= w <= MAX_WEIGHT for _, w in arcs)

@@ -1,16 +1,17 @@
 import gc
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionet import (
-    CappedConfig, Net, NotBimo, NotOrdImo, bounds_for, cap_value, post_mset, pre_mset,
+    CappedConfig, Net, NotBimo, bounds_for, build_stage, cap_value, post_mset, pre_mset,
     capped_config, capped_successors, check_witness, classify, dead_at,
     decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
-    parse_net, replay, slp_01_shortcut, truncate,
+    parse_net, replay, truncate,
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
@@ -18,10 +19,10 @@ from ionet import liveness, nets
 from ionet.liveness import _sub, witness_index
 from ionet.slp import (
     SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
-    _search_box,
+    _search_box, _siphon_witness,
 )
 from tests.conftest import (
-    FIXTURES, accepting_machines, dense_arcs, load_net, with_spawns,
+    FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, with_spawns,
 )
 
 
@@ -80,14 +81,15 @@ def _successors_transcribed(net, cfg):
     enabled transition then re-cap, or regain one token on a saturated place
     below the cap."""
     cap = cap_value(net)
+    flow = net.flow
     out = []
     for t in net.transitions:
         if all(cfg.counts[i] >= w for i, w in
-               ((net.place_index[p], w) for (p, tt), w in net.flow.items()
+               ((net.place_index[p], w) for (p, tt), w in flow.items()
                 if tt == t and p in net.place_index)):
             counts = list(cfg.counts)
             for i, p in enumerate(net.places):
-                counts[i] += net.flow.get((t, p), 0) - net.flow.get((p, t), 0)
+                counts[i] += flow.get((t, p), 0) - flow.get((p, t), 0)
             sat = cfg.saturated
             for i in range(len(counts)):
                 if counts[i] > cap:
@@ -301,29 +303,26 @@ def test_slp_01_ring_is_live():
     # a single-token ring state machine is live from any one-hot marking
     for n in (2, 3, 4):
         net = _ring(n)
-        v = slp_01_shortcut(net)
+        v = decide_slp(net)
         assert v.status == "structurally_live"
         assert sum(v.certificate) == 1
         assert is_live_exact(net, v.certificate) is True
 
 
 def test_slp_01_matches_decide_slp():
+    """On ordinary imo nets `decide_slp` searches the 0/1 box; the 0..2 box
+    gives the same status."""
     for seed in range(60):
         net = random_net("imo", n_places=3, n_trans=3, wmax=1, seed=200 + seed)
-        a = slp_01_shortcut(net)
-        b = decide_slp(net)
+        a = decide_slp(net)
+        b = _search_box(net, 2, 200_000, 500_000, 16)
         assert a.status == b.status
         if a.certificate is not None:
-            assert a.certificate == b.certificate  # same box for this class
-
-
-def test_slp_01_requires_class(pump_net):
-    with pytest.raises(NotOrdImo):
-        slp_01_shortcut(pump_net[0])
+            assert all(x <= 1 for x in a.certificate)
 
 
 def test_slp_01_empty_net():
-    v = slp_01_shortcut(Net("none", [], [], {}))
+    v = decide_slp(Net("none", [], [], {}))
     assert v.status == "structurally_live" and v.certificate == ()
 
 
@@ -782,6 +781,43 @@ def test_decided_nets_are_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_siphon_verdicts_build_no_move_table():
+    """A verdict that the siphon shortcut reaches reads the per-transition
+    place bitmasks alone: on a fresh net it caches "place_masks" and builds
+    no move table.  Checked on every such 0/1 marking of bio_dense and on a
+    rejecting compiled machine."""
+    text = (FIXTURES / "bio_dense.net").read_text()
+    dense = parse_net(text)[0]
+
+    def fresh_cases():
+        for m in itertools.product((0, 1), repeat=len(dense.places)):
+            if _siphon_witness(dense, m):
+                yield parse_net(text)[0], m
+        yield build_stage(load_lba("reject_all_2"), "ab", "Nbar")
+
+    decided = 0
+    for net, m in fresh_cases():
+        assert is_nonlive(net, m).method == "siphon", m
+        assert "place_masks" in net._analysis and "move_table" not in net._analysis, m
+        decided += 1
+    assert decided > 1000
+
+
+def test_cache_keys_match_the_nets_docstring():
+    """The `net._analysis` keys that deciding fills are exactly the quoted
+    keys that the `ionet.nets` docstring lists."""
+    listed = set(re.findall(r'"(\w+)"', nets.__doc__))
+    net, stored = load_net("bio_dense")
+    live = is_nonlive(net, stored)
+    capped = is_nonlive(net, (0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1))
+    assert (live.status, capped.method) == ("live", "capped-search")
+    machine, m0 = build_stage(load_lba("accept_all_2"), "ab", "Nbar")
+    assert is_nonlive(machine, m0, node_budget=1_000_000).method == "reach-graph"
+    assert decide_slp(machine, candidate_budget=2_000_000,
+                      node_budget=1_000_000).status == "structurally_live"
+    assert set(net._analysis) | set(machine._analysis) == listed
 
 
 def _subset_data_reference(net, indices):
