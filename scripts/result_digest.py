@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the library's answers, to show that a change keeps
+them: the same digest before and after means the same results.
+
+It hashes, in a fixed order:
+  - `to_dict()` of every verdict of the benchmark's dense, rows and machines
+    queries at workload seed 7, built by perfbench/workloads.py;
+  - `decide_slp` of every fixture net at candidate_budget=3000;
+  - `classify`, each transition's `presentation` (or its error type),
+    `relaxed_arcs`, `relaxed_net` and `sccs` (of the net and of its relaxed
+    net) of the fixtures, of seeded nets of all eight `random_net_in_row`
+    rows with and without transitions that have no pre-places, and of seeded
+    hand-built nets of no particular class.
+Nets with a place or transition named like the reserved dummy place are
+left out.
+
+To compare with an older commit, copy this file into a checkout of it and
+run it there too.
+Usage: python scripts/result_digest.py [--dump FILE]"""
+import argparse
+import hashlib
+import pathlib
+import random
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from ionet import (  # noqa: E402
+    DUMMY_PLACE, Net, NetError, classify, decide_slp, parse_net, presentation,
+    relaxed_net, sccs,
+)
+from ionet.generate import random_net_in_row  # noqa: E402
+from ionet.structure import relaxed_arcs  # noqa: E402
+
+WORKLOAD_SEED = 7
+ROWS = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+
+
+def _with_spawns(net, rng):
+    """The net plus two transitions without pre-places, each putting one
+    token on a random place or, half the time, having no arcs."""
+    flow = net.flow
+    trans = list(net.transitions)
+    for k in range(2):
+        t = f"spawn{k}"
+        trans.append(t)
+        if rng.random() < 0.5:
+            flow[(t, rng.choice(net.places))] = 1
+    return Net(net.name + ".spawn", net.places, trans, flow)
+
+
+def _flow_net(seed, n_places, n_trans):
+    """A net of no particular class: each transition reads and writes up to
+    two places with weights up to 3; about one in four reads none."""
+    rng = random.Random(seed)
+    places = [f"p{i}" for i in range(n_places)]
+    trans = [f"t{k}" for k in range(n_trans)]
+    flow = {}
+    for t in trans:
+        n_pre = 0 if rng.random() < 0.25 else rng.randint(1, 2)
+        for p in rng.sample(places, min(n_pre, n_places)):
+            flow[(p, t)] = rng.randint(1, 3)
+        for p in rng.sample(places, min(rng.randint(0, 2), n_places)):
+            flow[(t, p)] = rng.randint(1, 3)
+    return Net(f"flow-{seed}", places, trans, flow)
+
+
+def _fixtures():
+    for path in sorted((ROOT / "fixtures").glob("*.net")):
+        yield path.stem, parse_net(path.read_text())[0]
+
+
+def _structure_nets():
+    yield from _fixtures()
+    for k in range(400):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=90_000 + k)
+        yield f"row{k}", _with_spawns(net, random.Random(k)) if k % 2 else net
+    for k in range(300):
+        yield f"flow{k}", _flow_net(91_000 + k, n_places=1 + k % 5, n_trans=1 + k % 6)
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except NetError as exc:
+        return type(exc).__name__
+
+
+def _components(net):
+    return [(c.vertices, c.places, c.is_top, c.is_bottom) for c in sccs(net)]
+
+
+def _relaxed(net):
+    rlx = relaxed_net(net)
+    return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
+            _components(rlx))
+
+
+def checks():
+    """(label, answer) pairs, in a fixed order."""
+    answers = workloads.load_answers()
+    for name, make in workloads.WORKLOADS.items():
+        for q in make(WORKLOAD_SEED, workloads.DEFAULT_INPUT_SEED, answers):
+            yield (name, q.key), [v.to_dict() for v in workloads.run_query(q)]
+    for name, net in _fixtures():
+        yield ("decide_slp", name), decide_slp(net, candidate_budget=3_000).to_dict()
+    for name, net in _structure_nets():
+        if DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index:
+            continue
+        yield ("classify", name), classify(net)
+        for t in net.transitions:
+            yield ("presentation", name, t), _attempt(presentation, net, t)
+        yield ("relaxed_arcs", name), _attempt(relaxed_arcs, net)
+        yield ("relaxed_net", name), _attempt(_relaxed, net)
+        yield ("sccs", name), _components(net)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--dump", type=pathlib.Path,
+                    help="also write each check on its own line, for diffing")
+    args = ap.parse_args()
+    digest = hashlib.sha256()
+    lines = []
+    for label, answer in checks():
+        line = repr((label, answer))
+        digest.update(line.encode() + b"\n")
+        lines.append(line)
+    if args.dump is not None:
+        args.dump.write_text("\n".join(lines) + "\n")
+    print(f"checks {len(lines)} sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

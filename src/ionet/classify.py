@@ -3,14 +3,15 @@
 A transition whose pre-mset minus post-mset has at most one element moves a
 single "source" token while observing the rest; the presentation splits its
 flow into source place, observation multiset and destination multiset.
-Transitions with an empty pre-mset are handled through a reserved dummy
-place that is read and written with weight 1.
+`_split` derives it from the stored arc pairs.  Transitions with an empty
+pre-mset are handled through a reserved dummy place that is read and written
+with weight 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nets import Net, NetError, msize, msub, post_mset, pre_mset
+from .nets import Net, NetError, _tindex, msize, msub
 
 DUMMY_PLACE = "__dummy"
 
@@ -79,76 +80,74 @@ def classify(net):
     if cached is not None:
         return cached
     ordinary = net.max_weight == 1
-    conservative = True
-    bimo = bio = imo = True
+    conservative = bimo = bio = True
     # the `is_*_msets` tests on the arc pairs: with the dummy loop an empty
     # pre-set has size 1 and the post-set one more token, so |pre| <= 2 and
-    # |pre| == |post| read the same with or without it
+    # |pre| == |post| read the same with or without it; a bimo transition
+    # moves one token exactly when it keeps the token count
     for pre, post in zip(net._pre, net._post):
         sp = sum(w for _, w in pre)
-        same = sp == sum(w for _, w in post)
-        if not same:
+        if sp != sum(w for _, w in post):
             conservative = False
         back = dict(post)
         if sum(max(w - back.get(i, 0), 0) for i, w in pre) > 1:
-            bimo = bio = imo = False
-            continue
+            bimo = False
         if sp > 2:
             bio = False
-        if not same:
-            imo = False
+    bio = bio and bimo
+    imo = bimo and conservative
     result = NetClass(
         ordinary=ordinary,
         conservative=conservative,
         bimo=bimo,
         bio=bio,
-        imo=imo and bimo,
-        io=bio and imo and bimo,
+        imo=imo,
+        io=bio and imo,
         max_weight=net.max_weight,
     )
     net._analysis["class"] = result
     return result
 
 
+def _split(pre, post):
+    """A transition's presentation, from its arc pairs: (source, observations,
+    destinations), a place index and two (place index, weight) tuples in place
+    order, or None when more than one token leaves.  The source is the place
+    that loses a token, else the lowest-index pre-place, which keeps derived
+    constructions reproducible, and None for an empty pre-set.  The
+    observations are the pre-set less one source token, the destinations the
+    post-set less the observations."""
+    back = dict(post)
+    src = None
+    for i, w in pre:
+        lost = w - back.get(i, 0)
+        if lost > 0:
+            if lost > 1 or src is not None:
+                return None
+            src = i
+    if src is None and pre:
+        src = pre[0][0]
+    obs = tuple((i, w - 1 if i == src else w) for i, w in pre if i != src or w > 1)
+    seen = dict(obs)
+    dests = tuple((i, w - seen.get(i, 0)) for i, w in post if w > seen.get(i, 0))
+    return src, obs, dests
+
+
 def presentation(net, t):
-    """Canonical (source, observations, destinations) split of a transition.
-
-    When no place loses a token the source is the lowest-index marked
-    pre-place, which keeps derived constructions reproducible.
-    """
-    pre, post = pre_mset(net, t), post_mset(net, t)
-    names = net.places
-    if msize(pre) == 0:
-        # dummy loop: source is the dummy, post gains the returned dummy token
-        pre = pre + (1,)
-        post = post + (1,)
-        names = names + (DUMMY_PLACE,)
-    diff = msub(pre, post)
-    excess = msize(diff)
-    if excess >= 2:
+    """Canonical split of a transition by place names, read off `_split`;
+    an empty pre-set moves the dummy place's token onto itself."""
+    ti = _tindex(net, t)
+    split = _split(net._pre[ti], net._post[ti])
+    if split is None:
         raise NotBimo(f"transition {t!r} removes more than one token net")
-    if excess == 1:
-        src = next(i for i, d in enumerate(diff) if d)
-    else:
-        src = next(i for i, w in enumerate(pre) if w)
-    obs = list(pre)
-    obs[src] -= 1
-    dest = [q - o for q, o in zip(post, obs)]
-    if any(d < 0 for d in dest):  # cannot happen for BIMO transitions
-        raise NotBimo(f"transition {t!r} has no valid presentation")
+    src, obs, dests = split
 
-    def expand(vec):
-        out = []
-        for i, w in enumerate(vec):
-            out.extend([names[i]] * w)
-        return tuple(out)
+    def expand(pairs):
+        return tuple(net.places[i] for i, w in pairs for _ in range(w))
 
-    return TransitionPresentation(
-        transition=t,
-        source=names[src],
-        observations=expand(obs),
-        destinations=expand(dest),
-    )
+    if src is None:
+        return TransitionPresentation(t, DUMMY_PLACE, (), expand(dests) + (DUMMY_PLACE,))
+    return TransitionPresentation(t, net.places[src], expand(obs), expand(dests))
 
 
 def dummy_augment(net):

@@ -1,11 +1,12 @@
 """Structural analysis: relaxed nets, components, siphons, bounded searches."""
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
-from .classify import DUMMY_PLACE, NotBimo, classify, presentation
-from .nets import Net, NetError, UnknownNode, carrier, mleq, place_masks, successors
+from .classify import NotBimo, _split, classify, dummy_augment
+from .nets import Net, UnknownNode, carrier, mleq, place_masks, successors
 
 
 @dataclass(frozen=True)
@@ -31,24 +32,19 @@ class SearchResult:
 
 
 def relaxed_arcs(net):
-    """(source, destinations) of each transition's presentation, by
-    transition order, as place indices: each destination once and in place
-    order.  The dummy of an empty pre-set is left out, its source read as
-    None.  Built on first use and cached on the net."""
+    """(source, destinations) of each transition's `_split`, by transition
+    order, as place indices: each destination once and in place order, and
+    the source None for an empty pre-set.  Built on first use and cached on
+    the net."""
     arcs = net._analysis.get("relaxed_arcs")
     if arcs is not None:
         return arcs
     if not classify(net).bimo:
         raise NotBimo("relaxed net requires a net of the branching-observation family")
-    if not all(net._pre) and (
-            DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index):
-        raise NetError(f"identifier {DUMMY_PLACE!r} is reserved")
-    index = net.place_index.get  # None for the dummy place
     arcs = []
-    for t in net.transitions:
-        pres = presentation(net, t)
-        dests = dict.fromkeys(map(index, pres.destinations))
-        arcs.append((index(pres.source), tuple(i for i in dests if i is not None)))
+    for pre, post in zip(net._pre, net._post):
+        src, _, dests = _split(pre, post)
+        arcs.append((src, tuple(i for i, _ in dests)))
     net._analysis["relaxed_arcs"] = arcs = tuple(arcs)
     return arcs
 
@@ -57,30 +53,29 @@ def relaxed_net(net):
     """Keep only the moving edges of each presentation, all with weight 1.
 
     Observation edges are dropped, so a transition keeps one incoming edge
-    from its source place and one outgoing edge per destination place.
+    from its source place and one outgoing edge per destination place.  An
+    empty pre-set moves the token of the dummy place of `dummy_augment`.
     """
-    dummy = len(net.places)
-    names = net.places + (DUMMY_PLACE,)
+    base = dummy_augment(net)
+    names = base.places
     flow = {}
-    for t, (src, dests) in zip(net.transitions, relaxed_arcs(net)):
-        if src is None:  # the dummy moves its token onto itself
-            src, dests = dummy, dests + (dummy,)
+    for t, (src, dests) in zip(base.transitions, relaxed_arcs(base)):
         flow[(names[src], t)] = 1
         for d in dests:
             flow[(t, names[d])] = 1
-    return Net(net.name + ".relaxed", net.places if all(net._pre) else names,
-               net.transitions, flow)
+    return Net(net.name + ".relaxed", names, base.transitions, flow)
 
 
 def _graph(net):
-    order = list(net.places) + list(net.transitions)
-    index = {v: i for i, v in enumerate(order)}
-    succ = [[] for _ in order]
-    for (a, b) in net.flow:
-        succ[index[a]].append(index[b])
-    for lst in succ:
-        lst.sort()
-    return order, succ
+    """The net as a directed graph: vertex i is place i and vertex |P| + ti
+    transition ti; each successor list is sorted."""
+    n = len(net.places)
+    succ = [[] for _ in range(n)]
+    for ti, pre in enumerate(net._pre):
+        for i, _ in pre:
+            succ[i].append(n + ti)
+    succ.extend([i for i, _ in post] for post in net._post)
+    return net.places + net.transitions, succ
 
 
 def _tarjan(n_vertices, succ):
@@ -151,7 +146,6 @@ def sccs(net):
             if a != b:
                 edges[a].add(b)
                 redges[b].add(a)
-    import heapq
     indeg = [len(r) for r in redges]
     heap = [(comps[ci][0], ci) for ci in range(nc) if indeg[ci] == 0]
     heapq.heapify(heap)
@@ -163,13 +157,12 @@ def sccs(net):
             indeg[cj] -= 1
             if indeg[cj] == 0:
                 heapq.heappush(heap, (comps[cj][0], cj))
-    place_set = set(net.places)
+    n_places = len(net.places)
     out = []
     for ci in topo:
-        verts = tuple(order[v] for v in comps[ci])
         out.append(Component(
-            vertices=verts,
-            places=tuple(v for v in verts if v in place_set),
+            vertices=tuple(order[v] for v in comps[ci]),
+            places=tuple(order[v] for v in comps[ci] if v < n_places),
             is_top=not redges[ci],
             is_bottom=not edges[ci],
         ))

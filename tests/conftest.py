@@ -83,6 +83,19 @@ def random_flow_net(seed, n_places=4, n_trans=4, wmax=3):
     return Net(f"flow-{seed}", places, trans, flow)
 
 
+def ring17():
+    """A ring p0 -> p1 -> ... -> p16 -> p0 through t0..t16, plus `x`, which
+    moves a token from p0 to p2 while p1 is marked: conservative, and above
+    the default subset cap of 16 places."""
+    places = [f"p{i}" for i in range(17)]
+    trans = [f"t{i}" for i in range(17)] + ["x"]
+    flow = {("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1}
+    for i in range(17):
+        flow[(places[i], trans[i])] = 1
+        flow[(trans[i], places[(i + 1) % 17])] = 1
+    return Net("ring17", places, trans, flow)
+
+
 def with_spawns(net, seed, count=2):
     """The net plus `count` transitions without pre-places: each puts one
     token on a random place or, half the time, has no arcs at all.  Both

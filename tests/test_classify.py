@@ -6,9 +6,11 @@ from ionet import (
     DUMMY_PLACE, Net, NotBimo, augment_marking, build_stage, classify, dummy_augment,
     msize, msub, parse_net, post_mset, pre_mset, presentation, reach_graph,
 )
-from ionet.classify import is_bimo_msets, is_bio_msets, is_imo_msets
+from ionet.classify import _split, is_bimo_msets, is_bio_msets, is_imo_msets
 from ionet.generate import random_net, random_net_in_row
-from tests.conftest import dense_arcs, load_lba, random_flow_net, with_spawns
+from tests.conftest import (
+    FIXTURES, dense_arcs, load_lba, load_net, random_flow_net, with_spawns,
+)
 
 
 def test_classify_fixture_flags(siphon_net, fragile_net, pump_net, dense_net,
@@ -120,6 +122,66 @@ def test_classify_matches_mset_definitions():
     # ordinary and weighted, inside and outside each class
     for k in range(6):
         assert {f[k] for f in seen} == {False, True}, k
+
+
+def _dense_presentation(net, t):
+    """The presentation on dense count vectors: (source, observations,
+    destinations) as a place index and two count vectors.  An empty pre-set
+    reads and writes a dummy place, appended as the last index, which is the
+    source.  Raises NotBimo when more than one token leaves."""
+    pre, post = pre_mset(net, t), post_mset(net, t)
+    if msize(pre) == 0:
+        pre, post = pre + (1,), post + (1,)
+    diff = msub(pre, post)
+    excess = msize(diff)
+    if excess >= 2:
+        raise NotBimo(t)
+    if excess == 1:
+        src = next(i for i, d in enumerate(diff) if d)
+    else:
+        src = next(i for i, w in enumerate(pre) if w)
+    obs = list(pre)
+    obs[src] -= 1
+    dest = [q - o for q, o in zip(post, obs)]
+    assert min(dest) >= 0, (net, t)
+    return src, tuple(obs), tuple(dest)
+
+
+def _split_cases():
+    for path in sorted(FIXTURES.glob("*.net")):
+        yield load_net(path.stem)[0]
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(240):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=75_000 + k)
+        yield with_spawns(net, seed=k, count=1 + k % 2) if k % 2 else net
+    for k in range(300):
+        yield random_flow_net(77_000 + k, n_places=1 + k % 5, n_trans=1 + k % 6)
+
+
+def test_split_matches_dense_presentation():
+    counts = {"not_bimo": 0, "empty_pre": 0, "no_loss": 0, "loss": 0}
+    for net in _split_cases():
+        n = len(net.places)
+        for ti, t in enumerate(net.transitions):
+            split = _split(net._pre[ti], net._post[ti])
+            try:
+                src, obs, dest = _dense_presentation(net, t)
+            except NotBimo:
+                assert split is None, (net, t)
+                counts["not_bimo"] += 1
+                continue
+            assert split is not None, (net, t)
+            if src == n:  # the dummy place, read and written once
+                assert obs[n] == 0 and dest[n] == 1, (net, t)
+                src, obs, dest = None, obs[:n], dest[:n]
+                counts["empty_pre"] += 1
+            else:
+                counts["loss" if any(msub(pre_mset(net, t), post_mset(net, t)))
+                       else "no_loss"] += 1
+            assert split == (src, tuple((i, w) for i, w in enumerate(obs) if w),
+                             tuple((i, w) for i, w in enumerate(dest) if w)), (net, t)
+    assert min(counts.values()) >= 100, counts
 
 
 def test_presentation_weighted(weighted_net):

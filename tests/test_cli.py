@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from ionet import serialize_net
 from ionet.cli import main
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, ring17
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent /
@@ -42,14 +43,25 @@ def test_live_command_verdicts(capsys):
     assert data["witness"]["conditions"]["sound"]
 
 
-def test_live_command_schema(capsys):
+def test_live_command_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     pump = str(FIXTURES / "bimo_pump.net")
-    for marking in ("1,0,0,0,0", "0,0,0,0,1"):
-        _, out, _ = run(capsys, "live", pump, "--marking", marking, "--json")
+    ring = tmp_path / "ring17.net"
+    ring.write_text(serialize_net(ring17(), (1,) + (0,) * 16))
+    # a place named like the dummy place, beside a transition without pre-places
+    clash = tmp_path / "clash.net"
+    clash.write_text("net clash\nplace __dummy\nplace p2\nplace p3 tokens=1\n"
+                     "trans t1 pre p3:2 post __dummy p3\ntrans spawn0\n")
+    for path, marking in ((pump, "1,0,0,0,0"), (pump, "0,0,0,0,1"),
+                          (str(ring), None), (str(clash), None)):
+        argv = ("live", path, "--json") + (("--marking", marking) if marking else ())
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, path
         data = json.loads(out)
         jsonschema.validate(data, SCHEMA)
         assert data["method"] in SCHEMA["properties"]["method"]["enum"]
+    # the last input: its capped search builds the relaxed arcs
+    assert (data["verdict"], data["method"]) == ("nonlive", "capped-search")
     _, out, _ = run(capsys, "slp", pump, "--json")
     jsonschema.validate(json.loads(out), SCHEMA)
 

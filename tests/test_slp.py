@@ -1,16 +1,17 @@
+import dataclasses
 import gc
 import itertools
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionet import (
-    CappedConfig, Net, NotBimo, bounds_for, build_stage, cap_value, post_mset, pre_mset,
-    capped_config, capped_successors, check_witness, classify, dead_at,
-    decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
+    DUMMY_PLACE, CappedConfig, Net, NotBimo, bounds_for, build_stage, cap_value,
+    post_mset, pre_mset, capped_config, capped_successors, check_witness, classify,
+    dead_at, decide_slp, enabled, fire, is_live_exact, is_nonlive, is_siphon, mleq,
     parse_net, replay, truncate,
 )
 from ionet.classify import is_imo_msets
@@ -22,7 +23,7 @@ from ionet.slp import (
     _search_box, _siphon_witness,
 )
 from tests.conftest import (
-    FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, with_spawns,
+    FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, ring17, with_spawns,
 )
 
 
@@ -284,6 +285,14 @@ def test_decide_slp_candidate_budget(pump_net):
     assert v.status == "budget_exceeded"
 
 
+def test_decide_slp_node_budget():
+    # the second candidate's liveness decision runs out of nodes; a fresh
+    # net, because the probe's memo on a decided one would answer it
+    v = decide_slp(load_net("bimo_pump")[0], node_budget=3)
+    assert v.status == "budget_exceeded"
+    assert (v.candidates_tested, v.configs_explored, v.siphon_settled) == (2, 4, 1)
+
+
 def _ring(n, **extra):
     """Single-token ring p0 -> p1 -> ... -> p0 through t0..t(n-1), plus the
     transitions of `extra`: name -> flow of that transition."""
@@ -297,6 +306,70 @@ def _ring(n, **extra):
         trans.append(t)
         flow.update(arcs)
     return Net(f"ring{n}", places, trans, flow)
+
+
+def test_ring17_decided_on_the_reachability_graph():
+    net = ring17()
+    one = (1,) + (0,) * 16
+    v = is_nonlive(net, one)
+    assert (v.status, v.method, v.configs_explored) == ("nonlive", "reach-graph", 17)
+    assert v.witness.t_dead == ("x",)
+    assert check_witness(net, v.witness).sound
+    assert replay(net, one, v.witness.path).final == v.witness.m_wit
+    assert is_live_exact(net, one) is False
+    v = is_nonlive(net, one, node_budget=5)
+    assert (v.status, v.method, v.configs_explored) == (
+        "budget_exceeded", "reach-graph", 5)
+    v = is_nonlive(net, (1, 1) + (0,) * 15)
+    assert (v.status, v.method, v.configs_explored) == ("live", "reach-graph", 153)
+
+
+def test_capped_search_budget():
+    def net():  # fresh per query: the probe's memo would shrink the counts
+        return Net("loops", ["p1", "p2", "p3", "p4", "p5"], ["t1", "t2", "t3"],
+                   {("p3", "t1"): 1, ("t1", "p3"): 1, ("p5", "t2"): 1, ("t2", "p5"): 1,
+                    ("p2", "t3"): 2, ("p4", "t3"): 1, ("t3", "p2"): 3})
+    m = (20, 36, 38, 43, 31)
+    v = is_nonlive(net(), m, node_budget=10)
+    assert (v.status, v.method, v.configs_explored) == (
+        "budget_exceeded", "capped-search", 17)
+    v = is_nonlive(net(), m, node_budget=31)
+    assert (v.status, v.method, v.configs_explored) == ("nonlive", "capped-search", 37)
+
+
+def _rename_place(net, old, new):
+    def rename(v):
+        return new if v == old else v
+    return Net(net.name, [rename(p) for p in net.places], net.transitions,
+               {(rename(a), rename(b)): w for (a, b), w in net.flow.items()})
+
+
+def test_place_named_like_the_dummy_is_decided():
+    """A place may be named like the dummy place although some transition
+    has no pre-places: the decision adds no dummy place, so it answers as
+    on the net with the place's first name."""
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    rng = random.Random(5)
+    methods = Counter()
+    for k in range(200):
+        net = with_spawns(random_net_in_row(rows[k % 8], n_places=3 + k % 3,
+                                            n_trans=1 + k % 4, seed=76_000 + k), seed=k)
+        first = net.places[0]
+        clash = _rename_place(net, first, DUMMY_PLACE)
+        cap = cap_value(net)
+        for _ in range(3):
+            m = tuple(rng.randrange(cap + cap // 2 + 1) for _ in net.places)
+            want = is_nonlive(net, m, node_budget=20_000)
+            got = is_nonlive(clash, m, node_budget=20_000)
+            assert (got.status, got.method, got.configs_explored) == (
+                want.status, want.method, want.configs_explored), (net, m)
+            witness = want.witness
+            if witness is not None:
+                witness = dataclasses.replace(witness, p_cruc=tuple(
+                    DUMMY_PLACE if p == first else p for p in witness.p_cruc))
+            assert got.witness == witness, (net, m)
+            methods[got.method] += 1
+    assert methods["capped-search"] >= 200, methods
 
 
 def test_slp_01_ring_is_live():

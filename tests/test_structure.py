@@ -112,9 +112,10 @@ def test_relaxed_arcs_match_augmented_presentations():
 def test_relaxed_net_reserved_dummy_name():
     flow = {("t", DUMMY_PLACE): 1, ("p", "u"): 1, ("u", "p"): 1}
     clash = Net("clash", ["p", DUMMY_PLACE], ["t", "u"], flow)
-    for build in (relaxed_net, relaxed_arcs):
-        with pytest.raises(NetError, match="reserved"):
-            build(clash)
+    with pytest.raises(NetError, match="reserved"):
+        relaxed_net(clash)
+    # the relaxed arcs name no place, so only the dummy place's name clashes
+    assert relaxed_arcs(clash) == ((None, (1,)), (0, (0,)))
     # without an empty pre-set the name is an ordinary place
     plain = Net("plain", ["p", DUMMY_PLACE], ["u"], {("p", "u"): 1, ("u", DUMMY_PLACE): 1})
     assert relaxed_arcs(plain) == ((0, (1,)),)
@@ -292,6 +293,12 @@ def test_carrier_maximal_counterexample():
               {("p", "t"): 1, ("t", "q"): 1, ("t", "r"): 1})
     res = is_carrier_maximal(net, (1, 0, 0))
     assert res.status == "no" and res.marking == (0, 1, 1)
+
+
+def test_bounded_searches_report_budget(fragile_net):
+    net, m0 = fragile_net
+    assert is_self_coverable(net, m0, node_budget=2).status == "budget"
+    assert is_carrier_maximal(net, m0, node_budget=2).status == "budget"
 
 
 def test_bounded_searches_against_full_graph():
