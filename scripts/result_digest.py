@@ -10,7 +10,13 @@ It hashes, in a fixed order:
     `relaxed_arcs`, `relaxed_net` and `sccs` (of the net and of its relaxed
     net) of the fixtures, of seeded nets of all eight `random_net_in_row`
     rows with and without transitions that have no pre-places, and of seeded
-    hand-built nets of no particular class.
+    hand-built nets of no particular class;
+  - `find_witness` at each fixture's stored marking and at seeded markings
+    of seeded nets of all eight rows;
+  - `check_liveness_transfer` on seeded io, imo, bio and bimo nets of at
+    most three places;
+  - the error type that `is_nonlive`, `decide_slp` and `find_witness` raise
+    on a 17-place non-conservative net.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -29,10 +35,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from ionet import (  # noqa: E402
-    DUMMY_PLACE, Net, NetError, classify, decide_slp, parse_net, presentation,
-    relaxed_net, sccs,
+    DUMMY_PLACE, Net, NetError, classify, decide_slp, find_witness, is_nonlive,
+    parse_net, presentation, relaxed_net, sccs,
 )
-from ionet.generate import random_net_in_row  # noqa: E402
+from ionet.generate import random_marking, random_net, random_net_in_row  # noqa: E402
+from ionet.ordinarize import check_liveness_transfer  # noqa: E402
 from ionet.structure import relaxed_arcs  # noqa: E402
 
 WORKLOAD_SEED = 7
@@ -69,12 +76,14 @@ def _flow_net(seed, n_places, n_trans):
 
 
 def _fixtures():
+    """(name, net, stored marking or None) of every fixture net."""
     for path in sorted((ROOT / "fixtures").glob("*.net")):
-        yield path.stem, parse_net(path.read_text())[0]
+        yield (path.stem, *parse_net(path.read_text()))
 
 
 def _structure_nets():
-    yield from _fixtures()
+    for name, net, _ in _fixtures():
+        yield name, net
     for k in range(400):
         net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
                                 seed=90_000 + k)
@@ -94,6 +103,36 @@ def _components(net):
     return [(c.vertices, c.places, c.is_top, c.is_bottom) for c in sccs(net)]
 
 
+def _witness(net, marking):
+    w = find_witness(net, marking)
+    return None if w is None else w.to_dict()
+
+
+def _liveness_checks():
+    """find_witness, check_liveness_transfer and the subset cap's refusal."""
+    for name, net, marking in _fixtures():
+        if marking is None:
+            marking = (0,) * len(net.places)
+        yield ("find_witness", name), _attempt(_witness, net, marking)
+    rng = random.Random(92)
+    for k in range(240):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=92_000 + k)
+        for _ in range(3):
+            m = random_marking(net, 2 * len(net.places), rng)
+            yield ("find_witness", f"row{k}", m), _witness(net, m)
+    for k in range(160):
+        net = random_net(("io", "imo", "bio", "bimo")[k % 4], n_places=1 + k % 3,
+                         n_trans=1 + k % 3, wmax=1 + k % 3, seed=93_000 + k)
+        m = random_marking(net, 3, rng)
+        yield (("transfer", k, m),
+               _attempt(lambda: check_liveness_transfer(net, m).to_dict()))
+    wide = random_net("bimo", n_places=17, n_trans=5, wmax=2, seed=1)
+    for fn, args in ((is_nonlive, (wide, (3,) * 17)), (decide_slp, (wide,)),
+                     (find_witness, (wide, (3,) * 17))):
+        yield ("above_cap", fn.__name__), _attempt(lambda: type(fn(*args)).__name__)
+
+
 def _relaxed(net):
     rlx = relaxed_net(net)
     return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
@@ -106,7 +145,7 @@ def checks():
     for name, make in workloads.WORKLOADS.items():
         for q in make(WORKLOAD_SEED, workloads.DEFAULT_INPUT_SEED, answers):
             yield (name, q.key), [v.to_dict() for v in workloads.run_query(q)]
-    for name, net in _fixtures():
+    for name, net, _ in _fixtures():
         yield ("decide_slp", name), decide_slp(net, candidate_budget=3_000).to_dict()
     for name, net in _structure_nets():
         if DUMMY_PLACE in net.place_index or DUMMY_PLACE in net.trans_index:
@@ -117,6 +156,7 @@ def checks():
         yield ("relaxed_arcs", name), _attempt(relaxed_arcs, net)
         yield ("relaxed_net", name), _attempt(_relaxed, net)
         yield ("sccs", name), _components(net)
+    yield from _liveness_checks()
 
 
 def main():

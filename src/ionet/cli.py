@@ -122,8 +122,7 @@ def cmd_live(args):
     net, stored = _load_net(args.file)
     marking = _pick_marking(net, stored, args)
     t0 = time.monotonic()
-    verdict = is_nonlive(net, marking, node_budget=args.budget,
-                         subset_cap=args.subset_cap)
+    verdict = is_nonlive(net, marking, node_budget=args.budget)
     wall = (time.monotonic() - t0) * 1000.0
     payload = verdict.to_dict()
     payload["stats"]["wall_ms"] = wall
@@ -139,8 +138,7 @@ def cmd_live(args):
 def cmd_slp(args):
     net, _ = _load_net(args.file)
     t0 = time.monotonic()
-    verdict = decide_slp(net, candidate_budget=args.candidates,
-                         node_budget=args.budget, subset_cap=args.subset_cap)
+    verdict = decide_slp(net, candidate_budget=args.candidates, node_budget=args.budget)
     wall = (time.monotonic() - t0) * 1000.0
     payload = verdict.to_dict()
     payload["stats"]["wall_ms"] = wall
@@ -155,7 +153,7 @@ def cmd_slp(args):
 def cmd_witness(args):
     net, stored = _load_net(args.file)
     marking = _pick_marking(net, stored, args)
-    witness = find_witness(net, marking, subset_cap=args.subset_cap)
+    witness = find_witness(net, marking)
     if witness is None:
         _emit(args, {"witness": None}, ["no witness at this marking"])
         return EXIT_OK
@@ -233,8 +231,6 @@ def build_parser():
                          help="exploration budget in states (env IONET_BUDGET)"),
         "--candidates": dict(type=_positive("--candidates"), default=200_000,
                              help="candidate-marking budget for structural liveness"),
-        "--subset-cap": dict(type=_positive("--subset-cap"), default=16,
-                             help="max |P| for witness subset enumeration"),
         "--json": dict(action="store_true", help="machine-readable output"),
         "--out": dict(help="write output to a file instead of stdout"),
     }
@@ -254,11 +250,11 @@ def build_parser():
     command("classify", cmd_classify, "net class flags",
             "--json").add_argument("file")
     command("live", cmd_live, "decide liveness of a marking",
-            "--marking", "--budget", "--subset-cap", "--json").add_argument("file")
+            "--marking", "--budget", "--json").add_argument("file")
     command("slp", cmd_slp, "decide structural liveness",
-            "--budget", "--candidates", "--subset-cap", "--json").add_argument("file")
+            "--budget", "--candidates", "--json").add_argument("file")
     command("witness", cmd_witness, "search a non-liveness witness",
-            "--marking", "--subset-cap", "--json").add_argument("file")
+            "--marking", "--json").add_argument("file")
     command("truncate", cmd_truncate, "cap a marking at 2*w*|P|",
             "--marking", "--json").add_argument("file")
     command("bounds", cmd_bounds, "per-class token bounds",

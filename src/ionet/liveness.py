@@ -19,6 +19,9 @@ from .nets import (Net, NetError, UnknownNode, _move_table, mleq, msize, carrier
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
+SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
+
+
 class SubsetCapExceeded(NetError):
     pass
 
@@ -223,10 +226,14 @@ def _dl_node(graph):
 
 @dataclass(frozen=True)
 class Witness:
+    """`path` leads from the queried marking m0 to `m_wit` in the space that
+    found it: `()` from m0 or `truncate(net, m0)`; capped search steps from
+    `capped_config(net, m0)` (`capped_successors`: "+p" regains a token on
+    saturated p); reach-graph firings from `truncate(net, m0)`."""
     m_wit: tuple
     p_cruc: tuple       # place names, declaration order
     t_dead: tuple       # transition names, declaration order
-    path: tuple = None  # optional steps from the queried marking to m_wit
+    path: tuple = None  # optional
 
     @classmethod
     def from_hit(cls, net, hit, m_wit, path=()):
@@ -509,10 +516,10 @@ class WitnessIndex:
         return found
 
 
-def witness_index(net, subset_cap=16):
-    if len(net.places) > subset_cap:
-        raise SubsetCapExceeded(
-            f"|P|={len(net.places)} exceeds the subset enumeration cap {subset_cap}")
+def witness_index(net):
+    n = len(net.places)
+    if n > SUBSET_CAP:
+        raise SubsetCapExceeded(f"|P|={n} exceeds the subset cap {SUBSET_CAP}")
     cache = net._analysis
     idx = cache.get("witness_index")
     if idx is None:
@@ -521,11 +528,11 @@ def witness_index(net, subset_cap=16):
     return idx
 
 
-def find_witness(net, marking, subset_cap=16):
+def find_witness(net, marking):
     """Search every siphon for a witness at the given marking."""
     net.check_marking(marking)
     marking = tuple(marking)
-    hit = witness_index(net, subset_cap).witness_at(marking)
+    hit = witness_index(net).witness_at(marking)
     return None if hit is None else Witness.from_hit(net, hit, marking)
 
 

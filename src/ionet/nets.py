@@ -257,17 +257,12 @@ def _move_table(net):
     return table
 
 
-def moves(net, marking):
-    """(transition index, sparse delta) for every transition enabled at the
-    marking, in declaration order: `_walk` on the net's move table."""
-    return _walk(_move_table(net), marking)
-
-
 def _walk(table, marking):
-    """The one enabled-transition walk, which every forward kernel runs on a
-    `MoveTable` and applies in its own arithmetic.  The candidates are the
-    transitions whose first and last pre-places are both marked, and those
-    without pre-places; only their `rest` arcs are tested, so a transition
+    """(transition index, sparse delta) of each transition enabled at the
+    marking, in declaration order; every forward kernel runs this one walk on
+    a `MoveTable` and applies the deltas in its own arithmetic.  Candidates:
+    the transitions whose first and last pre-places are both marked, and
+    those without pre-places; only their `rest` arcs are tested, so one
     reading at most two places with weight 1 is tested on no arc at all."""
     deltas, first, todo, _, last, rest = table
     a = b = 0

@@ -113,11 +113,10 @@ class TransferReport:
                 "agree": self.agree}
 
 
-def check_liveness_transfer(net, marking, node_budget=500_000, subset_cap=16):
+def check_liveness_transfer(net, marking, node_budget=500_000):
     """Compare the liveness verdicts of (net, marking) and its ring image."""
     from .slp import is_nonlive
     ordn, omap = ordinarize(net)
-    a = is_nonlive(net, marking, node_budget=node_budget, subset_cap=subset_cap)
-    b = is_nonlive(ordn, embed_marking(omap, marking),
-                   node_budget=node_budget, subset_cap=subset_cap)
+    a = is_nonlive(net, marking, node_budget=node_budget)
+    b = is_nonlive(ordn, embed_marking(omap, marking), node_budget=node_budget)
     return TransferReport(original_status=a.status, ring_status=b.status)

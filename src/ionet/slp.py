@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 from .classify import classify, NotBimo
 from .liveness import (
-    BudgetExceeded, SubsetCapExceeded, Witness, check_witness,
-    constructed_witness, reach_graph, witness_index,
+    SUBSET_CAP, BudgetExceeded, Witness, check_witness, constructed_witness,
+    reach_graph, witness_index,
 )
 from .nets import NetError, _move_table, _walk, place_masks
 from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
@@ -140,10 +140,10 @@ class _AbstractEngine:
     most spurious drains on live markings.
     """
 
-    def __init__(self, net, subset_cap):
+    def __init__(self, net):
+        self.idx = witness_index(net)  # first: a net above the cap caches nothing
         self.table = _move_table(net)
         self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
-        self.idx = witness_index(net, subset_cap)
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
 
@@ -232,10 +232,10 @@ class _AbstractEngine:
         return tuple(targets), explored
 
 
-def _abstract_engine(net, subset_cap):
+def _abstract_engine(net):
     eng = net._analysis.get("abstract_engine")
     if eng is None:
-        eng = _AbstractEngine(net, subset_cap)
+        eng = _AbstractEngine(net)
         net._analysis["abstract_engine"] = eng
     return eng
 
@@ -453,18 +453,20 @@ def _conservative_large(net, m0, node_budget):
                            method="reach-graph")
 
 
-def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
+def is_nonlive(net, m0, node_budget=500_000):
     """Decide liveness of a marking of a branching-observation-family net.
 
     Exact for every input that fits the budgets; budget exhaustion is
-    reported, never silently treated as an answer.
+    reported, never silently treated as an answer.  `node_budget` bounds
+    this call's work; answers memoised on the net by earlier calls cost
+    nothing against it.  Conservative nets above `SUBSET_CAP` places are
+    decided on their reachability graph, others raise `SubsetCapExceeded`.
     """
     nc = classify(net)
     if not nc.bimo:
         raise NotBimo("the liveness decision covers the branching-observation family")
-    net.check_marking(m0)
-    m0 = tuple(m0)
-    trunc = truncate(net, m0)
+    start = capped_config(net, m0)
+    trunc = start.counts
     explored = 0
 
     wit = _siphon_witness(net, trunc)
@@ -472,21 +474,17 @@ def is_nonlive(net, m0, node_budget=500_000, subset_cap=16):
         return LivenessVerdict("nonlive", witness=wit, configs_explored=0,
                                method="siphon")
 
-    if len(net.places) > subset_cap:
-        if nc.conservative:
-            return _conservative_large(net, trunc, node_budget)
-        raise SubsetCapExceeded(
-            f"non-conservative net with |P|={len(net.places)} exceeds the "
-            f"subset cap {subset_cap}")
+    if len(net.places) > SUBSET_CAP and nc.conservative:
+        return _conservative_large(net, trunc, node_budget)
 
     method = "abstract"
     try:
-        engine = _abstract_engine(net, subset_cap)
+        engine = _abstract_engine(net)
         targets, explored = engine.probe(trunc, node_budget)
         if not targets:
             return LivenessVerdict("live", configs_explored=explored, method=method)
         method = "capped-search"
-        idx, start = engine.idx, capped_config(net, m0)
+        idx = engine.idx
         witness = _try_drains(net, start, targets, node_budget, idx)
         if witness is None:
             witness, n_configs = _capped_closure(net, start, targets, node_budget, idx)
@@ -547,19 +545,20 @@ def _box_iter(n, bound):
             rest -= 1
 
 
-def decide_slp(net, candidate_budget=200_000, node_budget=500_000, subset_cap=16):
+def decide_slp(net, candidate_budget=200_000, node_budget=500_000):
     """Search the per-class candidate box for a live marking.
 
     Candidates are enumerated by ascending token total (then lexicographic),
     so certificates are small and deterministic.  The budget caps how many
     candidates may be tested; liveness itself is never approximated, so no
-    candidate is ever pruned on monotonicity grounds.
+    candidate is ever pruned on monotonicity grounds.  `node_budget` bounds
+    this call's work; answers memoised on the net cost nothing against it.
     """
     bounds = bounds_for(classify(net), len(net.places), net.max_weight)
-    return _search_box(net, bounds.first, candidate_budget, node_budget, subset_cap)
+    return _search_box(net, bounds.first, candidate_budget, node_budget)
 
 
-def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
+def _search_box(net, bound, candidate_budget, node_budget):
     """First live marking with components in [0, bound], in `_box_iter` order.
 
     Candidates that `is_nonlive`'s siphon shortcut would refute are refuted
@@ -595,7 +594,7 @@ def _search_box(net, bound, candidate_budget, node_budget, subset_cap):
             unmarked = sum(1 << i for i, x in enumerate(cand) if not x)
             siphon = _shrink_siphon_mask(masks, unmarked, read)
             if not siphon:
-                v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
+                v = is_nonlive(net, cand, node_budget=node_budget)
                 explored += v.configs_explored
                 if v.status == "budget_exceeded":
                     return verdict("budget_exceeded")

@@ -329,7 +329,7 @@ def test_a13_single_move_01_decisiveness():
         net = random_net("imo", n_places=2 + k % 4, n_trans=1 + k % 5,
                          wmax=1, seed=60_000 + k)
         a = decide_slp(net, node_budget=1_000_000)
-        b = _search_box(net, 2, 200_000, 1_000_000, 16)
+        b = _search_box(net, 2, 200_000, 1_000_000)
         assert a.status == b.status == (
             "structurally_live" if a.certificate is not None
             else "not_structurally_live"), k

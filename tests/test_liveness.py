@@ -203,14 +203,11 @@ def test_find_witness_none_at_live_markings(fragile_net):
 
 
 def test_find_witness_subset_cap():
-    net = random_net("io", n_places=5, n_trans=3, wmax=1, seed=2)
-    with pytest.raises(SubsetCapExceeded):
-        find_witness(net, (0,) * 5, subset_cap=4)
-    # the cap holds once the witness index is cached on the net too
+    net = random_net("io", n_places=17, n_trans=3, wmax=1, seed=2)
+    with pytest.raises(SubsetCapExceeded, match="subset cap 16"):
+        find_witness(net, (0,) * 17)
     net = random_net("io", n_places=5, n_trans=3, wmax=1, seed=2)
     assert find_witness(net, (0,) * 5) is not None
-    with pytest.raises(SubsetCapExceeded):
-        find_witness(net, (0,) * 5, subset_cap=4)
 
 
 def test_witness_soundness_invariant():

@@ -10,7 +10,7 @@ from ionet import (
     parse_net, post_mset, pre_mset, reach_graph, replay, serialize_net,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.nets import MAX_WEIGHT, moves
+from ionet.nets import MAX_WEIGHT, _move_table, _walk
 from tests.conftest import dense_arcs, load_lba, random_flow_net, with_spawns
 
 counts = st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4)
@@ -136,10 +136,11 @@ def _moves_cases():
 
 
 def test_moves_match_dense_definition():
-    """`nets.moves` lists exactly the enabled transitions with their sparse
-    deltas, in ascending index: on transitions without pre-places, with end
-    arcs of weight 2 or more, and reading three or more places, where the
-    two watched pre-places do not settle the answer alone."""
+    """`nets._walk` on the net's move table lists exactly the enabled
+    transitions with their sparse deltas, in ascending index: on transitions
+    without pre-places, with end arcs of weight 2 or more, and reading three
+    or more places, where the two watched pre-places do not settle the
+    answer alone."""
     free = heavy_ends = wide = markings = enabled_moves = 0
     for net, ms in _moves_cases():
         for pre in net._pre:
@@ -148,7 +149,7 @@ def test_moves_match_dense_definition():
             wide += len(pre) >= 3
         arcs = dense_arcs(net)
         for m in ms:
-            got = moves(net, m)
+            got = _walk(_move_table(net), m)
             assert got == _moves_reference(arcs, m), (net, m)
             markings += 1
             enabled_moves += len(got)

@@ -16,7 +16,7 @@ from ionet import (
 )
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet import liveness, nets
+from ionet import liveness, nets, slp
 from ionet.liveness import _sub, witness_index
 from ionet.slp import (
     SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
@@ -25,6 +25,8 @@ from ionet.slp import (
 from tests.conftest import (
     FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, ring17, with_spawns,
 )
+
+ROWS = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
 
 
 def test_bounds_table(fragile_net, weighted_net):
@@ -55,6 +57,25 @@ def test_bounds_ordinary_branching_rows(pump_net):
     nc = classify(pump_net[0])  # ord-bimo
     b = bounds_for(nc, 5, 1)
     assert (b.first, b.second) == (5, 10)
+
+
+def test_truncation_bound_is_the_cap():
+    """The truncation bound that `ionet bounds` prints is the cap that
+    `truncate` and the capped search use: 2w|P| on every row (a weighted io
+    net has w = 2, so its 4|P| is 2w|P| too)."""
+    cases = [load_net(path.stem)[0] for path in sorted(FIXTURES.glob("*.net"))]
+    for k in range(240):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=8_000 + k, wmax=2 + k // 8 % 2)
+        cases += [net, with_spawns(net, seed=k)]
+    rows = set()
+    for net in cases:
+        nc = classify(net)
+        if nc.bimo:
+            rows.add(nc.finest())
+            bound = bounds_for(nc, len(net.places), nc.max_weight).second
+            assert bound == cap_value(net), net
+    assert rows == set(ROWS)
 
 
 def test_truncate_arithmetic(fragile_net):
@@ -293,6 +314,22 @@ def test_decide_slp_node_budget():
     assert (v.candidates_tested, v.configs_explored, v.siphon_settled) == (2, 4, 1)
 
 
+def test_warm_net_answers_within_the_budget():
+    """`node_budget` bounds one call's work; answers memoised on the net by
+    earlier calls are free, so a budget that runs out on a fresh net is
+    enough once the net has been decided."""
+    net, _ = load_net("bimo_pump")
+
+    def counts(v):
+        return (v.status, v.certificate, v.candidates_tested, v.configs_explored,
+                v.siphon_settled)
+    assert counts(decide_slp(net, node_budget=3)) == ("budget_exceeded", None, 2, 4, 1)
+    assert counts(decide_slp(net)) == (
+        "structurally_live", (0, 0, 0, 0, 1), 2, 766, 1)
+    assert counts(decide_slp(net, node_budget=3)) == (
+        "structurally_live", (0, 0, 0, 0, 1), 2, 0, 1)
+
+
 def _ring(n, **extra):
     """Single-token ring p0 -> p1 -> ... -> p0 through t0..t(n-1), plus the
     transitions of `extra`: name -> flow of that transition."""
@@ -322,6 +359,80 @@ def test_ring17_decided_on_the_reachability_graph():
         "budget_exceeded", "reach-graph", 5)
     v = is_nonlive(net, (1, 1) + (0,) * 15)
     assert (v.status, v.method, v.configs_explored) == ("live", "reach-graph", 153)
+
+
+_OBSERVER = {"x": {("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1}}
+
+
+@pytest.mark.parametrize("n,marked,want", [
+    (16, 1, ("nonlive", "capped-search", 1)),
+    (16, 2, ("live", "abstract", 136)),
+    (17, 1, ("nonlive", "reach-graph", 17)),
+    (17, 2, ("live", "reach-graph", 153)),
+])
+def test_net_size_picks_the_path(n, marked, want):
+    """At most `SUBSET_CAP` places the witness search decides; a conservative
+    net above it is decided on its reachability graph."""
+    assert liveness.SUBSET_CAP == 16
+    v = is_nonlive(_ring(n, **_OBSERVER), (1,) * marked + (0,) * (n - marked))
+    assert (v.status, v.method, v.configs_explored) == want
+
+
+def test_non_conservative_net_above_the_cap_is_refused():
+    """Refused when the witness index is asked for, before a move table or
+    an engine is cached on the net."""
+    net = random_net("bimo", n_places=17, n_trans=5, wmax=2, seed=1)
+    assert not classify(net).conservative
+    for decide in (lambda: is_nonlive(net, (3,) * 17), lambda: decide_slp(net),
+                   lambda: liveness.find_witness(net, (3,) * 17)):
+        with pytest.raises(liveness.SubsetCapExceeded, match="subset cap"):
+            decide()
+    assert not {"move_table", "abstract_engine", "witness_index"} & net._analysis.keys()
+
+
+def test_nonlive_paths_replay_in_their_space(monkeypatch):
+    """Every non-live verdict's path leads to `m_wit` in the space its method
+    searched: none for the siphon shortcut, capped steps (drains included)
+    for the capped search, firings from the truncated marking on the
+    reachability graph."""
+    real_drains, drained = slp._try_drains, []
+
+    def try_drains(*args):
+        witness = real_drains(*args)
+        drained.append(witness is not None)
+        return witness
+    monkeypatch.setattr(slp, "_try_drains", try_drains)
+    rng = random.Random(83)
+    cases = []
+    for k in range(400):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=40_000 + k)
+        cap = cap_value(net)
+        cases += [(net, tuple(rng.choice((0, 1, 2, rng.randrange(2 * cap + 1)))
+                              for _ in net.places)) for _ in range(2)]
+    for i in range(17):  # a token on p_i, and one on p_i and p_(i+1)
+        cases += [(ring17(), tuple(int(j == i) for j in range(17))),
+                  (ring17(), tuple(int(j in (i, (i + 1) % 17)) for j in range(17)))]
+    methods = Counter()
+    for net, m in cases:
+        v = is_nonlive(net, m)
+        if not v.is_nonlive:
+            continue
+        methods[v.method] += 1
+        path = v.witness.path
+        if v.method == "siphon":
+            assert path == () and v.witness.m_wit == truncate(net, m)
+        elif v.method == "capped-search":
+            cfg = capped_config(net, m)
+            for step in path:
+                cfg = dict(capped_successors(net, cfg))[step]
+            assert cfg.counts == v.witness.m_wit, (net, m)
+        else:
+            assert v.method == "reach-graph"
+            assert replay(net, truncate(net, m), path).final == v.witness.m_wit
+    assert min(methods.values()) >= 10 and len(methods) == 3
+    drains = drained.count(True)  # the other capped-search paths are the closure's
+    assert drains >= 100 and methods["capped-search"] - drains >= 100
 
 
 def test_capped_search_budget():
@@ -388,7 +499,7 @@ def test_slp_01_matches_decide_slp():
     for seed in range(60):
         net = random_net("imo", n_places=3, n_trans=3, wmax=1, seed=200 + seed)
         a = decide_slp(net)
-        b = _search_box(net, 2, 200_000, 500_000, 16)
+        b = _search_box(net, 2, 200_000, 500_000)
         assert a.status == b.status
         if a.certificate is not None:
             assert all(x <= 1 for x in a.certificate)
@@ -502,7 +613,7 @@ FIXTURE_NONLIVE = (
 
 
 def _probe_targets(net, marking):
-    targets, _ = _abstract_engine(net, 16).probe(truncate(net, marking), 500_000)
+    targets, _ = _abstract_engine(net).probe(truncate(net, marking), 500_000)
     return targets
 
 
@@ -611,7 +722,7 @@ def test_abstract_successors_against_transcription():
         net = random_net_in_row(rows[k % 8], n_places=2 + k % 4, n_trans=1 + k % 5,
                                 seed=61_000 + k)
         for net in (net, with_spawns(net, seed=k)):
-            engine = _AbstractEngine(net, 16)
+            engine = _AbstractEngine(net)
             top = engine.m
             for _ in range(6):
                 state = tuple(rng.choice((top, rng.randrange(top)))
@@ -626,7 +737,7 @@ def test_abstract_successors_against_transcription():
 def test_abstract_successors_drain_top():
     """Taking a token from a TOP place leaves it TOP or exactly m-1."""
     net = Net("move", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
-    engine = _AbstractEngine(net, 16)
+    engine = _AbstractEngine(net)
     top = engine.m
 
     def states(state):
@@ -1250,7 +1361,7 @@ def test_node_budget_bounds_the_restricted_exploration():
     assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "abstract", 11)
 
 
-def _ref_search_box(net, bound, candidate_budget, node_budget=500_000, subset_cap=16):
+def _ref_search_box(net, bound, candidate_budget, node_budget=500_000):
     """The box loop with `is_nonlive` on every candidate; siphon verdicts
     are the candidates the siphon test alone settles."""
     tested = explored = settled = 0
@@ -1263,7 +1374,7 @@ def _ref_search_box(net, bound, candidate_budget, node_budget=500_000, subset_ca
         if tested >= candidate_budget:
             return verdict("budget_exceeded")
         tested += 1
-        v = is_nonlive(net, cand, node_budget=node_budget, subset_cap=subset_cap)
+        v = is_nonlive(net, cand, node_budget=node_budget)
         explored += v.configs_explored
         settled += v.method == "siphon"
         if v.status == "budget_exceeded":
@@ -1321,11 +1432,11 @@ def test_box_iter_matches_recursive_definition():
 def test_box_loop_matches_per_candidate_reference():
     settled_at_budget = 0
     for make, bound, budget in _box_cases():
-        got = _search_box(make(), bound, budget, 500_000, 16)
+        got = _search_box(make(), bound, budget, 500_000)
         assert got == _ref_search_box(make(), bound, budget), (make(), bound, budget)
         if got.status == "budget_exceeded" and budget > 1 and budget <= 50:
             # did the budget run out on a candidate the siphon test settled?
-            before = _search_box(make(), bound, budget - 1, 500_000, 16)
+            before = _search_box(make(), bound, budget - 1, 500_000)
             settled_at_budget += got.siphon_settled > before.siphon_settled
     assert settled_at_budget >= 10
 
@@ -1334,7 +1445,7 @@ def test_box_loop_matches_per_candidate_reference_on_fixtures():
     for path in sorted(FIXTURES.glob("*.net")):
         net = load_net(path.stem)[0]
         bound = _first_bound(net)
-        got = _search_box(net, bound, 3_000, 500_000, 16)
+        got = _search_box(net, bound, 3_000, 500_000)
         assert got == _ref_search_box(load_net(path.stem)[0], bound, 3_000), path.name
 
 
