@@ -16,7 +16,12 @@ It hashes, in a fixed order:
   - `check_liveness_transfer` on seeded io, imo, bio and bimo nets of at
     most three places;
   - the error type that `is_nonlive`, `decide_slp` and `find_witness` raise
-    on a 17-place non-conservative net.
+    on a 17-place non-conservative net;
+  - `is_nonlive` on conservative rings of 17 to 20 places with an observer
+    transition that is dead at some markings, which are above the witness
+    search's subset cap and so decided on the reachability graph: non-live
+    markings (witness and path included), live ones, and node budgets at
+    which the reachability graph runs out.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -133,6 +138,40 @@ def _liveness_checks():
         yield ("above_cap", fn.__name__), _attempt(lambda: type(fn(*args)).__name__)
 
 
+def _observer_ring(n, observer):
+    """Ring p0 -> p1 -> ... -> p0 through t0..t(n-1), plus one observer:
+    "x" moves a token from p0 to p2 while p1 is marked (dead while the ring
+    holds one token); "d" reads every ring place and puts its tokens back
+    (dead once a place is empty)."""
+    places = [f"p{i}" for i in range(n)]
+    trans = [f"t{i}" for i in range(n)] + [observer]
+    flow = {}
+    for i in range(n):
+        flow[(places[i], f"t{i}")] = 1
+        flow[(f"t{i}", places[(i + 1) % n])] = 1
+    if observer == "x":
+        flow.update({("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1})
+    else:
+        for p in places:
+            flow[(p, "d")] = flow[("d", p)] = 1
+    return Net(f"ring{n}{observer}", places, trans, flow)
+
+
+def _reach_graph_checks():
+    """`is_nonlive` on observer rings above the subset cap."""
+    rng = random.Random(94)
+    for n in range(17, 21):
+        for observer in ("x", "d"):
+            net = _observer_ring(n, observer)
+            for tokens in (1, 2, 3):
+                m = [0] * n
+                for _ in range(tokens):
+                    m[rng.randrange(n)] += 1
+                for budget in (10, 200, 500_000):
+                    v = is_nonlive(net, tuple(m), node_budget=budget)
+                    yield ("reach_graph", net.name, tuple(m), budget), v.to_dict()
+
+
 def _relaxed(net):
     rlx = relaxed_net(net)
     return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
@@ -157,6 +196,7 @@ def checks():
         yield ("relaxed_net", name), _attempt(_relaxed, net)
         yield ("sccs", name), _components(net)
     yield from _liveness_checks()
+    yield from _reach_graph_checks()
 
 
 def main():

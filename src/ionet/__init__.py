@@ -15,13 +15,12 @@ from .structure import (
 )
 from .liveness import (
     BudgetExceeded, ReachGraph, SubsetCapExceeded, Witness, WitnessReport,
-    reach_graph, cover_basis, dead_at, is_live_exact, find_dl_marking,
-    check_witness, find_witness,
+    reach_graph, cover_basis, dead_at, is_live_exact, check_witness, find_witness,
 )
 from .slp import (
     Bounds, CappedConfig, LivenessVerdict, SlpVerdict,
     bounds_for, cap_value, truncate, capped_config,
-    capped_successors, is_nonlive, decide_slp,
+    capped_successors, is_nonlive, decide_slp, find_dl_marking,
 )
 from .ordinarize import (
     OrdinarizeMap, TransferReport, ordinarize, embed_marking, project_marking,

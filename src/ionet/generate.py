@@ -9,8 +9,7 @@ from .nets import Net
 CLASSES = ("io", "imo", "bio", "bimo")
 
 
-def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None,
-               name=None):
+def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None):
     """Draw a net whose every transition has the requested shape.
 
     Transitions are built as (source, observations, destinations) directly:
@@ -61,11 +60,11 @@ def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None,
             w = obs.get(p, 0) + dest.get(p, 0)
             if w:
                 flow[(t, p)] = w
-    net = Net(name or f"rand-{cls}-{seed}", places, trans, flow)
+    net = Net(f"rand-{cls}-{seed}", places, trans, flow)
     nc = classify(net)
     if not getattr(nc, cls):
         # extremely rare with the shapes above; regenerate deterministically
-        return random_net(cls, n_places, n_trans, wmax, seed=None, rng=rng, name=name)
+        return random_net(cls, n_places, n_trans, wmax, seed=None, rng=rng)
     return net
 
 

@@ -35,7 +35,8 @@ import itertools
 from dataclasses import dataclass
 
 from .nets import Net, NetError, ParseError
-from .liveness import BudgetExceeded
+from .liveness import BudgetExceeded, is_live_exact
+from .slp import decide_slp
 
 ALPHABET = ("a", "b")
 MOVES = {"L": -1, "R": 1}
@@ -120,8 +121,12 @@ def parse_lba(text):
                    reject=named["reject"], rules=tuple(rules)).validate()
 
 
-def simulate_lba(spec, word, step_budget=100_000):
-    """Run the machine; 'accept'/'reject' or BudgetExceeded on a budget hit.
+STEP_BUDGET = 100_000  # steps `simulate_lba` runs before it gives up
+
+
+def simulate_lba(spec, word):
+    """Run the machine; 'accept'/'reject', or BudgetExceeded after
+    `STEP_BUDGET` steps.
 
     The run must stay on the tape and halt with the head on cell 1, else the
     input violates the compilation convention and is rejected as invalid.
@@ -131,7 +136,7 @@ def simulate_lba(spec, word, step_budget=100_000):
         raise ConventionViolated(f"word must be a nonempty string over {ALPHABET}")
     tape = list(word)
     q, head = spec.initial, 1
-    for _ in range(step_budget):
+    for _ in range(STEP_BUDGET):
         if q in (spec.accept, spec.reject):
             if head != 1:
                 raise ConventionViolated("machine halted away from cell 1")
@@ -145,7 +150,7 @@ def simulate_lba(spec, word, step_budget=100_000):
         q = q2
         if head < 1 or head > len(tape):
             raise ConventionViolated("machine moved off the tape")
-    return BudgetExceeded(explored=step_budget)
+    return BudgetExceeded(explored=STEP_BUDGET)
 
 
 STAGES = ("N", "Nprime", "Ndprime", "Nbar")
@@ -253,9 +258,6 @@ def reduction_correctness_check(spec, word, node_budget=500_000,
                                 candidate_budget=200_000, check_slp=True):
     """Compare machine acceptance, liveness of the compiled marked net, and
     (optionally budgeted) structural liveness of the compiled net."""
-    from .liveness import is_live_exact
-    from .slp import decide_slp
-
     sim = simulate_lba(spec, word)
     if isinstance(sim, BudgetExceeded):
         raise ConventionViolated("machine did not halt within the step budget")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .classify import is_imo_msets
-from .nets import (Net, NetError, UnknownNode, _move_table, mleq, msize, carrier,
+from .nets import (NetError, UnknownNode, _move_table, _walk, mleq, msize, carrier,
                    place_masks, post_mset, pre_mset, successors)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
@@ -161,53 +161,6 @@ def is_live_exact(net, m0, node_budget=200_000):
     return not any(dead)
 
 
-def find_dl_marking(net, m0, node_budget=200_000):
-    """Some reachable marking where each transition is dead or live and at
-    least one is dead; None iff m0 is live.
-
-    Deadness per marking is exact (backward coverability); a candidate
-    qualifies when the net without its dead transitions is live there, which
-    is equivalent because dead transitions never fire anyway.
-    """
-    from .slp import is_nonlive
-
-    net.check_marking(m0)
-    if is_nonlive(net, m0, node_budget=node_budget).is_live:
-        return None
-    bases = []
-    for t in net.transitions:
-        basis = cover_basis(net, pre_mset(net, t), node_budget)
-        if isinstance(basis, BudgetExceeded):
-            return basis
-        bases.append(basis)
-    restricted = {}
-    seen = {tuple(m0)}
-    queue = deque(seen)
-    explored = 0
-    while queue:
-        m = queue.popleft()
-        explored += 1
-        if explored > node_budget:
-            return BudgetExceeded(explored)
-        dead = tuple(t for t, basis in zip(net.transitions, bases)
-                     if not any(mleq(b, m) for b in basis))
-        if dead:
-            if dead not in restricted:
-                keep = tuple(t for t in net.transitions if t not in dead)
-                flow = {k: w for k, w in net.flow.items()
-                        if k[0] in keep or k[1] in keep}
-                restricted[dead] = Net(net.name + ".dl", net.places, keep, flow)
-            sub = restricted[dead]
-            if not sub.transitions or is_nonlive(
-                    sub, m, node_budget=node_budget).is_live:
-                return m, dead, tuple(t for t in net.transitions if t not in dead)
-        for _, nm in successors(net, m):
-            if nm not in seen:
-                seen.add(nm)
-                queue.append(nm)
-    return BudgetExceeded(explored)
-
-
 def _dl_node(graph):
     """First node, in index order, where every transition is dead or live and
     at least one is dead: (node, dead names, live names), or None iff the
@@ -349,7 +302,9 @@ def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
 # canonical D = T minus E, which subsumes every witness on (marking, S).
 # Only siphons can carry one: a transition with no pre-place in S is always
 # covered, so it must be in T_I, and a T_I transition that reads nothing on S
-# writes nothing on S either.
+# writes nothing on S either.  The abstract probe (`WitnessIndex.probe`)
+# asks the same lookup on the states of an over-approximation, so one
+# record per net holds every memo of the search.
 
 class _SubsetData:
     __slots__ = ("indices", "take", "blockers", "fire", "covers", "clean")
@@ -387,12 +342,27 @@ class _SubsetData:
 
 
 class WitnessIndex:
-    """Per-net cache of siphon data and memoized restricted explorations."""
+    """Per-net record of the witness search: siphon data, memoized
+    restricted explorations, and the abstract probe with its memo.
+
+    The probe explores an over-approximation whose counts are exact below a
+    small threshold m or TOP (= at least m).  Firing is always possible from
+    TOP values; a TOP value drained by one token (`is_nonlive` admits only
+    nets whose transitions take at most one) branches into "still TOP" and
+    "exactly m-1".  Every reachable real marking is represented, so a run
+    without witness states proves liveness.  Witness states keep at most w
+    tokens per crucial place, so any m > w detects them all; m = w + 2 keeps
+    slightly more precision, which avoids most spurious drains on live
+    markings.
+    """
 
     def __init__(self, net):
         masks = place_masks(net)
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
-        table = _move_table(net)
+        self.table = table = _move_table(net)
+        self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
+        # abstract state -> witness targets reachable from it; () = proven clean
+        self.reach = {}
         self.entries = sorted((_SubsetData(table, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
         # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
@@ -514,6 +484,91 @@ class WitnessIndex:
                 break
         self.at_memo[key] = found
         return found
+
+
+    def abstract_successors(self, state):
+        """(successor, dominates) pairs: `dominates` says the successor is at
+        least `state` on every place, TOP being the largest value.  It fails
+        when an exact place loses a token, and on the drained m-1 branch."""
+        m = self.m
+        out = []
+        for _, delta in _walk(self.table, state):
+            base = list(state)
+            drain = None
+            up = True
+            for i, d in delta:
+                v = state[i]
+                if v == m:
+                    if d < 0:
+                        drain = i
+                else:
+                    x = v + d
+                    base[i] = x if x < m else m
+                    up &= d > 0
+            out.append((tuple(base), up))
+            if drain is not None:
+                base[drain] = m - 1
+                out.append((tuple(base), False))
+        return out
+
+    def probe(self, marking, node_budget):
+        """(witness targets, abstract states explored).  No targets is a
+        proof of liveness.
+
+        Outcomes are memoised per abstract state, so the probes of one net
+        share their work: the search skips states proven clean and stops at
+        a state already known to reach targets, taking those over.  A
+        start answered from the memo explores nothing.
+        """
+        m = self.m
+        start = tuple(x if x < m else m for x in marking)
+        reach = self.reach
+        targets = reach.get(start)
+        explored = 0
+        if targets is None:
+            targets, explored = self._search(start, node_budget)
+            reach[start] = targets
+        return list(targets), explored
+
+    def _search(self, start, node_budget):
+        reach, witness_at, m = self.reach, self.witness_at, self.m
+        # state -> whether it dominates an expanded state, whose lookup found
+        # no witness; None is closed upward, so such a state needs no lookup
+        seen = {start: False}
+        queue = deque([start])
+        targets = []
+        explored = 0
+        while queue:
+            s = queue.popleft()
+            explored += 1
+            if explored > node_budget:
+                raise BudgetExceeded(explored)
+            if not seen[s]:
+                # only subsets on which every count is exact can be flagged
+                hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
+                                 node_budget)
+                if hit:
+                    indices = hit[0]
+                    targets.append((indices, tuple(s[i] for i in indices)))
+                    if len(targets) >= 8:
+                        return tuple(targets), explored
+                    continue
+            for nxt, up in self.abstract_successors(s):
+                if nxt in seen:
+                    if up:
+                        seen[nxt] = True
+                    continue
+                known = reach.get(nxt)
+                if known is None:
+                    seen[nxt] = up
+                    queue.append(nxt)
+                elif known:
+                    return tuple(targets + list(known))[:8], explored
+        if not targets:
+            # the explored region is closed under successors up to states
+            # already proven clean, so all of it is clean
+            reach.update(dict.fromkeys(seen, ()))
+        return tuple(targets), explored
 
 
 def witness_index(net):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .classify import classify, NotBimo
 from .nets import Net, NetError
+from .slp import is_nonlive
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class TransferReport:
 
 def check_liveness_transfer(net, marking, node_budget=500_000):
     """Compare the liveness verdicts of (net, marking) and its ring image."""
-    from .slp import is_nonlive
     ordn, omap = ordinarize(net)
     a = is_nonlive(net, marking, node_budget=node_budget)
     b = is_nonlive(ordn, embed_marking(omap, marking), node_budget=node_budget)

@@ -9,8 +9,9 @@ capped space carries a witness, so the decision is:
   1. a siphon shortcut (an unmarked siphon that some transition reads from
      yields an immediate witness),
   2. a small over-approximation where every count is either exact below
-     w+2 or "many": if no abstract state carries a witness the marking is
-     live, since every real witness keeps at most w tokens per crucial place,
+     w+2 or "many" (`WitnessIndex.probe`, memoised with the net's witness
+     index): if no abstract state carries a witness the marking is live,
+     since every real witness keeps at most w tokens per crucial place,
   3. an exact search of the capped space, guided toward the witness
      candidates found in step 2, which confirms non-liveness with a concrete
      capped path or proves liveness by exhausting the space.
@@ -28,9 +29,10 @@ from typing import NamedTuple
 from .classify import classify, NotBimo
 from .liveness import (
     SUBSET_CAP, BudgetExceeded, Witness, check_witness, constructed_witness,
-    reach_graph, witness_index,
+    cover_basis, reach_graph, witness_index,
 )
-from .nets import NetError, _move_table, _walk, place_masks
+from .nets import (Net, NetError, _move_table, _walk, mleq, place_masks, pre_mset,
+                   successors)
 from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
@@ -122,122 +124,6 @@ def _admit(visited, cfg):
     kept[:] = [fm for fm in kept if fm | flags != flags]
     kept.append(flags)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Over-approximation with exact counts below w+2.
-
-
-class _AbstractEngine:
-    """Counts are exact below a small threshold m or TOP (= at least m).
-
-    Firing is always possible from TOP values; a TOP value drained by one
-    token (`is_nonlive` admits only nets whose transitions take at most one)
-    branches into "still TOP" and "exactly m-1".  Every reachable real
-    marking is represented, so a run without witness states proves liveness.
-    Witness states keep at most w tokens per crucial place, so any m > w
-    detects them all; m = w + 2 keeps slightly more precision, which avoids
-    most spurious drains on live markings.
-    """
-
-    def __init__(self, net):
-        self.idx = witness_index(net)  # first: a net above the cap caches nothing
-        self.table = _move_table(net)
-        self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
-        # abstract state -> witness targets reachable from it; () = proven clean
-        self.reach = {}
-
-    def successors(self, state):
-        """(successor, dominates) pairs: `dominates` says the successor is at
-        least `state` on every place, TOP being the largest value.  It fails
-        when an exact place loses a token, and on the drained m-1 branch."""
-        m = self.m
-        out = []
-        for _, delta in _walk(self.table, state):
-            base = list(state)
-            drain = None
-            up = True
-            for i, d in delta:
-                v = state[i]
-                if v == m:
-                    if d < 0:
-                        drain = i
-                else:
-                    x = v + d
-                    base[i] = x if x < m else m
-                    up &= d > 0
-            out.append((tuple(base), up))
-            if drain is not None:
-                base[drain] = m - 1
-                out.append((tuple(base), False))
-        return out
-
-    def probe(self, marking, node_budget):
-        """(witness targets, abstract states explored).  No targets is a
-        proof of liveness.
-
-        Outcomes are memoised per abstract state, so the probes of one net
-        share their work: the search skips states proven clean and stops at
-        a state already known to reach targets, taking those over.  A
-        start answered from the memo explores nothing.
-        """
-        m = self.m
-        start = tuple(x if x < m else m for x in marking)
-        reach = self.reach
-        targets = reach.get(start)
-        explored = 0
-        if targets is None:
-            targets, explored = self._search(start, node_budget)
-            reach[start] = targets
-        return list(targets), explored
-
-    def _search(self, start, node_budget):
-        reach, witness_at, m = self.reach, self.idx.witness_at, self.m
-        # state -> whether it dominates an expanded state, whose lookup found
-        # no witness; None is closed upward, so such a state needs no lookup
-        seen = {start: False}
-        queue = deque([start])
-        targets = []
-        explored = 0
-        while queue:
-            s = queue.popleft()
-            explored += 1
-            if explored > node_budget:
-                raise BudgetExceeded(explored)
-            if not seen[s]:
-                # only subsets on which every count is exact can be flagged
-                hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
-                                 node_budget)
-                if hit:
-                    indices = hit[0]
-                    targets.append((indices, tuple(s[i] for i in indices)))
-                    if len(targets) >= 8:
-                        return tuple(targets), explored
-                    continue
-            for nxt, up in self.successors(s):
-                if nxt in seen:
-                    if up:
-                        seen[nxt] = True
-                    continue
-                known = reach.get(nxt)
-                if known is None:
-                    seen[nxt] = up
-                    queue.append(nxt)
-                elif known:
-                    return tuple(targets + list(known))[:8], explored
-        if not targets:
-            # the explored region is closed under successors up to states
-            # already proven clean, so all of it is clean
-            reach.update(dict.fromkeys(seen, ()))
-        return tuple(targets), explored
-
-
-def _abstract_engine(net):
-    eng = net._analysis.get("abstract_engine")
-    if eng is None:
-        eng = _AbstractEngine(net)
-        net._analysis["abstract_engine"] = eng
-    return eng
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +321,18 @@ def _capped_closure(net, start, targets, node_budget, idx):
 
 def _conservative_large(net, m0, node_budget):
     """Exact decision on the reachability graph for nets too large for
-    subset enumeration (conservative, so the graph is finite)."""
+    subset enumeration (conservative, so the graph is finite); raises
+    BudgetExceeded."""
     g = reach_graph(net, m0, node_budget)
     if isinstance(g, BudgetExceeded):
-        return LivenessVerdict("budget_exceeded", configs_explored=g.explored,
-                               method="reach-graph")
+        raise g
     # None exactly when no reachable marking has a dead transition
     wit = constructed_witness(net, g)
     if wit is None:
         return LivenessVerdict("live", configs_explored=len(g.nodes),
                                method="reach-graph")
     variant = "ordinary" if classify(net).ordinary else "weighted"
-    report = check_witness(net, wit, variant=variant)
+    report = check_witness(net, wit, variant=variant, node_budget=node_budget)
     if not report.sound:
         raise NetError("internal error: constructed witness failed validation")
     return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.nodes),
@@ -458,9 +344,12 @@ def is_nonlive(net, m0, node_budget=500_000):
 
     Exact for every input that fits the budgets; budget exhaustion is
     reported, never silently treated as an answer.  `node_budget` bounds
-    this call's work; answers memoised on the net by earlier calls cost
-    nothing against it.  Conservative nets above `SUBSET_CAP` places are
-    decided on their reachability graph, others raise `SubsetCapExceeded`.
+    each search of the call on its own (the abstract probe, each restricted
+    exploration of the witness index, the capped search, the reachability
+    graph and its witness check), not their sum; answers memoised on the
+    net by earlier calls cost nothing against it.  Conservative nets above
+    `SUBSET_CAP` places are decided on their reachability graph, others
+    raise `SubsetCapExceeded`.
     """
     nc = classify(net)
     if not nc.bimo:
@@ -474,17 +363,16 @@ def is_nonlive(net, m0, node_budget=500_000):
         return LivenessVerdict("nonlive", witness=wit, configs_explored=0,
                                method="siphon")
 
-    if len(net.places) > SUBSET_CAP and nc.conservative:
-        return _conservative_large(net, trunc, node_budget)
-
-    method = "abstract"
+    large = len(net.places) > SUBSET_CAP and nc.conservative
+    method = "reach-graph" if large else "abstract"
     try:
-        engine = _abstract_engine(net)
-        targets, explored = engine.probe(trunc, node_budget)
+        if large:
+            return _conservative_large(net, trunc, node_budget)
+        idx = witness_index(net)
+        targets, explored = idx.probe(trunc, node_budget)
         if not targets:
             return LivenessVerdict("live", configs_explored=explored, method=method)
         method = "capped-search"
-        idx = engine.idx
         witness = _try_drains(net, start, targets, node_budget, idx)
         if witness is None:
             witness, n_configs = _capped_closure(net, start, targets, node_budget, idx)
@@ -496,6 +384,51 @@ def is_nonlive(net, m0, node_budget=500_000):
         return LivenessVerdict("live", configs_explored=explored, method=method)
     return LivenessVerdict("nonlive", witness=witness, configs_explored=explored,
                            method=method)
+
+
+def find_dl_marking(net, m0, node_budget=200_000):
+    """Some reachable marking where each transition is dead or live and at
+    least one is dead; None iff m0 is live.
+
+    Deadness per marking is exact (backward coverability); a candidate
+    qualifies when the net without its dead transitions is live there, which
+    is equivalent because dead transitions never fire anyway.
+    """
+    net.check_marking(m0)
+    if is_nonlive(net, m0, node_budget=node_budget).is_live:
+        return None
+    bases = []
+    for t in net.transitions:
+        basis = cover_basis(net, pre_mset(net, t), node_budget)
+        if isinstance(basis, BudgetExceeded):
+            return basis
+        bases.append(basis)
+    restricted = {}
+    seen = {tuple(m0)}
+    queue = deque(seen)
+    explored = 0
+    while queue:
+        m = queue.popleft()
+        explored += 1
+        if explored > node_budget:
+            return BudgetExceeded(explored)
+        dead = tuple(t for t, basis in zip(net.transitions, bases)
+                     if not any(mleq(b, m) for b in basis))
+        if dead:
+            if dead not in restricted:
+                keep = tuple(t for t in net.transitions if t not in dead)
+                flow = {k: w for k, w in net.flow.items()
+                        if k[0] in keep or k[1] in keep}
+                restricted[dead] = Net(net.name + ".dl", net.places, keep, flow)
+            sub = restricted[dead]
+            if not sub.transitions or is_nonlive(
+                    sub, m, node_budget=node_budget).is_live:
+                return m, dead, tuple(t for t in net.transitions if t not in dead)
+        for _, nm in successors(net, m):
+            if nm not in seen:
+                seen.add(nm)
+                queue.append(nm)
+    return BudgetExceeded(explored)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +484,10 @@ def decide_slp(net, candidate_budget=200_000, node_budget=500_000):
     Candidates are enumerated by ascending token total (then lexicographic),
     so certificates are small and deterministic.  The budget caps how many
     candidates may be tested; liveness itself is never approximated, so no
-    candidate is ever pruned on monotonicity grounds.  `node_budget` bounds
-    this call's work; answers memoised on the net cost nothing against it.
+    candidate is ever pruned on monotonicity grounds.  Each candidate's
+    `is_nonlive` gets the whole `node_budget`, which bounds each of its
+    searches on its own, not the call's total work; answers memoised on the
+    net cost nothing against it.
     """
     bounds = bounds_for(classify(net), len(net.places), net.max_weight)
     return _search_box(net, bounds.first, candidate_budget, node_budget)

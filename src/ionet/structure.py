@@ -238,18 +238,11 @@ def _shrink_siphon_mask(masks, s, keep):
     return s
 
 
-def unmarked_siphon(net, marking, minimize=False):
-    """Largest siphon unmarked at the marking, or None.
-
-    With `minimize`, greedily drops places while a nonempty siphon remains.
-    """
+def unmarked_siphon(net, marking):
+    """Largest siphon unmarked at the marking, or None."""
     net.check_marking(marking)
-    masks = place_masks(net)
     unmarked = sum(1 << i for i, x in enumerate(marking) if x == 0)
-    if minimize:  # keep: every place
-        base = _shrink_siphon_mask(masks, unmarked, (1 << len(net.places)) - 1)
-    else:
-        base = _largest_siphon_mask(masks, unmarked)
+    base = _largest_siphon_mask(place_masks(net), unmarked)
     if not base:
         return None
     return tuple(p for i, p in enumerate(net.places) if base >> i & 1)

@@ -327,3 +327,38 @@ def test_fixture_report_prints_machines():
         assert " structurally_live cert=" in line, line
         assert ("candidates=1624 siphon_settled=1623 " in line
                 or "candidates=2947 siphon_settled=2946 " in line), line
+
+
+@pytest.mark.parametrize("argv", [
+    ("ordinarize", str(FIXTURES / "weighted_single.net")),
+    ("lba", str(FIXTURES / "lba" / "even_a_2.lba"), "ab"),
+    ("gen", "--class", "bimo", "--wmax", "2", "--seed", "3"),
+])
+def test_commands_write_stdout_without_out(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.net"
+    code, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == out_file.read_text() != ""
+
+
+@pytest.mark.parametrize("argv,code,stdout", [
+    (("witness", str(FIXTURES / "io_fragile.net")), 0, "no witness at this marking\n"),
+    (("witness", str(FIXTURES / "io_fragile.net"), "--json"), 0,
+     json.dumps({"witness": None}, indent=2) + "\n"),
+    (("live", str(FIXTURES / "bimo_pump.net"), "--marking", "1,x,0,0,0"), 2, ""),
+    (("live", "{unmarked}"), 2, ""),
+    (("check-reduction", str(FIXTURES / "lba" / "even_a_2.lba"), "ab",
+      "--candidates", "1"), 3, None),
+])
+def test_command_outcomes(tmp_path, capsys, argv, code, stdout):
+    unmarked = tmp_path / "unmarked.net"
+    unmarked.write_text("place p\ntrans t pre p post p\n")
+    argv = [a.format(unmarked=unmarked) for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if stdout is not None:
+        assert out == stdout
+    if code == 2:
+        assert err.startswith("error: ")
+

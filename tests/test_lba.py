@@ -8,7 +8,7 @@ from ionet import (
     classify, dead_at, enabled, fire, is_live_exact, parse_lba, reach_graph,
     ParseError, replay, serialize_net, simulate_lba,
 )
-from ionet.lba import ALPHABET, STAGES, LbaSpec
+from ionet.lba import ALPHABET, STAGES, STEP_BUDGET, LbaSpec
 from tests.conftest import FIXTURES, load_lba
 
 # SHA-256 of the serialized compiled nets of test_compiled_nets_are_pinned,
@@ -50,8 +50,9 @@ def test_simulate_against_hand_oracle(name, cases):
 
 def test_simulate_budget_loop():
     spec = load_lba("loop_2")
-    out = simulate_lba(spec, "aa", step_budget=500)
+    out = simulate_lba(spec, "aa")
     assert isinstance(out, BudgetExceeded)
+    assert out.explored == STEP_BUDGET
 
 
 def test_simulate_validation():
@@ -69,6 +70,47 @@ def test_simulate_validation():
                    reject="rej", rules=(("q1", "a", "q0", "a", 1),))
     with pytest.raises(Exception):
         back.validate()
+
+
+def _spec(states=("q0", "q1", "acc", "rej"), initial="q0", accept="acc", reject="rej",
+          rules=()):
+    return LbaSpec(states=states, initial=initial, accept=accept, reject=reject,
+                   rules=tuple(rules))
+
+
+_HEADER = "states q0 q1 acc rej\ninit q0\naccept acc\nreject rej\n"
+
+
+@pytest.mark.parametrize("reject,error,fragment", [
+    (lambda: _spec(states=("q0", "q0", "acc", "rej")).validate(),
+     ParseError, "duplicate state"),
+    (lambda: _spec(initial="zz").validate(), ParseError, "undeclared state 'zz'"),
+    (lambda: _spec(reject="acc").validate(), ParseError, "must differ"),
+    (lambda: _spec(rules=[("acc", "a", "q1", "a", 1)]).validate(),
+     ParseError, "halting state"),
+    (lambda: _spec(rules=[("q0", "a", "zz", "a", 1)]).validate(),
+     ParseError, "rule uses undeclared state"),
+    (lambda: _spec(rules=[("q0", "c", "q1", "a", 1)]).validate(),
+     ParseError, "symbol outside"),
+    (lambda: _spec(rules=[("q0", "a", "q1", "a", 0)]).validate(),
+     ParseError, "L or R"),
+    (lambda: _spec(rules=[("q0", "a", "q1", "a", 1), ("q1", "b", "q0", "b", -1)]).validate(),
+     ParseError, "re-enter the initial state"),
+    (lambda: _spec(rules=[("q0", "a", "q1", "a", 1), ("q0", "a", "acc", "a", 1)]).validate(),
+     NonDeterministic, "two rules"),
+    (lambda: parse_lba(_HEADER + "rule q0 a q1 a X\n"), ParseError, "expected: rule"),
+    (lambda: parse_lba(_HEADER + "rule q0 a q1 a\n"), ParseError, "expected: rule"),
+    (lambda: parse_lba(_HEADER + "stats q0\n"), ParseError, "unknown directive"),
+    (lambda: simulate_lba(_spec(rules=[("q0", "a", "acc", "a", 1)]), "aa"),
+     ConventionViolated, "halted away from cell 1"),
+    (lambda: simulate_lba(_spec(rules=[("q0", "a", "q1", "a", 1)]), "aa"),
+     ConventionViolated, "no rule for"),
+    (lambda: simulate_lba(_spec(rules=[("q0", "a", "q1", "a", -1)]), "a"),
+     ConventionViolated, "moved off the tape"),
+])
+def test_lba_rejections(reject, error, fragment):
+    with pytest.raises(error, match=fragment):
+        reject()
 
 
 @pytest.mark.parametrize("line", ["accept", "reject", "init", "accept acc rej"])

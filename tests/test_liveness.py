@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import random
 from collections import deque
@@ -5,15 +6,16 @@ from collections import deque
 import pytest
 
 from ionet import (
-    DUMMY_PLACE, BudgetExceeded, Net, SubsetCapExceeded, Witness, build_stage, carrier,
-    check_witness, cover_basis, dead_at, enabled, find_dl_marking, find_witness, fire,
-    is_live_exact, mleq, pre_mset, reach_graph, relaxed_net, replay, rich_poor, sccs,
-    unmarked_siphon,
+    DUMMY_PLACE, BudgetExceeded, Net, NetError, SubsetCapExceeded, UnknownNode, Witness,
+    build_stage, carrier, check_witness, cover_basis, dead_at, enabled, find_dl_marking,
+    find_witness, fire, is_live_exact, mleq, pre_mset, reach_graph, relaxed_net, replay,
+    rich_poor, sccs, unmarked_siphon,
 )
 from ionet import liveness
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.nets import successors
+from ionet.nets import place_masks, successors
+from ionet.structure import _shrink_siphon_mask
 from tests.conftest import dense_arcs, load_lba, load_net, random_flow_net, with_spawns
 
 
@@ -364,9 +366,11 @@ def _kernel_cases():
 def test_kernels_match_reference(monkeypatch):
     graphs = live = nonlive = 0
     for net, m in _kernel_cases():
-        for minimize in (False, True):
-            assert (unmarked_siphon(net, m, minimize=minimize)
-                    == _ref_unmarked_siphon(net, m, minimize=minimize)), (net, m)
+        assert unmarked_siphon(net, m) == _ref_unmarked_siphon(net, m), (net, m)
+        unmarked = sum(1 << i for i, x in enumerate(m) if x == 0)
+        small = _shrink_siphon_mask(place_masks(net), unmarked, (1 << len(net.places)) - 1)
+        assert (tuple(p for i, p in enumerate(net.places) if small >> i & 1) or None
+                ) == _ref_unmarked_siphon(net, m, minimize=True), (net, m)
         g = reach_graph(net, m, node_budget=20_000)
         if isinstance(g, BudgetExceeded):
             continue
@@ -508,3 +512,22 @@ def test_successors_match_dense_definition():
             assert isinstance(g, BudgetExceeded) and g.explored == len(nodes), (net, m)
         spawning += not all(net._pre)
     assert closed >= 150 and spawning >= 60
+
+
+def _pump_witness(**change):
+    net, _ = load_net("bimo_pump")
+    witness = find_witness(net, (1, 0, 0, 0, 0))
+    assert witness is not None and check_witness(net, witness).sound
+    return net, dataclasses.replace(witness, **change)
+
+
+@pytest.mark.parametrize("change,variant,error,fragment", [
+    ({}, "dense", NetError, "unknown witness variant"),
+    ({"p_cruc": ("nowhere",)}, "ordinary", UnknownNode, "unknown place"),
+    ({"t_dead": ("never",)}, "ordinary", UnknownNode, "unknown transition"),
+    ({"t_dead": ()}, "ordinary", NetError, "nonempty dead set"),
+])
+def test_check_witness_rejections(change, variant, error, fragment):
+    net, witness = _pump_witness(**change)
+    with pytest.raises(error, match=fragment):
+        check_witness(net, witness, variant=variant)

@@ -1,9 +1,12 @@
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ionet
 from ionet import (
     Net, NetError, NotEnabled, ParseError, UnknownNode, build_stage,
     carrier, enabled, fire, madd, mleq, mmin, msize, msub,
@@ -284,11 +287,38 @@ def test_empty_net_round_trips():
     ("place p1\ntrans p1 pre p1\n", "duplicate"),
     ("plaze p1\n", "unknown directive"),
     ("place p1 tokens=-1\n", "token count"),
+    ("place p1\ntrans t pre :2\n", "bad weighted entry"),
+    ("place p1\ntrans t pre p1:x\n", "bad weight"),
+    (f"place p1\ntrans t pre p1:{MAX_WEIGHT + 1}\n", "weight too large"),
+    (f"place p1\ntrans t pre p1:{MAX_WEIGHT} p1\n", "accumulated weight too large"),
+    ("net\n", "expected: net <name>"),
+    ("net a b\n", "expected: net <name>"),
+    ("place\n", "expected: place <id>"),
+    ("trans\n", "expected: trans <id>"),
+    ("place p1 tokens=x\n", "bad token count"),
+    ("place p1 x\n", "unexpected token"),
+    ("place p1\ntrans t p1\n", "expected 'pre' or 'post'"),
 ])
 def test_parse_errors(text, fragment):
-    with pytest.raises((ParseError, NetError)) as err:
+    with pytest.raises(ParseError) as err:
         parse_net(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("build,error,fragment", [
+    (lambda: Net("n", ["p", "p"], ["t"], {}), NetError, "duplicate place"),
+    (lambda: Net("n", ["p"], ["t", "t"], {}), NetError, "duplicate transition"),
+    (lambda: Net("n", ["x"], ["x"], {}), NetError, "disjoint"),
+    (lambda: Net("n", ["p"], ["t"], {("p", "t"): 1.0}), NetError, "integer"),
+    (lambda: Net("n", ["p"], ["t"], {("p", "t"): True}), NetError, "integer"),
+    (lambda: Net("n", ["p"], ["t"], {("t", "p"): MAX_WEIGHT + 1}), NetError, "out of range"),
+    (lambda: Net("n", ["p"], ["t"], {("p", "u"): 1}), UnknownNode, "declared nodes"),
+    (lambda: Net("n", ["p"], ["t"], {}).check_marking((-1,)), NetError, "negative"),
+])
+def test_net_rejections(build, error, fragment):
+    """What `parse_net` never passes on: `Net(...)` called directly."""
+    with pytest.raises(error, match=fragment):
+        build()
 
 
 def test_comments_and_weights():
@@ -376,3 +406,18 @@ def test_round_trip_every_accepted_net(case):
         for arcs in (pre, post):
             assert [i for i, _ in arcs] == sorted({i for i, _ in arcs})
             assert all(1 <= w <= MAX_WEIGHT for _, w in arcs)
+
+
+def test_no_import_inside_a_function():
+    """Every module imports at its top, so the import graph is what the
+    module headers say and has no cycle hidden in a function body."""
+    src = pathlib.Path(ionet.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.name, node.lineno) for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert len(list(src.glob("*.py"))) >= 10
+    assert found == []

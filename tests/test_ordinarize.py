@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ionet import (
-    NotBimo, Net, classify, check_liveness_transfer, embed_marking, enabled,
+    NetError, NotBimo, Net, classify, check_liveness_transfer, embed_marking, enabled,
     fire, is_nonlive, ordinarize, parse_net, project_marking, replay,
     serialize_net,
 )
@@ -174,3 +174,22 @@ def _small_family_cases(draw):
 def test_liveness_transfer_property(case):
     net, m = case
     assert check_liveness_transfer(net, m).agree
+
+
+def _weighted():
+    """A weight-2 place `p`, so its ring has two places and two rotations."""
+    return Net("w", ["p", "q"], ["t"], {("p", "t"): 2, ("t", "q"): 1, ("t", "p"): 1})
+
+
+@pytest.mark.parametrize("reject,fragment", [
+    (lambda: embed_marking(ordinarize(_weighted())[1], (1,)), "source net"),
+    (lambda: project_marking(ordinarize(_weighted())[1], (1, 0)), "ring net"),
+    (lambda: ordinarize(Net("c", ["p"], ["p.1"], {("p", "p.1"): 1, ("p.1", "p"): 1})),
+     "generated place name 'p.1' collides"),
+    (lambda: ordinarize(Net("c", ["p", "q"], ["t", "p.rot2"],
+                            {("p", "t"): 2, ("t", "q"): 1, ("t", "p"): 1})),
+     "generated transition name 'p.rot2' collides"),
+])
+def test_ordinarize_rejections(reject, fragment):
+    with pytest.raises(NetError, match=fragment):
+        reject()

@@ -19,7 +19,7 @@ from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet import liveness, nets, slp
 from ionet.liveness import _sub, witness_index
 from ionet.slp import (
-    SlpVerdict, _AbstractEngine, _abstract_engine, _box_iter, _capped_closure,
+    SlpVerdict, _box_iter, _capped_closure,
     _search_box, _siphon_witness,
 )
 from tests.conftest import (
@@ -314,10 +314,19 @@ def test_decide_slp_node_budget():
     assert (v.candidates_tested, v.configs_explored, v.siphon_settled) == (2, 4, 1)
 
 
+def test_node_budget_bounds_each_search():
+    """Every candidate's `is_nonlive` gets the whole `node_budget`, and each
+    of its searches does too, so the configurations a call explores in all
+    can exceed it many times over."""
+    v = decide_slp(load_net("bio_dense")[0], candidate_budget=3000, node_budget=10_000)
+    assert (v.status, v.candidates_tested, v.configs_explored) == (
+        "structurally_live", 1_067, 71_394)
+
+
 def test_warm_net_answers_within_the_budget():
-    """`node_budget` bounds one call's work; answers memoised on the net by
-    earlier calls are free, so a budget that runs out on a fresh net is
-    enough once the net has been decided."""
+    """`node_budget` bounds each search of a call; answers memoised on the
+    net by earlier calls are free, so a budget that runs out on a fresh net
+    is enough once the net has been decided."""
     net, _ = load_net("bimo_pump")
 
     def counts(v):
@@ -361,6 +370,30 @@ def test_ring17_decided_on_the_reachability_graph():
     assert (v.status, v.method, v.configs_explored) == ("live", "reach-graph", 153)
 
 
+def test_reach_graph_witness_check_shares_the_budget(monkeypatch):
+    """The reach-graph decision checks its constructed witness within the
+    caller's `node_budget`, and a run-out there is a `budget_exceeded`
+    verdict, not an exception."""
+    one = (1,) + (0,) * 16
+    budgets = []
+    check = slp.check_witness
+
+    def recording(net, witness, variant="ordinary", node_budget=200_000):
+        budgets.append(node_budget)
+        return check(net, witness, variant=variant, node_budget=node_budget)
+
+    monkeypatch.setattr(slp, "check_witness", recording)
+    assert is_nonlive(ring17(), one, node_budget=1_234).status == "nonlive"
+    assert budgets == [1_234]
+
+    def exhausted(*args, **kwargs):
+        raise liveness.BudgetExceeded(7)
+
+    monkeypatch.setattr(slp, "check_witness", exhausted)
+    v = is_nonlive(ring17(), one)
+    assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "reach-graph", 7)
+
+
 _OBSERVER = {"x": {("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1}}
 
 
@@ -380,14 +413,14 @@ def test_net_size_picks_the_path(n, marked, want):
 
 def test_non_conservative_net_above_the_cap_is_refused():
     """Refused when the witness index is asked for, before a move table or
-    an engine is cached on the net."""
+    a witness index is cached on the net."""
     net = random_net("bimo", n_places=17, n_trans=5, wmax=2, seed=1)
     assert not classify(net).conservative
     for decide in (lambda: is_nonlive(net, (3,) * 17), lambda: decide_slp(net),
                    lambda: liveness.find_witness(net, (3,) * 17)):
         with pytest.raises(liveness.SubsetCapExceeded, match="subset cap"):
             decide()
-    assert not {"move_table", "abstract_engine", "witness_index"} & net._analysis.keys()
+    assert not {"move_table", "witness_index"} & net._analysis.keys()
 
 
 def test_nonlive_paths_replay_in_their_space(monkeypatch):
@@ -613,7 +646,7 @@ FIXTURE_NONLIVE = (
 
 
 def _probe_targets(net, marking):
-    targets, _ = _abstract_engine(net).probe(truncate(net, marking), 500_000)
+    targets, _ = witness_index(net).probe(truncate(net, marking), 500_000)
     return targets
 
 
@@ -676,18 +709,18 @@ def test_is_nonlive_live_after_positive_probe(monkeypatch):
     net, m0 = load_net("io_fragile")
     assert is_live_exact(net, m0) is True
     targets = _probe_targets(net, (1, 1, 1, 0, 0, 1))
-    monkeypatch.setattr(_AbstractEngine, "probe",
+    monkeypatch.setattr(liveness.WitnessIndex, "probe",
                         lambda self, marking, node_budget: (targets, 0))
     v = is_nonlive(net, m0)
     assert (v.status, v.method) == ("live", "capped-search")
     assert v.witness is None and v.configs_explored > 0
 
 
-def _abstract_successors_transcribed(net, engine, state):
+def _abstract_successors_transcribed(net, idx, state):
     """The abstract step on `net` by its definition, over every transition
     in declaration order: fire when enabled, keep TOP places TOP, cap exact
     counts at TOP, and branch a drained TOP place to exactly m-1."""
-    m = engine.m
+    m = idx.m
     out = []
     for pre, post in dense_arcs(net):
         if any(x < w for x, w in zip(state, pre)):
@@ -722,14 +755,14 @@ def test_abstract_successors_against_transcription():
         net = random_net_in_row(rows[k % 8], n_places=2 + k % 4, n_trans=1 + k % 5,
                                 seed=61_000 + k)
         for net in (net, with_spawns(net, seed=k)):
-            engine = _AbstractEngine(net)
-            top = engine.m
+            idx = liveness.WitnessIndex(net)
+            top = idx.m
             for _ in range(6):
                 state = tuple(rng.choice((top, rng.randrange(top)))
                               for _ in net.places)
                 mixed += 0 < state.count(top) < len(state)
-                assert [nxt for nxt, _ in engine.successors(state)] == \
-                    _abstract_successors_transcribed(net, engine, state), (net, state)
+                assert [nxt for nxt, _ in idx.abstract_successors(state)] == \
+                    _abstract_successors_transcribed(net, idx, state), (net, state)
                 checked += 1
     assert checked == 576 and mixed >= 100
 
@@ -737,11 +770,11 @@ def test_abstract_successors_against_transcription():
 def test_abstract_successors_drain_top():
     """Taking a token from a TOP place leaves it TOP or exactly m-1."""
     net = Net("move", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
-    engine = _AbstractEngine(net)
-    top = engine.m
+    idx = liveness.WitnessIndex(net)
+    top = idx.m
 
     def states(state):
-        return [nxt for nxt, _ in engine.successors(state)]
+        return [nxt for nxt, _ in idx.abstract_successors(state)]
 
     assert sorted(states((top, 0))) == [(top - 1, 1), (top, 1)]
     assert sorted(states((top, top))) == [(top - 1, top), (top, top)]
@@ -819,25 +852,25 @@ def test_abstract_successors_flag_domination():
     that successor's TOP mask: the probe skips those lookups."""
     pairs = flagged = mixed = 0
     for name, net in _probed_nets():
-        engine = net._analysis.get("abstract_engine")
-        if engine is None:
+        idx = net._analysis.get("witness_index")
+        if idx is None:
             continue
-        top = engine.m
+        top = idx.m
         fresh = liveness.WitnessIndex(net)
 
         def many(state):
             return sum(1 << i for i, x in enumerate(state) if x >= top)
 
-        for s in engine.reach:
+        for s in idx.reach:
             mixed += 0 < s.count(top) < len(s)
             clean = None
-            for nxt, dominates in engine.successors(s):
+            for nxt, dominates in idx.abstract_successors(s):
                 pairs += 1
                 assert dominates == all(a <= b for a, b in zip(s, nxt)), (name, s, nxt)
                 if not dominates:
                     continue
                 if clean is None:
-                    clean = engine.idx.witness_at(s, many(s)) is None
+                    clean = idx.witness_at(s, many(s)) is None
                 if clean:
                     fresh.memo.clear()
                     fresh.at_memo.clear()
@@ -873,11 +906,11 @@ def test_witness_at_mask_matches_exactness_loop():
     seven places, since on bio_dense's twelve it explores for many seconds."""
     told_apart = 0
     for name, net in _probed_nets():
-        engine = net._analysis.get("abstract_engine")
-        if engine is None:
+        idx = net._analysis.get("witness_index")
+        if idx is None:
             continue
-        idx, top = engine.idx, engine.m
-        for s in engine.reach:
+        top = idx.m
+        for s in idx.reach:
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             want = _first_exact_witness(idx, s, top)
             assert idx.witness_at(s, mask) == want, (name, s)
@@ -952,7 +985,7 @@ def test_decided_nets_are_freed_by_reference_counting():
     try:
         net, stored = parse_net(text)
         verdicts = [is_nonlive(net, stored), decide_slp(net)]
-        assert {"witness_index", "abstract_engine"} <= set(net._analysis)
+        assert {"witness_index"} <= set(net._analysis)
         del net, verdicts
         for row in ("ord-io", "ord-imo", "io", "imo", "ord-bimo"):
             for k in range(6):
@@ -1154,12 +1187,12 @@ def test_witness_at_start_rejection_with_inexact_places():
     returns, that touch no inexact place and pass the start test."""
     masked = 0
     for name, net in _probed_nets():
-        engine = net._analysis.get("abstract_engine")
-        if engine is None:
+        idx = net._analysis.get("witness_index")
+        if idx is None:
             continue
-        idx, top = engine.idx, engine.m
+        top = idx.m
         place_bits = [sum(1 << i for i in data.indices) for data in idx.entries]
-        for s in engine.reach:
+        for s in idx.reach:
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             masked += mask != 0
             idx.memo.clear()

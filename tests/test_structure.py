@@ -4,9 +4,9 @@ import random
 import pytest
 
 from ionet import (
-    DUMMY_PLACE, Net, NetError, classify, dummy_augment, is_carrier_maximal,
-    is_self_coverable, is_siphon, presentation, reach_graph, relaxed_net, replay,
-    rich_poor, sccs, unmarked_siphon, carrier, mleq, post_mset, pre_mset,
+    DUMMY_PLACE, Net, NetError, NotBimo, UnknownNode, bounds_for, classify, dummy_augment,
+    is_carrier_maximal, is_self_coverable, is_siphon, presentation, reach_graph, relaxed_net,
+    replay, rich_poor, sccs, unmarked_siphon, carrier, mleq, post_mset, pre_mset,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks
@@ -218,8 +218,10 @@ def test_unmarked_siphon(siphon_net):
     assert found is not None and is_siphon(net, found)
     assert set(found) <= {"p2", "p3", "p4", "p5"}
     assert unmarked_siphon(net, (1, 1, 1, 1, 1, 1)) is None
-    small = unmarked_siphon(net, (4, 0, 0, 0, 0, 1), minimize=True)
-    assert small is not None and is_siphon(net, small)
+    # unmarked places p2..p5, any place kept
+    mask = _shrink_siphon_mask(place_masks(net), 0b011110, 0b111111)
+    small = tuple(p for i, p in enumerate(net.places) if mask >> i & 1)
+    assert small and is_siphon(net, small)
     assert set(small) <= set(found)
 
 
@@ -401,3 +403,19 @@ def test_isolated_components_conserve_tokens():
             for g in groups:
                 assert sum(nm[i] for i in g) == sum(m[i] for i in g)
             m = nm
+
+
+def _not_bimo():
+    """`t` takes two tokens and puts none back."""
+    return Net("two", ["p", "q"], ["t"], {("p", "t"): 1, ("q", "t"): 1})
+
+
+@pytest.mark.parametrize("reject,error,fragment", [
+    (lambda: is_siphon(_not_bimo(), {"p", "nowhere"}), UnknownNode, "unknown place"),
+    (lambda: relaxed_arcs(_not_bimo()), NotBimo, "branching-observation family"),
+    (lambda: bounds_for(classify(_not_bimo()), 2, 1), NotBimo,
+     "branching-observation family"),
+])
+def test_structure_rejections(reject, error, fragment):
+    with pytest.raises(error, match=fragment):
+        reject()
