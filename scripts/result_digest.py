@@ -21,7 +21,11 @@ It hashes, in a fixed order:
     transition that is dead at some markings, which are above the witness
     search's subset cap and so decided on the reachability graph: non-live
     markings (witness and path included), live ones, and node budgets at
-    which the reachability graph runs out.
+    which the reachability graph runs out;
+  - `reach_graph`, `cover_basis`, `dead_at`, `is_live_exact`,
+    `is_self_coverable` and `is_carrier_maximal` at node budgets from 1 to
+    2 000 on seeded nets of all eight rows, a budget run-out, raised or
+    returned, read as ("budget", states explored).
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -40,8 +44,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from ionet import (  # noqa: E402
-    DUMMY_PLACE, Net, NetError, classify, decide_slp, find_witness, is_nonlive,
-    parse_net, presentation, relaxed_net, sccs,
+    DUMMY_PLACE, BudgetExceeded, Net, NetError, classify, cover_basis, dead_at, decide_slp,
+    find_witness, is_carrier_maximal, is_live_exact, is_nonlive, is_self_coverable,
+    parse_net, pre_mset, presentation, reach_graph, relaxed_net, sccs,
 )
 from ionet.generate import random_marking, random_net, random_net_in_row  # noqa: E402
 from ionet.ordinarize import check_liveness_transfer  # noqa: E402
@@ -172,6 +177,35 @@ def _reach_graph_checks():
                     yield ("reach_graph", net.name, tuple(m), budget), v.to_dict()
 
 
+def _bounded(fn, *args):
+    """The answer of a bounded search, or ("budget", explored) however it
+    reports a run-out: raised, returned, or as a "budget" status."""
+    try:
+        out = fn(*args)
+    except BudgetExceeded as exc:
+        return "budget", exc.explored
+    if isinstance(out, BudgetExceeded) or getattr(out, "status", None) == "budget":
+        return "budget", out.explored
+    if hasattr(out, "nodes"):
+        return out.nodes, out.succ, out.parent
+    return out
+
+
+def _budget_checks():
+    """The bounded searches at budgets small enough to run out."""
+    rng = random.Random(95)
+    for k in range(240):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=95_000 + k)
+        m = random_marking(net, 2 * len(net.places), rng)
+        t = net.transitions[k % len(net.transitions)]
+        for budget in (1, 2, 5, 20, 100, 2_000):
+            for fn, args in ((reach_graph, (net, m)), (cover_basis, (net, pre_mset(net, t))),
+                             (dead_at, (net, m, t)), (is_live_exact, (net, m)),
+                             (is_self_coverable, (net, m)), (is_carrier_maximal, (net, m))):
+                yield (fn.__name__, f"row{k}", m, budget), _bounded(fn, *args, budget)
+
+
 def _relaxed(net):
     rlx = relaxed_net(net)
     return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
@@ -197,6 +231,7 @@ def checks():
         yield ("sccs", name), _components(net)
     yield from _liveness_checks()
     yield from _reach_graph_checks()
+    yield from _budget_checks()
 
 
 def main():

@@ -125,8 +125,8 @@ STEP_BUDGET = 100_000  # steps `simulate_lba` runs before it gives up
 
 
 def simulate_lba(spec, word):
-    """Run the machine; 'accept'/'reject', or BudgetExceeded after
-    `STEP_BUDGET` steps.
+    """Run the machine: 'accept' or 'reject'; raises BudgetExceeded if it
+    has not halted after `STEP_BUDGET` steps.
 
     The run must stay on the tape and halt with the head on cell 1, else the
     input violates the compilation convention and is rejected as invalid.
@@ -150,7 +150,7 @@ def simulate_lba(spec, word):
         q = q2
         if head < 1 or head > len(tape):
             raise ConventionViolated("machine moved off the tape")
-    return BudgetExceeded(explored=STEP_BUDGET)
+    raise BudgetExceeded(STEP_BUDGET)
 
 
 STAGES = ("N", "Nprime", "Ndprime", "Nbar")
@@ -258,9 +258,10 @@ def reduction_correctness_check(spec, word, node_budget=500_000,
                                 candidate_budget=200_000, check_slp=True):
     """Compare machine acceptance, liveness of the compiled marked net, and
     (optionally budgeted) structural liveness of the compiled net."""
-    sim = simulate_lba(spec, word)
-    if isinstance(sim, BudgetExceeded):
-        raise ConventionViolated("machine did not halt within the step budget")
+    try:
+        sim = simulate_lba(spec, word)
+    except BudgetExceeded as exc:
+        raise ConventionViolated("machine did not halt within the step budget") from exc
     net, m0 = build_stage(spec, word, "Nbar")
     live = is_live_exact(net, m0, node_budget=node_budget)
     if isinstance(live, BudgetExceeded):

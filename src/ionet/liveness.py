@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .classify import is_imo_msets
-from .nets import (NetError, UnknownNode, _move_table, _walk, mleq, msize, carrier,
-                   place_masks, post_mset, pre_mset, successors)
+from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _walk, mleq,
+                   msize, carrier, place_masks, post_mset, pre_mset, successors)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
@@ -24,19 +24,6 @@ SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
 
 class SubsetCapExceeded(NetError):
     pass
-
-
-class BudgetExceeded(NetError):
-    """A bounded search ran out of budget after `explored` states.
-
-    Searches raise it; the public functions that answer with a value
-    (`reach_graph`, `cover_basis`, `dead_at`, `is_live_exact`,
-    `find_dl_marking`, `simulate_lba`) return it instead.
-    """
-
-    def __init__(self, explored=0):
-        self.explored = explored
-        super().__init__(f"exploration budget exceeded after {explored} states")
 
 
 class ReachGraph:
@@ -60,7 +47,7 @@ class ReachGraph:
 
 
 def reach_graph(net, m0, node_budget=200_000):
-    """Breadth-first closure under firing; budget exhaustion is a result."""
+    """Breadth-first closure under firing; raises BudgetExceeded past `node_budget` nodes."""
     net.check_marking(m0)
     g = ReachGraph(net, m0)
     queue = deque([0])
@@ -71,7 +58,7 @@ def reach_graph(net, m0, node_budget=200_000):
             j = g.index.get(nm)
             if j is None:
                 if len(g.nodes) >= node_budget:
-                    return BudgetExceeded(explored=len(g.nodes))
+                    raise BudgetExceeded(len(g.nodes))
                 j = len(g.nodes)
                 g.index[nm] = j
                 g.nodes.append(nm)
@@ -97,7 +84,7 @@ def cover_basis(net, target, node_budget=200_000):
         for pre, post in vectors:
             expansions += 1
             if expansions > node_budget:
-                return BudgetExceeded(explored=expansions)
+                raise BudgetExceeded(expansions)
             cand = tuple(p + (x - q if x > q else 0)
                          for p, q, x in zip(pre, post, b))
             if any(mleq(e, cand) for e in basis):
@@ -112,8 +99,6 @@ def dead_at(net, marking, t, node_budget=200_000):
     """True iff no marking reachable from `marking` enables `t`."""
     net.check_marking(marking)
     basis = cover_basis(net, pre_mset(net, t), node_budget)
-    if isinstance(basis, BudgetExceeded):
-        return basis
     m = tuple(marking)
     return not any(mleq(b, m) for b in basis)
 
@@ -153,10 +138,11 @@ def _fates(graph):
 def is_live_exact(net, m0, node_budget=200_000):
     """Exact liveness by exploration: from every reachable marking, every
     transition must remain coverable.  Intended for conservative nets or any
-    net whose reachability set fits the budget."""
-    g = reach_graph(net, m0, node_budget)
-    if isinstance(g, BudgetExceeded):
-        return g
+    net whose reachability set fits the budget, else returns BudgetExceeded."""
+    try:
+        g = reach_graph(net, m0, node_budget)
+    except BudgetExceeded as exc:
+        return exc
     dead, _ = _fates(g)
     return not any(dead)
 

@@ -31,6 +31,18 @@ class NetError(Exception):
     """Base class for structural and semantic errors."""
 
 
+class BudgetExceeded(NetError):
+    """A bounded search ran out of budget after `explored` states.
+
+    Every bounded search raises it, except `is_live_exact`, which returns it
+    as the third value of its answer (True, False or BudgetExceeded).
+    """
+
+    def __init__(self, explored=0):
+        self.explored = explored
+        super().__init__(f"exploration budget exceeded after {explored} states")
+
+
 class ParseError(NetError):
     def __init__(self, message, line=None):
         self.line = line

@@ -324,15 +324,16 @@ def _conservative_large(net, m0, node_budget):
     subset enumeration (conservative, so the graph is finite); raises
     BudgetExceeded."""
     g = reach_graph(net, m0, node_budget)
-    if isinstance(g, BudgetExceeded):
-        raise g
     # None exactly when no reachable marking has a dead transition
     wit = constructed_witness(net, g)
     if wit is None:
         return LivenessVerdict("live", configs_explored=len(g.nodes),
                                method="reach-graph")
     variant = "ordinary" if classify(net).ordinary else "weighted"
-    report = check_witness(net, wit, variant=variant, node_budget=node_budget)
+    try:
+        report = check_witness(net, wit, variant=variant, node_budget=node_budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(len(g.nodes) + exc.explored) from exc
     if not report.sound:
         raise NetError("internal error: constructed witness failed validation")
     return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.nodes),
@@ -386,23 +387,28 @@ def is_nonlive(net, m0, node_budget=500_000):
                            method=method)
 
 
+def _decided_live(net, m, node_budget):
+    """`is_nonlive(...).is_live`, raising BudgetExceeded on a
+    `budget_exceeded` verdict instead of reading it as non-live."""
+    v = is_nonlive(net, m, node_budget=node_budget)
+    if v.status == "budget_exceeded":
+        raise BudgetExceeded(v.configs_explored)
+    return v.is_live
+
+
 def find_dl_marking(net, m0, node_budget=200_000):
     """Some reachable marking where each transition is dead or live and at
-    least one is dead; None iff m0 is live.
+    least one is dead; None iff m0 is live.  Raises BudgetExceeded when a
+    search runs out, `node_budget` bounding each on its own.
 
     Deadness per marking is exact (backward coverability); a candidate
     qualifies when the net without its dead transitions is live there, which
     is equivalent because dead transitions never fire anyway.
     """
     net.check_marking(m0)
-    if is_nonlive(net, m0, node_budget=node_budget).is_live:
+    if _decided_live(net, m0, node_budget):
         return None
-    bases = []
-    for t in net.transitions:
-        basis = cover_basis(net, pre_mset(net, t), node_budget)
-        if isinstance(basis, BudgetExceeded):
-            return basis
-        bases.append(basis)
+    bases = [cover_basis(net, pre_mset(net, t), node_budget) for t in net.transitions]
     restricted = {}
     seen = {tuple(m0)}
     queue = deque(seen)
@@ -411,7 +417,7 @@ def find_dl_marking(net, m0, node_budget=200_000):
         m = queue.popleft()
         explored += 1
         if explored > node_budget:
-            return BudgetExceeded(explored)
+            raise BudgetExceeded(explored)
         dead = tuple(t for t, basis in zip(net.transitions, bases)
                      if not any(mleq(b, m) for b in basis))
         if dead:
@@ -421,14 +427,13 @@ def find_dl_marking(net, m0, node_budget=200_000):
                         if k[0] in keep or k[1] in keep}
                 restricted[dead] = Net(net.name + ".dl", net.places, keep, flow)
             sub = restricted[dead]
-            if not sub.transitions or is_nonlive(
-                    sub, m, node_budget=node_budget).is_live:
+            if not sub.transitions or _decided_live(sub, m, node_budget):
                 return m, dead, tuple(t for t in net.transitions if t not in dead)
         for _, nm in successors(net, m):
             if nm not in seen:
                 seen.add(nm)
                 queue.append(nm)
-    return BudgetExceeded(explored)
+    raise BudgetExceeded(explored)
 
 
 # ---------------------------------------------------------------------------

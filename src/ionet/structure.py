@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .classify import NotBimo, _split, classify, dummy_augment
-from .nets import Net, UnknownNode, carrier, mleq, place_masks, successors
+from .nets import BudgetExceeded, Net, UnknownNode, carrier, mleq, place_masks, successors
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class Component:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of a bounded exploration: 'yes', 'no' or 'budget'."""
+    """Outcome of a bounded exploration: 'yes' or 'no'; a run-out raises BudgetExceeded."""
     status: str
     sequence: tuple = None   # for self-coverability
     marking: tuple = None    # counterexample marking for carrier maximality
@@ -275,7 +275,7 @@ def is_self_coverable(net, marking, node_budget=200_000):
                 cur = prev
             return SearchResult(status="yes", sequence=tuple(reversed(seq)), explored=explored)
         if explored > node_budget:
-            return SearchResult(status="budget", explored=explored)
+            raise BudgetExceeded(explored)
         for ti, nm in successors(net, m):
             nxt = (nm, mask | (1 << ti))
             if nxt not in seen:
@@ -298,7 +298,7 @@ def is_carrier_maximal(net, marking, node_budget=200_000):
         if len(carrier(m)) > base:
             return SearchResult(status="no", marking=m, explored=explored)
         if explored > node_budget:
-            return SearchResult(status="budget", explored=explored)
+            raise BudgetExceeded(explored)
         for _, nxt in successors(net, m):
             if nxt not in seen:
                 seen.add(nxt)

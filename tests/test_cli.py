@@ -350,6 +350,7 @@ def test_commands_write_stdout_without_out(tmp_path, capsys, argv):
     (("live", "{unmarked}"), 2, ""),
     (("check-reduction", str(FIXTURES / "lba" / "even_a_2.lba"), "ab",
       "--candidates", "1"), 3, None),
+    (("check-reduction", str(FIXTURES / "lba" / "loop_2.lba"), "aa", "--skip-slp"), 2, ""),
 ])
 def test_command_outcomes(tmp_path, capsys, argv, code, stdout):
     unmarked = tmp_path / "unmarked.net"

@@ -6,7 +6,7 @@ import pytest
 from ionet import (
     BudgetExceeded, ConventionViolated, NonDeterministic, build_stage,
     classify, dead_at, enabled, fire, is_live_exact, parse_lba, reach_graph,
-    ParseError, replay, serialize_net, simulate_lba,
+    ParseError, reduction_correctness_check, replay, serialize_net, simulate_lba,
 )
 from ionet.lba import ALPHABET, STAGES, STEP_BUDGET, LbaSpec
 from tests.conftest import FIXTURES, load_lba
@@ -50,9 +50,11 @@ def test_simulate_against_hand_oracle(name, cases):
 
 def test_simulate_budget_loop():
     spec = load_lba("loop_2")
-    out = simulate_lba(spec, "aa")
-    assert isinstance(out, BudgetExceeded)
-    assert out.explored == STEP_BUDGET
+    with pytest.raises(BudgetExceeded) as info:
+        simulate_lba(spec, "aa")
+    assert info.value.explored == STEP_BUDGET
+    with pytest.raises(ConventionViolated, match="did not halt"):
+        reduction_correctness_check(spec, "aa", check_slp=False)
 
 
 def test_simulate_validation():
@@ -255,7 +257,6 @@ def test_stage_validation_errors():
 
 
 def test_reduction_correctness_check_full():
-    from ionet import reduction_correctness_check
     spec = load_lba("accept_all_2")
     report = reduction_correctness_check(spec, "ab", candidate_budget=2_000_000,
                                          node_budget=1_000_000)

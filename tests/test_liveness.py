@@ -8,10 +8,11 @@ import pytest
 from ionet import (
     DUMMY_PLACE, BudgetExceeded, Net, NetError, SubsetCapExceeded, UnknownNode, Witness,
     build_stage, carrier, check_witness, cover_basis, dead_at, enabled, find_dl_marking,
-    find_witness, fire, is_live_exact, mleq, pre_mset, reach_graph, relaxed_net, replay,
-    rich_poor, sccs, unmarked_siphon,
+    find_witness, fire, is_carrier_maximal, is_live_exact, is_self_coverable, mleq, pre_mset,
+    reach_graph, relaxed_net, replay, rich_poor, sccs, simulate_lba, unmarked_siphon,
 )
 from ionet import liveness
+from ionet.lba import STEP_BUDGET
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks, successors
@@ -53,8 +54,8 @@ def test_reach_graph_budget_and_trivial(fragile_net):
     net, m0 = fragile_net
     g = reach_graph(net, m0)
     assert g.root == m0 and len(g.nodes) >= 1
-    tiny = reach_graph(net, m0, node_budget=2)
-    assert isinstance(tiny, BudgetExceeded)
+    with pytest.raises(BudgetExceeded):
+        reach_graph(net, m0, node_budget=2)
     stuck = Net("stuck", ["p"], ["t"], {("p", "t"): 2})
     g = reach_graph(stuck, (1,))
     assert len(g.nodes) == 1
@@ -134,12 +135,70 @@ def test_find_dl_marking_budget_is_per_call():
     leaves nothing behind: the next call, with the default budget, answers
     as on a fresh net."""
     net, m0 = load_net("bimo_witness")
-    small = find_dl_marking(net, m0, node_budget=3)
-    assert isinstance(small, BudgetExceeded) and small.explored == 4
+    with pytest.raises(BudgetExceeded) as small:
+        find_dl_marking(net, m0, node_budget=3)
+    assert small.value.explored == 4
     fresh, _ = load_net("bimo_witness")
     res = find_dl_marking(net, m0)
     assert res == find_dl_marking(fresh, m0)
     assert res[0] == (0, 1, 0, 1, 0, 4, 4)
+
+
+def test_find_dl_marking_raises_when_a_liveness_check_runs_out():
+    """A restricted net's liveness check that runs out raises; it is not
+    read as non-live, so the marking found does not depend on the budget."""
+    net = Net("dl-budget", ["p1", "p2", "p3", "p4", "p5"], ["t1", "t2", "t3"],
+              {("p3", "t1"): 1, ("t1", "p4"): 1, ("p4", "t2"): 1, ("t2", "p1"): 1,
+               ("t2", "p3"): 1, ("p2", "t3"): 2, ("t3", "p2"): 1})
+    m0 = (1, 1, 1, 2, 1)
+    with pytest.raises(BudgetExceeded) as info:
+        find_dl_marking(net, m0, node_budget=10)
+    assert info.value.explored == 11
+    want = (m0, ("t3",), ("t1", "t2"))
+    assert find_dl_marking(net, m0, node_budget=20) == want
+    assert find_dl_marking(net, m0) == want
+
+
+def _budget_outcome(search, net, m0):
+    try:
+        out = search(net, m0)
+    except BudgetExceeded as exc:
+        return "raised", exc.explored
+    assert isinstance(out, BudgetExceeded), out
+    return "returned", out.explored
+
+
+_CHECKED_WITNESS = Witness(m_wit=(0, 1, 0, 1, 0, 4, 4), p_cruc=("p1", "p2", "p3", "p4", "p5"),
+                           t_dead=("t1", "t6", "t7"))
+
+
+@pytest.mark.parametrize("search,outcome", [
+    pytest.param(lambda net, m0: reach_graph(net, m0, node_budget=2), ("raised", 2),
+                 id="reach_graph"),
+    pytest.param(lambda net, m0: cover_basis(net, pre_mset(net, "t1"), node_budget=2),
+                 ("raised", 3), id="cover_basis"),
+    pytest.param(lambda net, m0: dead_at(net, m0, "t1", node_budget=2), ("raised", 3),
+                 id="dead_at"),
+    pytest.param(lambda net, m0: find_dl_marking(net, m0, node_budget=2), ("raised", 3),
+                 id="find_dl_marking"),
+    pytest.param(lambda net, m0: check_witness(load_net("bimo_witness")[0], _CHECKED_WITNESS,
+                                               node_budget=3),
+                 ("raised", 4), id="check_witness"),
+    pytest.param(lambda net, m0: is_self_coverable(net, m0, node_budget=2), ("raised", 3),
+                 id="is_self_coverable"),
+    pytest.param(lambda net, m0: is_carrier_maximal(net, m0, node_budget=2), ("raised", 3),
+                 id="is_carrier_maximal"),
+    pytest.param(lambda net, m0: simulate_lba(load_lba("loop_2"), "aa"),
+                 ("raised", STEP_BUDGET), id="simulate_lba"),
+    pytest.param(lambda net, m0: is_live_exact(net, m0, node_budget=2), ("returned", 2),
+                 id="is_live_exact"),
+])
+def test_bounded_searches_raise_budget_exceeded(search, outcome):
+    """Every bounded search raises BudgetExceeded when it runs out, with the
+    states it explored; `is_live_exact` alone returns it as its answer.  The
+    net is parsed afresh, since answers memoised on a net cost no budget."""
+    net, m0 = load_net("io_fragile")
+    assert _budget_outcome(search, net, m0) == outcome
 
 
 def test_find_dl_marking_none_for_live(fragile_net):
@@ -371,8 +430,9 @@ def test_kernels_match_reference(monkeypatch):
         small = _shrink_siphon_mask(place_masks(net), unmarked, (1 << len(net.places)) - 1)
         assert (tuple(p for i, p in enumerate(net.places) if small >> i & 1) or None
                 ) == _ref_unmarked_siphon(net, m, minimize=True), (net, m)
-        g = reach_graph(net, m, node_budget=20_000)
-        if isinstance(g, BudgetExceeded):
+        try:
+            g = reach_graph(net, m, node_budget=20_000)
+        except BudgetExceeded:
             continue
         graphs += 1
         exact = is_live_exact(net, m, node_budget=20_000)
@@ -434,8 +494,9 @@ def test_constructed_witness_matches_transcription():
     idle = Net("idle", ["p", "q", "r1", "r2"], ["move", "idle", "turn", "back"], flow)
     witnesses = 0
     for net, m in [*_kernel_cases(), (idle, (1, 0, 1, 0))]:
-        g = reach_graph(net, m, node_budget=20_000)
-        if isinstance(g, BudgetExceeded):
+        try:
+            g = reach_graph(net, m, node_budget=20_000)
+        except BudgetExceeded:
             continue
         want = _constructed_witness_transcribed(net, g)
         assert constructed_witness(net, g) == want, (net, m)
@@ -504,12 +565,14 @@ def test_successors_match_dense_definition():
         nodes, succ, parent, lists, done = _dense_reach_graph(net, m, limit=1_000)
         for node, ref in zip(nodes, lists):
             assert successors(net, node) == ref, (net, node)
-        g = reach_graph(net, m, node_budget=1_000)
         if done:
+            g = reach_graph(net, m, node_budget=1_000)
             assert (g.nodes, g.succ, g.parent) == (nodes, succ, parent), (net, m)
             closed += 1
         else:
-            assert isinstance(g, BudgetExceeded) and g.explored == len(nodes), (net, m)
+            with pytest.raises(BudgetExceeded) as info:
+                reach_graph(net, m, node_budget=1_000)
+            assert info.value.explored == len(nodes), (net, m)
         spawning += not all(net._pre)
     assert closed >= 150 and spawning >= 60
 

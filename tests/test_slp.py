@@ -391,7 +391,8 @@ def test_reach_graph_witness_check_shares_the_budget(monkeypatch):
 
     monkeypatch.setattr(slp, "check_witness", exhausted)
     v = is_nonlive(ring17(), one)
-    assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "reach-graph", 7)
+    # the 17 nodes of the reachability graph plus the check's 7 states
+    assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "reach-graph", 24)
 
 
 _OBSERVER = {"x": {("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1}}

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from ionet import (
-    DUMMY_PLACE, Net, NetError, NotBimo, UnknownNode, bounds_for, classify, dummy_augment,
-    is_carrier_maximal, is_self_coverable, is_siphon, presentation, reach_graph, relaxed_net,
-    replay, rich_poor, sccs, unmarked_siphon, carrier, mleq, post_mset, pre_mset,
+    DUMMY_PLACE, BudgetExceeded, Net, NetError, NotBimo, UnknownNode, bounds_for, classify,
+    dummy_augment, is_carrier_maximal, is_self_coverable, is_siphon, presentation,
+    reach_graph, relaxed_net, replay, rich_poor, sccs, unmarked_siphon, carrier, mleq,
+    post_mset, pre_mset,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks
@@ -299,8 +300,10 @@ def test_carrier_maximal_counterexample():
 
 def test_bounded_searches_report_budget(fragile_net):
     net, m0 = fragile_net
-    assert is_self_coverable(net, m0, node_budget=2).status == "budget"
-    assert is_carrier_maximal(net, m0, node_budget=2).status == "budget"
+    with pytest.raises(BudgetExceeded):
+        is_self_coverable(net, m0, node_budget=2)
+    with pytest.raises(BudgetExceeded):
+        is_carrier_maximal(net, m0, node_budget=2)
 
 
 def test_bounded_searches_against_full_graph():
