@@ -25,7 +25,10 @@ It hashes, in a fixed order:
   - `reach_graph`, `cover_basis`, `dead_at`, `is_live_exact`,
     `is_self_coverable` and `is_carrier_maximal` at node budgets from 1 to
     2 000 on seeded nets of all eight rows, a budget run-out, raised or
-    returned, read as ("budget", states explored).
+    returned, read as ("budget", states explored);
+  - the reachability graph (nodes in order, successor lists, parents) of
+    each of the 24 markings of the machines workload, from the truncated
+    marking that `is_nonlive` explores.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -46,7 +49,7 @@ import workloads  # noqa: E402
 from ionet import (  # noqa: E402
     DUMMY_PLACE, BudgetExceeded, Net, NetError, classify, cover_basis, dead_at, decide_slp,
     find_witness, is_carrier_maximal, is_live_exact, is_nonlive, is_self_coverable,
-    parse_net, pre_mset, presentation, reach_graph, relaxed_net, sccs,
+    parse_net, pre_mset, presentation, reach_graph, relaxed_net, sccs, truncate,
 )
 from ionet.generate import random_marking, random_net, random_net_in_row  # noqa: E402
 from ionet.ordinarize import check_liveness_transfer  # noqa: E402
@@ -187,7 +190,7 @@ def _bounded(fn, *args):
     if isinstance(out, BudgetExceeded) or getattr(out, "status", None) == "budget":
         return "budget", out.explored
     if hasattr(out, "nodes"):
-        return out.nodes, out.succ, out.parent
+        return list(out.nodes), out.succ, out.parent
     return out
 
 
@@ -204,6 +207,15 @@ def _budget_checks():
                              (dead_at, (net, m, t)), (is_live_exact, (net, m)),
                              (is_self_coverable, (net, m)), (is_carrier_maximal, (net, m))):
                 yield (fn.__name__, f"row{k}", m, budget), _bounded(fn, *args, budget)
+
+
+def _machine_graphs(answers):
+    """`reach_graph` of every machines marking, at the workload's budget."""
+    budget = workloads.MACHINE_LIVE_BUDGET["node_budget"]
+    queries = workloads.machines(WORKLOAD_SEED, workloads.DEFAULT_INPUT_SEED, answers)
+    for q in sorted((q for q in queries if q.op == "live"), key=lambda q: q.key):
+        yield (("machine_graph", q.key),
+               _bounded(reach_graph, q.net, truncate(q.net, q.marking), budget))
 
 
 def _relaxed(net):
@@ -232,6 +244,7 @@ def checks():
     yield from _liveness_checks()
     yield from _reach_graph_checks()
     yield from _budget_checks()
+    yield from _machine_graphs(answers)
 
 
 def main():

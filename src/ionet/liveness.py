@@ -10,12 +10,14 @@ ignored places can be imagined as holding arbitrarily many tokens.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import itemgetter
 
-from .classify import is_imo_msets
+from .classify import classify, is_imo_msets
 from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _walk, mleq,
-                   msize, carrier, place_masks, post_mset, pre_mset, successors)
+                   msize, carrier, place_masks, post_mset, pre_mset)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
@@ -26,16 +28,56 @@ class SubsetCapExceeded(NetError):
     pass
 
 
-class ReachGraph:
-    """Reachability graph: markings as nodes, firings as labeled edges."""
+class Markings(Sequence):
+    """Read-only view of packed markings: entry v is `codes[v]` unpacked,
+    place i's count read from bits [width*i, width*(i+1)).  Its length
+    unpacks nothing."""
 
-    def __init__(self, net, root):
+    __slots__ = ("codes", "_shifts", "_mask")
+
+    def __init__(self, codes, width, n_places):
+        self.codes = codes
+        self._shifts = range(0, width * n_places, width)
+        self._mask = (1 << width) - 1
+
+    def pack(self, marking):
+        return sum(x << s for x, s in zip(marking, self._shifts))
+
+    def unpack(self, code):
+        mask = self._mask
+        return tuple(code >> s & mask for s in self._shifts)
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, v):
+        return self.unpack(self.codes[v])
+
+    def __iter__(self):
+        return map(self.unpack, self.codes)
+
+
+class ReachGraph:
+    """Reachability graph: markings as nodes, firings as labeled edges.
+
+    Node v's marking is stored as one int, `codes[v]`, that holds place i's
+    count in bits [width*i, width*(i+1)); `index` maps a code to its node.
+    `marking(v)` unpacks one node and `nodes` is a `Markings` view of all of
+    them."""
+
+    def __init__(self, net, root, width):
         self.net = net
         self.root = tuple(root)
-        self.nodes = [self.root]
-        self.index = {self.root: 0}
+        self.codes = []
+        self.nodes = Markings(self.codes, width, len(net.places))
+        code = self.nodes.pack(self.root)
+        self.codes.append(code)
+        self.index = {code: 0}
         self.succ = [[]]           # per node: (transition, dst_index)
         self.parent = [None]       # (src_index, transition) BFS tree
+
+    def marking(self, v):
+        return self.nodes[v]
 
     def path_to(self, v):
         out = []
@@ -46,26 +88,64 @@ class ReachGraph:
         return tuple(reversed(out))
 
 
+def _width(net, m0, node_budget):
+    """Bits per place that hold every count a search of `node_budget` nodes
+    from m0 can see: the token total on a conservative net, else the
+    largest count of m0 plus `max_weight` per firing, a node lying at most
+    `node_budget` firings from the root."""
+    if classify(net).conservative:
+        bound = sum(m0)
+    else:
+        bound = max(m0, default=0) + max(node_budget, 1) * net.max_weight
+    return max(bound.bit_length(), 1)
+
+
 def reach_graph(net, m0, node_budget=200_000):
-    """Breadth-first closure under firing; raises BudgetExceeded past `node_budget` nodes."""
+    """Breadth-first closure under firing, nodes numbered in discovery
+    order; raises BudgetExceeded past `node_budget` nodes.
+
+    Markings are packed ints of `_width` bits per place, so a successor is
+    the node's code plus the transition's packed delta, built on its first
+    firing.  The marked places, which `nets._walk` needs, are the fields
+    with a set bit: OR the code with its shifts by 1 to width-1 bits and
+    keep the low bit of each field."""
     net.check_marking(m0)
-    g = ReachGraph(net, m0)
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for ti, nm in successors(net, g.nodes[v]):
-            t = net.transitions[ti]
-            j = g.index.get(nm)
+    table = _move_table(net)
+    width = _width(net, m0, node_budget)
+    g = ReachGraph(net, m0, width)
+    codes, index, succ, parent = g.codes, g.index, g.succ, g.parent
+    lows = g.nodes.pack((1,) * len(net.places))
+    mask = (1 << width) - 1
+    shifts = range(1, width)
+    packed = [None] * len(net.transitions)
+    names = net.transitions
+    for v, code in enumerate(codes):  # the BFS queue: new nodes join the end
+        x = code
+        for s in shifts:
+            x |= code >> s
+        x &= lows
+        marked = []
+        while x:
+            low = x & -x
+            x ^= low
+            marked.append((low.bit_length() - 1) // width)
+        out = succ[v]
+        for ti, delta in _walk(table, marked, lambda i: code >> width * i & mask):
+            d = packed[ti]
+            if d is None:
+                d = packed[ti] = sum(dx << width * i for i, dx in delta)
+            nc = code + d
+            t = names[ti]
+            j = index.get(nc)
             if j is None:
-                if len(g.nodes) >= node_budget:
-                    raise BudgetExceeded(len(g.nodes))
-                j = len(g.nodes)
-                g.index[nm] = j
-                g.nodes.append(nm)
-                g.succ.append([])
-                g.parent.append((v, t))
-                queue.append(j)
-            g.succ[v].append((t, j))
+                j = len(codes)
+                if j >= node_budget:
+                    raise BudgetExceeded(j)
+                index[nc] = j
+                codes.append(nc)
+                succ.append([])
+                parent.append((v, t))
+            out.append((t, j))
     return g
 
 
@@ -115,8 +195,8 @@ def _fates(graph):
     net = graph.net
     bit = {t: 1 << ti for ti, t in enumerate(net.transitions)}
     full = (1 << len(net.transitions)) - 1
-    comps = _tarjan(len(graph.nodes), [[w for _, w in out] for out in graph.succ])
-    comp_of = [-1] * len(graph.nodes)
+    comps = _tarjan(len(graph.codes), [[w for _, w in out] for out in graph.succ])
+    comp_of = [-1] * len(graph.codes)
     enabled, dead, nonlive = [], [], []
     for ci, comp in enumerate(comps):
         for v in comp:
@@ -478,7 +558,7 @@ class WitnessIndex:
         when an exact place loses a token, and on the drained m-1 branch."""
         m = self.m
         out = []
-        for _, delta in _walk(self.table, state):
+        for _, delta in _walk(self.table, compress(count(), state), state.__getitem__):
             base = list(state)
             drain = None
             up = True
@@ -603,8 +683,8 @@ def constructed_witness(net, graph):
                 reach.append(w)
     succ = [[local[w] for _, w in graph.succ[v]] for v in reach]
     nodes = [reach[v] for v in _tarjan(len(reach), succ)[0]]
-    v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
-    m_star = graph.nodes[v_star]
+    v_star = max(nodes, key=lambda v: (len(carrier(graph.marking(v))), -v))
+    m_star = graph.marking(v_star)
 
     # the dummy of an empty pre-set holds its one token, and place-free
     # components hold none of none, so neither is ever poor

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import NamedTuple
 
 MAX_WEIGHT = 2**31 - 1
@@ -269,19 +270,21 @@ def _move_table(net):
     return table
 
 
-def _walk(table, marking):
-    """(transition index, sparse delta) of each transition enabled at the
-    marking, in declaration order; every forward kernel runs this one walk on
-    a `MoveTable` and applies the deltas in its own arithmetic.  Candidates:
-    the transitions whose first and last pre-places are both marked, and
-    those without pre-places; only their `rest` arcs are tested, so one
-    reading at most two places with weight 1 is tested on no arc at all."""
+def _walk(table, marked, tokens):
+    """(transition index, sparse delta) of each transition enabled at a
+    marking, in declaration order, given its marked places (`marked`, any
+    order) and `tokens(i)`, its count on place i; a tuple marking m passes
+    `compress(count(), m), m.__getitem__`.  Every forward kernel runs this
+    one walk on a `MoveTable` and applies the deltas in its own arithmetic.
+    Candidates: the transitions whose first and last pre-places are both
+    marked, and those without pre-places; only their `rest` arcs are tested,
+    so one reading at most two places with weight 1 is tested on no arc at
+    all."""
     deltas, first, todo, _, last, rest = table
     a = b = 0
-    for i, x in enumerate(marking):
-        if x:
-            a |= first[i]
-            b |= last[i]
+    for i in marked:
+        a |= first[i]
+        b |= last[i]
     todo |= a & b
     out = []
     while todo:
@@ -289,7 +292,7 @@ def _walk(table, marking):
         todo ^= low
         ti = low.bit_length() - 1
         for i, w in rest[ti]:
-            if marking[i] < w:
+            if tokens(i) < w:
                 break
         else:
             out.append((ti, deltas[ti]))
@@ -300,7 +303,7 @@ def successors(net, marking):
     """(transition index, successor marking) for every transition enabled at
     the marking, in declaration order."""
     out = []
-    for ti, delta in _walk(_move_table(net), marking):
+    for ti, delta in _walk(_move_table(net), compress(count(), marking), marking.__getitem__):
         m = list(marking)
         for i, d in delta:
             m[i] += d

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import NamedTuple
 
 from .classify import classify, NotBimo
@@ -91,7 +92,7 @@ def capped_successors(net, cfg):
     cap = cap_value(net)
     counts, sat = cfg
     out = []
-    for ti, delta in _walk(_move_table(net), counts):
+    for ti, delta in _walk(_move_table(net), compress(count(), counts), counts.__getitem__):
         raw = list(counts)
         flags = sat
         for i, d in delta:
@@ -327,16 +328,16 @@ def _conservative_large(net, m0, node_budget):
     # None exactly when no reachable marking has a dead transition
     wit = constructed_witness(net, g)
     if wit is None:
-        return LivenessVerdict("live", configs_explored=len(g.nodes),
+        return LivenessVerdict("live", configs_explored=len(g.codes),
                                method="reach-graph")
     variant = "ordinary" if classify(net).ordinary else "weighted"
     try:
         report = check_witness(net, wit, variant=variant, node_budget=node_budget)
     except BudgetExceeded as exc:
-        raise BudgetExceeded(len(g.nodes) + exc.explored) from exc
+        raise BudgetExceeded(len(g.codes) + exc.explored) from exc
     if not report.sound:
         raise NetError("internal error: constructed witness failed validation")
-    return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.nodes),
+    return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.codes),
                            method="reach-graph")
 
 

@@ -169,7 +169,7 @@ def test_stage_n_single_deterministic_run():
             assert len(g.succ[v]) <= 1
             assert all(x <= 1 for x in g.nodes[v])  # stays one-token-per-place
         accept_place = net.place_index[f"p_{spec.accept}_1"]
-        reached = any(m[accept_place] for m in g.index)
+        reached = any(m[accept_place] for m in g.nodes)
         assert reached == (simulate_lba(spec, word) == "accept")
 
 
@@ -181,7 +181,7 @@ def test_stage_nprime_class_and_simulation():
     assert any(t.endswith("_move") for t in net.transitions)
     g = reach_graph(net, m0)
     accept_place = net.place_index[f"p_{spec.accept}_1"]
-    assert any(m[accept_place] for m in g.index) == (simulate_lba(spec, "ab") == "accept")
+    assert any(m[accept_place] for m in g.nodes) == (simulate_lba(spec, "ab") == "accept")
 
 
 def test_stage_nprime_omits_idle_moves():
@@ -198,11 +198,11 @@ def test_stage_ndprime_free_reshuffle():
     assert classify(net).io
     g = reach_graph(net, m0)
     free = net.place_index["p_free"]
-    freed = [m for m in g.index if m[free]]
+    freed = [m for m in g.nodes if m[free]]
     assert freed  # acceptance unlocks the control token
     # once free, any head position is installable
     heads = [net.place_index[f"p_{q}_{i}"] for q in spec.states for i in (1, 2)]
-    seen = {h for m in g.index for h in heads if m[h]}
+    seen = {h for m in g.nodes for h in heads if m[h]}
     assert len(seen) == len(heads)
 
 

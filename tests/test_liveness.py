@@ -44,7 +44,7 @@ def test_reach_graph_matches_recursive_oracle():
                          n_places=4, n_trans=4, wmax=1, seed=seed)
         m0 = random_marking(net, 5, rng)
         g = reach_graph(net, m0, node_budget=50_000)
-        assert set(g.index) == _recursive_reach(net, m0)
+        assert set(g.nodes) == _recursive_reach(net, m0)
         for v, out in enumerate(g.succ):
             for t, w in out:
                 assert fire(net, g.nodes[v], t) == g.nodes[w]
@@ -81,7 +81,7 @@ def test_dead_at_agrees_with_graph_scan():
         m0 = random_marking(net, 4, rng)
         g = reach_graph(net, m0, node_budget=20_000)
         for t in net.transitions:
-            scan = not any(enabled(net, m, t) for m in g.index)
+            scan = not any(enabled(net, m, t) for m in g.nodes)
             assert dead_at(net, m0, t) == scan
 
 
@@ -97,7 +97,7 @@ def test_cover_basis_is_minimal_and_sound():
         for _ in range(5):
             m = random_marking(net, 4, rng)
             g = reach_graph(net, m, node_budget=20_000)
-            covered = any(mleq(pre_mset(net, t), node) for node in g.index)
+            covered = any(mleq(pre_mset(net, t), node) for node in g.nodes)
             assert covered == any(mleq(b, m) for b in basis)
 
 
@@ -259,7 +259,7 @@ def test_find_witness_none_at_live_markings(fragile_net):
     net, m0 = fragile_net
     g = reach_graph(net, m0)
     assert is_live_exact(net, m0) is True
-    for m in g.index:
+    for m in g.nodes:
         assert find_witness(net, m) is None
 
 
@@ -298,7 +298,7 @@ def test_witness_agrees_with_exact_liveness():
         net = random_net("imo", n_places=4, n_trans=4, wmax=1, seed=seed)
         m0 = random_marking(net, 4, rng)
         g = reach_graph(net, m0, node_budget=20_000)
-        has = any(find_witness(net, m) is not None for m in g.index)
+        has = any(find_witness(net, m) is not None for m in g.nodes)
         assert has == (is_live_exact(net, m0) is False)
 
 
@@ -567,7 +567,7 @@ def test_successors_match_dense_definition():
             assert successors(net, node) == ref, (net, node)
         if done:
             g = reach_graph(net, m, node_budget=1_000)
-            assert (g.nodes, g.succ, g.parent) == (nodes, succ, parent), (net, m)
+            assert (list(g.nodes), g.succ, g.parent) == (nodes, succ, parent), (net, m)
             closed += 1
         else:
             with pytest.raises(BudgetExceeded) as info:
@@ -575,6 +575,98 @@ def test_successors_match_dense_definition():
             assert info.value.explored == len(nodes), (net, m)
         spawning += not all(net._pre)
     assert closed >= 150 and spawning >= 60
+
+
+def _tuple_reach_graph(net, m0, node_budget):
+    """`reach_graph` on marking tuples, as it was before the packed codes:
+    (nodes, succ, parent) of the breadth-first closure over `successors`."""
+    nodes, succ, parent = [tuple(m0)], [[]], [None]
+    index = {nodes[0]: 0}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for ti, nm in successors(net, nodes[v]):
+            t = net.transitions[ti]
+            j = index.get(nm)
+            if j is None:
+                if len(nodes) >= node_budget:
+                    raise BudgetExceeded(len(nodes))
+                j = index[nm] = len(nodes)
+                nodes.append(nm)
+                succ.append([])
+                parent.append((v, t))
+                queue.append(j)
+            succ[v].append((t, j))
+    return nodes, succ, parent
+
+
+def _packed_reach_graph(net, m0, node_budget):
+    g = reach_graph(net, m0, node_budget)
+    return list(g.nodes), g.succ, g.parent
+
+
+def _width_cases():
+    """Seeded nets of all eight rows, with and without pre-free
+    transitions; nets of no class with weights up to 3; a producer whose
+    counts climb to the non-conservative bound max(m0) + budget * weight
+    (2 + 2 * 3 = 8 needs the fourth bit); two nets whose firings one bit
+    too narrow would read as another marking (the doubler's (3, 0) as its
+    root (1, 1), the grower's 8 as 0); nets without places; and a compiled
+    machine."""
+    rng = random.Random(97)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(160):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=97_000 + k)
+        if k % 2:
+            net = with_spawns(net, seed=k)
+        yield net, random_marking(net, 2 * len(net.places), rng)
+    for k in range(60):
+        net = random_flow_net(98_000 + k, n_places=1 + k % 4, n_trans=1 + k % 5)
+        yield net, random_marking(net, 1 + k % 5, rng)
+    producer = Net("producer", ["p", "q"], ["make", "keep"],
+                   {("make", "p"): 3, ("q", "keep"): 1, ("keep", "q"): 1})
+    yield producer, (2, 1)
+    yield Net("doubler", ["p", "q"], ["t"], {("q", "t"): 1, ("t", "p"): 2}), (1, 1)
+    yield Net("grower", ["p"], ["t"], {("p", "t"): 1, ("t", "p"): 3}), (2,)
+    yield Net("placeless", [], ["t"], {}), ()
+    yield Net("placeless2", [], ["t", "u"], {}), ()
+    yield build_stage(load_lba("first_a_3"), "abb", "Nbar")
+
+
+def _outcome(build, net, m, budget):
+    try:
+        return build(net, m, budget)
+    except BudgetExceeded as exc:
+        return "budget", exc.explored
+
+
+def test_packed_reach_graph_matches_tuple_bfs():
+    """Packed codes number nodes, edges and parents as the tuple BFS does,
+    and run out of budget at the same count, at budgets 1 to 2 000."""
+    closed = ran_out = 0
+    for net, m in _width_cases():
+        for budget in (1, 2, 5, 20, 2_000):
+            want = _outcome(_tuple_reach_graph, net, m, budget)
+            assert _outcome(_packed_reach_graph, net, m, budget) == want, (net, m, budget)
+            closed += want[0] != "budget"
+            ran_out += want[0] == "budget"
+    assert closed >= 300 and ran_out >= 300
+    producer, m0 = next(c for c in _width_cases() if c[0].name == "producer")
+    assert [liveness._width(producer, m0, b) for b in (1, 2, 5)] == [3, 4, 5]
+
+
+def test_reach_graph_node_view():
+    """`nodes` unpacks each code on access; `index` is keyed by the code."""
+    net, m0 = load_net("io_fragile")
+    g = reach_graph(net, m0)
+    assert len(g.nodes) == len(g.codes) == len(g.succ) > 1
+    assert g.nodes[0] == g.marking(0) == g.root == tuple(m0)
+    assert g.nodes[-1] == g.marking(len(g.codes) - 1)
+    for v, m in enumerate(g.nodes):
+        assert g.index[g.nodes.pack(m)] == v
+    with pytest.raises(IndexError):
+        g.nodes[len(g.codes)]
 
 
 def _pump_witness(**change):

@@ -152,7 +152,8 @@ def test_moves_match_dense_definition():
             wide += len(pre) >= 3
         arcs = dense_arcs(net)
         for m in ms:
-            got = _walk(_move_table(net), m)
+            got = _walk(_move_table(net), itertools.compress(itertools.count(), m),
+                        m.__getitem__)
             assert got == _moves_reference(arcs, m), (net, m)
             markings += 1
             enabled_moves += len(got)

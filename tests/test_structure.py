@@ -313,7 +313,7 @@ def test_bounded_searches_against_full_graph():
         net = random_net("imo", n_places=4, n_trans=3, wmax=1, seed=seed)
         m0 = random_marking(net, 4, rng)
         g = reach_graph(net, m0, node_budget=10_000)
-        best = max(len(carrier(m)) for m in g.index)
+        best = max(len(carrier(m)) for m in g.nodes)
         res = is_carrier_maximal(net, m0)
         assert (res.status == "yes") == (best == len(carrier(m0)))
 
