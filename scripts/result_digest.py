@@ -26,9 +26,9 @@ It hashes, in a fixed order:
     `is_self_coverable` and `is_carrier_maximal` at node budgets from 1 to
     2 000 on seeded nets of all eight rows, a budget run-out, raised or
     returned, read as ("budget", states explored);
-  - the reachability graph (nodes in order, successor lists, parents) of
-    each of the 24 markings of the machines workload, from the truncated
-    marking that `is_nonlive` explores.
+  - the reachability graph (nodes in order, labelled successor lists,
+    parents) of each of the 24 markings of the machines workload, from the
+    truncated marking that `is_nonlive` explores.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -180,6 +180,17 @@ def _reach_graph_checks():
                     yield ("reach_graph", net.name, tuple(m), budget), v.to_dict()
 
 
+def _labelled(graph):
+    """Each node's out-edges as (transition name, node) pairs, rebuilt from
+    `succ` and the `enabled` masks (the k-th set bit labels the k-th edge);
+    a graph without `enabled` stores the pairs in `succ` itself."""
+    if not hasattr(graph, "enabled"):
+        return graph.succ
+    names = graph.net.transitions
+    return [list(zip([t for ti, t in enumerate(names) if en >> ti & 1], out))
+            for en, out in zip(graph.enabled, graph.succ)]
+
+
 def _bounded(fn, *args):
     """The answer of a bounded search, or ("budget", explored) however it
     reports a run-out: raised, returned, or as a "budget" status."""
@@ -190,7 +201,7 @@ def _bounded(fn, *args):
     if isinstance(out, BudgetExceeded) or getattr(out, "status", None) == "budget":
         return "budget", out.explored
     if hasattr(out, "nodes"):
-        return list(out.nodes), out.succ, out.parent
+        return list(out.nodes), _labelled(out), out.parent
     return out
 
 

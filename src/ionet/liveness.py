@@ -58,26 +58,24 @@ class Markings(Sequence):
 
 
 class ReachGraph:
-    """Reachability graph: markings as nodes, firings as labeled edges.
+    """Reachability graph: markings as nodes, firings as edges.
 
     Node v's marking is stored as one int, `codes[v]`, that holds place i's
-    count in bits [width*i, width*(i+1)); `index` maps a code to its node.
-    `marking(v)` unpacks one node and `nodes` is a `Markings` view of all of
-    them."""
+    count in bits [width*i, width*(i+1)); `nodes` is a `Markings` view of
+    all of them.  `succ[v]` lists the node reached by each transition
+    enabled at v, in ascending transition order, and bit ti of `enabled[v]`
+    is set iff transition ti is enabled at v: the k-th set bit labels the
+    edge to `succ[v][k]`."""
 
     def __init__(self, net, root, width):
         self.net = net
         self.root = tuple(root)
         self.codes = []
         self.nodes = Markings(self.codes, width, len(net.places))
-        code = self.nodes.pack(self.root)
-        self.codes.append(code)
-        self.index = {code: 0}
-        self.succ = [[]]           # per node: (transition, dst_index)
+        self.codes.append(self.nodes.pack(self.root))
+        self.succ = []             # filled as the BFS expands each node
+        self.enabled = []
         self.parent = [None]       # (src_index, transition) BFS tree
-
-    def marking(self, v):
-        return self.nodes[v]
 
     def path_to(self, v):
         out = []
@@ -113,7 +111,8 @@ def reach_graph(net, m0, node_budget=200_000):
     table = _move_table(net)
     width = _width(net, m0, node_budget)
     g = ReachGraph(net, m0, width)
-    codes, index, succ, parent = g.codes, g.index, g.succ, g.parent
+    codes, succ, enabled, parent = g.codes, g.succ, g.enabled, g.parent
+    index = {codes[0]: 0}
     lows = g.nodes.pack((1,) * len(net.places))
     mask = (1 << width) - 1
     shifts = range(1, width)
@@ -129,13 +128,14 @@ def reach_graph(net, m0, node_budget=200_000):
             low = x & -x
             x ^= low
             marked.append((low.bit_length() - 1) // width)
-        out = succ[v]
+        out = []
+        en = 0
         for ti, delta in _walk(table, marked, lambda i: code >> width * i & mask):
             d = packed[ti]
             if d is None:
                 d = packed[ti] = sum(dx << width * i for i, dx in delta)
+            en |= 1 << ti
             nc = code + d
-            t = names[ti]
             j = index.get(nc)
             if j is None:
                 j = len(codes)
@@ -143,9 +143,10 @@ def reach_graph(net, m0, node_budget=200_000):
                     raise BudgetExceeded(j)
                 index[nc] = j
                 codes.append(nc)
-                succ.append([])
-                parent.append((v, t))
-            out.append((t, j))
+                parent.append((v, names[ti]))
+            out.append(j)
+        succ.append(out)
+        enabled.append(en)
     return g
 
 
@@ -189,22 +190,21 @@ def _fates(graph):
     reachable node), as bitmasks over transition indices.
 
     One condensation pass: Tarjan emits sink components first, so each
-    component ORs the labels of its outgoing edges with what the components
-    below it already enable.
+    component ORs the transitions enabled at its nodes with what the
+    components below it already enable.
     """
-    net = graph.net
-    bit = {t: 1 << ti for ti, t in enumerate(net.transitions)}
-    full = (1 << len(net.transitions)) - 1
-    comps = _tarjan(len(graph.codes), [[w for _, w in out] for out in graph.succ])
-    comp_of = [-1] * len(graph.codes)
+    full = (1 << len(graph.net.transitions)) - 1
+    succ, node_en = graph.succ, graph.enabled
+    comps = _tarjan(len(succ), succ)
+    comp_of = [-1] * len(succ)
     enabled, dead, nonlive = [], [], []
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
         en = below = 0
         for v in comp:
-            for t, w in graph.succ[v]:
-                en |= bit[t]
+            en |= node_en[v]
+            for w in succ[v]:
                 c = comp_of[w]
                 if c != ci:
                     en |= enabled[c]
@@ -674,17 +674,9 @@ def constructed_witness(net, graph):
 
     # a bottom SCC of the subgraph reachable from v0, where no dead
     # transition fires; Tarjan emits a sink component first
-    reach = [v0]
-    local = {v0: 0}
-    for v in reach:
-        for _, w in graph.succ[v]:
-            if w not in local:
-                local[w] = len(reach)
-                reach.append(w)
-    succ = [[local[w] for _, w in graph.succ[v]] for v in reach]
-    nodes = [reach[v] for v in _tarjan(len(reach), succ)[0]]
-    v_star = max(nodes, key=lambda v: (len(carrier(graph.marking(v))), -v))
-    m_star = graph.marking(v_star)
+    nodes = _tarjan(len(graph.succ), graph.succ, (v0,))[0]
+    v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
+    m_star = graph.nodes[v_star]
 
     # the dummy of an empty pre-set holds its one token, and place-free
     # components hold none of none, so neither is ever poor

@@ -23,6 +23,20 @@ def dense_arcs(net):
     return [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
 
 
+def labelled_edges(graph):
+    """Each reach-graph node's out-edges as (transition name, node) pairs,
+    rebuilt from `succ` and `enabled`: the k-th set bit of `enabled[v]`
+    labels `succ[v][k]`, so it has exactly `len(succ[v])` set bits."""
+    names = graph.net.transitions
+    assert len(graph.enabled) == len(graph.succ) == len(graph.codes)
+    edges = []
+    for en, out in zip(graph.enabled, graph.succ):
+        assert en >> len(names) == 0 and en.bit_count() == len(out)
+        labels = [t for ti, t in enumerate(names) if en >> ti & 1]
+        edges.append(list(zip(labels, out)))
+    return edges
+
+
 def load_lba(name):
     return parse_lba((FIXTURES / "lba" / f"{name}.lba").read_text())
 

@@ -9,7 +9,7 @@ from ionet import (
     ParseError, reduction_correctness_check, replay, serialize_net, simulate_lba,
 )
 from ionet.lba import ALPHABET, STAGES, STEP_BUDGET, LbaSpec
-from tests.conftest import FIXTURES, load_lba
+from tests.conftest import FIXTURES, labelled_edges, load_lba
 
 # SHA-256 of the serialized compiled nets of test_compiled_nets_are_pinned,
 # recorded from the compiler's output: any change to a compiled net (place or
@@ -213,7 +213,7 @@ def test_stage_nbar_init_chain():
     g = reach_graph(net, m0)
     q0_home = net.place_index[f"p_{spec.initial}_1"]
     cells = [net.place_index[f"p_{i}_{x}"] for i, x in ((1, "a"), (2, "b"))]
-    reentries = [w for out in g.succ for t, w in out if t == "t_run"]
+    reentries = [w for out in labelled_edges(g) for t, w in out if t == "t_run"]
     assert reentries  # the machine accepts, so the control token cycles
     for v in reentries:
         # completing the whole chain certifies the initial configuration

@@ -17,7 +17,9 @@ from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks, successors
 from ionet.structure import _shrink_siphon_mask
-from tests.conftest import dense_arcs, load_lba, load_net, random_flow_net, with_spawns
+from tests.conftest import (
+    dense_arcs, labelled_edges, load_lba, load_net, random_flow_net, with_spawns,
+)
 
 
 def _recursive_reach(net, m0, limit=50_000):
@@ -45,7 +47,7 @@ def test_reach_graph_matches_recursive_oracle():
         m0 = random_marking(net, 5, rng)
         g = reach_graph(net, m0, node_budget=50_000)
         assert set(g.nodes) == _recursive_reach(net, m0)
-        for v, out in enumerate(g.succ):
+        for v, out in enumerate(labelled_edges(g)):
             for t, w in out:
                 assert fire(net, g.nodes[v], t) == g.nodes[w]
 
@@ -324,7 +326,7 @@ def test_dl_characterization_on_finite_cases():
 
 def _ref_pred(graph):
     pred = [[] for _ in graph.nodes]
-    for v, out in enumerate(graph.succ):
+    for v, out in enumerate(labelled_edges(graph)):
         for _, w in out:
             pred[w].append(v)
     return pred
@@ -460,11 +462,11 @@ def _constructed_witness_transcribed(net, graph):
     reach = [v0]
     local = {v0: 0}
     for v in reach:
-        for _, w in graph.succ[v]:
+        for w in graph.succ[v]:
             if w not in local:
                 local[w] = len(reach)
                 reach.append(w)
-    succ = [[local[w] for _, w in graph.succ[v]] for v in reach]
+    succ = [[local[w] for w in graph.succ[v]] for v in reach]
     nodes = [reach[v] for v in liveness._tarjan(len(reach), succ)[0]]
     v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
     m_star = graph.nodes[v_star]
@@ -567,7 +569,8 @@ def test_successors_match_dense_definition():
             assert successors(net, node) == ref, (net, node)
         if done:
             g = reach_graph(net, m, node_budget=1_000)
-            assert (list(g.nodes), g.succ, g.parent) == (nodes, succ, parent), (net, m)
+            assert (list(g.nodes), labelled_edges(g), g.parent) == (nodes, succ, parent), \
+                (net, m)
             closed += 1
         else:
             with pytest.raises(BudgetExceeded) as info:
@@ -602,7 +605,7 @@ def _tuple_reach_graph(net, m0, node_budget):
 
 def _packed_reach_graph(net, m0, node_budget):
     g = reach_graph(net, m0, node_budget)
-    return list(g.nodes), g.succ, g.parent
+    return list(g.nodes), labelled_edges(g), g.parent
 
 
 def _width_cases():
@@ -657,14 +660,16 @@ def test_packed_reach_graph_matches_tuple_bfs():
 
 
 def test_reach_graph_node_view():
-    """`nodes` unpacks each code on access; `index` is keyed by the code."""
+    """`nodes` unpacks each code on access, `pack` inverts it, and no two
+    nodes share a code."""
     net, m0 = load_net("io_fragile")
     g = reach_graph(net, m0)
     assert len(g.nodes) == len(g.codes) == len(g.succ) > 1
-    assert g.nodes[0] == g.marking(0) == g.root == tuple(m0)
-    assert g.nodes[-1] == g.marking(len(g.codes) - 1)
+    assert g.nodes[0] == g.root == tuple(m0)
+    assert g.nodes[-1] == g.nodes.unpack(g.codes[-1])
     for v, m in enumerate(g.nodes):
-        assert g.index[g.nodes.pack(m)] == v
+        assert g.codes[v] == g.nodes.pack(m)
+    assert len(set(g.codes)) == len(g.codes)
     with pytest.raises(IndexError):
         g.nodes[len(g.codes)]
 

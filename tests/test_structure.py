@@ -12,7 +12,7 @@ from ionet import (
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks
 from ionet.structure import (
-    _is_siphon_mask, _largest_siphon_mask, _shrink_siphon_mask, relaxed_arcs,
+    _is_siphon_mask, _largest_siphon_mask, _shrink_siphon_mask, _tarjan, relaxed_arcs,
 )
 from tests.conftest import (
     FIXTURES, accepting_machines, dense_arcs, load_net, random_flow_net, with_spawns,
@@ -148,6 +148,31 @@ def test_sccs_ring_chain_oracle():
         ring_comps = [c for c in comps if not c.trivial]
         assert len(ring_comps) == k
         assert ring_comps[0].is_top and ring_comps[-1].is_bottom
+
+
+def test_tarjan_from_roots_matches_renumbered_subgraph():
+    """From one root, `_tarjan` gives the components that the default call
+    gives on the subgraph reachable from it, renumbered in BFS order from
+    the root and mapped back, in the same order; on seeded digraphs with
+    self-loops and repeated edges, from every start vertex."""
+    rng = random.Random(61)
+    loops = partial = 0
+    for k in range(120):
+        n = 1 + k % 10
+        succ = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
+        loops += any(v in out for v, out in enumerate(succ))
+        for v in range(n):
+            reach, local = [v], {v: 0}
+            for u in reach:
+                for w in succ[u]:
+                    if w not in local:
+                        local[w] = len(reach)
+                        reach.append(w)
+            sub = [[local[w] for w in succ[u]] for u in reach]
+            want = [sorted(reach[u] for u in comp) for comp in _tarjan(len(reach), sub)]
+            assert _tarjan(n, succ, (v,)) == want, (succ, v)
+            partial += len(reach) < n
+    assert loops >= 40 and partial >= 100
 
 
 def test_edgeless_components_all_top_bottom():
