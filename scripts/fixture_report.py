@@ -3,8 +3,9 @@
 fixture net, then the verdict of every accepting two-letter compiled machine,
 with how many box candidates each decision tested and how many of those the
 siphon test alone refuted.  Under each fixture inside the subset cap, a
-second line gives what its decision left in the witness index (the size of
-the `dead_set` memo, the number of clean points and the longest clean list),
+second line gives what its decision left in the witness index (the summed
+sizes of the per-siphon `dead_set` memos, the number of clean points and the
+longest clean list),
 the index's number of entries, how long a fresh index takes to build, and
 how many `witness_at` lookups ran (the size of the `witness_at` memo).
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
@@ -47,8 +48,9 @@ def _index_line(net):
     t0 = time.perf_counter()
     WitnessIndex(net)
     build_ms = (time.perf_counter() - t0) * 1e3
+    memo = sum(len(data.memo) for data in idx.entries)
     clean = [len(data.clean) for data in idx.entries]
-    return (f"{'':28} witness index: memo={len(idx.memo)} clean={sum(clean)} "
+    return (f"{'':28} witness index: memo={memo} clean={sum(clean)} "
             f"longest_clean={max(clean, default=0)} entries={len(idx.entries)} "
             f"build_ms={build_ms:.1f} lookups={len(idx.at_memo)}")
 

@@ -257,9 +257,9 @@ class Witness:
     @classmethod
     def from_hit(cls, net, hit, m_wit, path=()):
         """The witness of a `WitnessIndex.witness_at` hit at `m_wit`."""
-        indices, dead = hit
+        data, dead = hit
         return cls(m_wit=m_wit,
-                   p_cruc=tuple(net.places[i] for i in indices),
+                   p_cruc=tuple(net.places[i] for i in data.indices),
                    t_dead=tuple(net.transitions[ti] for ti in sorted(dead)),
                    path=path)
 
@@ -369,11 +369,13 @@ def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
 # Only siphons can carry one: a transition with no pre-place in S is always
 # covered, so it must be in T_I, and a T_I transition that reads nothing on S
 # writes nothing on S either.  The abstract probe (`WitnessIndex.probe`)
-# asks the same lookup on the states of an over-approximation, so one
-# record per net holds every memo of the search.
+# asks the same lookup on the states of an over-approximation.  One record
+# per siphon holds what the search learns about it, and the witness index
+# holds the records with the memos of whole-marking lookups.
 
 class _SubsetData:
-    __slots__ = ("indices", "take", "blockers", "fire", "covers", "clean")
+    __slots__ = ("indices", "take", "blockers", "fire", "covers", "memo", "clean",
+                 "drains")
 
     def __init__(self, table, mask):
         # `table`: the net's `MoveTable`; bit i of `mask` set iff place i is
@@ -402,14 +404,16 @@ class _SubsetData:
                 fire.append((support, tuple(vec)))
         self.fire = tuple(fire)
         self.covers = tuple(covers)
+        self.memo = {}  # restricted marking -> `WitnessIndex.dead_set` answer
         # restricted markings where an exploration answered None, none of
-        # them dominating an earlier one; a list from the first one on
-        self.clean = ()
+        # them dominating an earlier one
+        self.clean = []
+        self.drains = None  # (weights, plan), filled by `slp._drains`
 
 
 class WitnessIndex:
-    """Per-net record of the witness search: siphon data, memoized
-    restricted explorations, and the abstract probe with its memo.
+    """Per-net record of the witness search: one `_SubsetData` per siphon,
+    the `witness_at` memo, and the abstract probe with its memo.
 
     The probe explores an over-approximation whose counts are exact below a
     small threshold m or TOP (= at least m).  Firing is always possible from
@@ -443,7 +447,6 @@ class WitnessIndex:
                     self.blocked[ti] |= 1 << e
         # (pre arcs, blocked) of the transitions outside some entry's T_I
         self.blocking = tuple((pre, bits) for pre, bits in zip(net._pre, self.blocked) if bits)
-        self.memo = {}
         self.at_memo = {}
 
     def dead_set(self, data, r, node_budget=1_000_000):
@@ -453,9 +456,10 @@ class WitnessIndex:
         transitions ever covered only grow with r, and both grounds for None
         (a transition outside T_I covered, or every transition covered)
         persist.  A restriction that dominates a point of `data.clean` is
-        therefore answered None without exploring."""
-        key = (data.indices, r)
-        hit = self.memo.get(key, 0)
+        therefore answered None without exploring.  Answers are memoised in
+        `data.memo`."""
+        memo = data.memo
+        hit = memo.get(r, 0)
         if hit != 0:
             return hit
         for c in data.clean:
@@ -463,15 +467,11 @@ class WitnessIndex:
                 if a > b:
                     break
             else:
-                self.memo[key] = None
+                memo[r] = None
                 return None
-        dead = self._explore(data, r, node_budget)
-        self.memo[key] = dead
+        dead = memo[r] = self._explore(data, r, node_budget)
         if dead is None:
-            if data.clean:
-                data.clean.append(r)
-            else:
-                data.clean = [r]
+            data.clean.append(r)
         return dead
 
     @staticmethod
@@ -514,7 +514,7 @@ class WitnessIndex:
 
     def witness_at(self, marking, inexact=0, node_budget=1_000_000):
         """First witness at the marking in (size, lex) subset order, as
-        (place indices, dead transition indices), or None.  Subsets touching
+        (subset record, dead transition indices), or None.  Subsets touching
         a place of the `inexact` bitmask are skipped: their counts there are
         only known to be large.  Each restricted exploration may visit
         `node_budget` states; raises BudgetExceeded beyond that."""
@@ -546,7 +546,7 @@ class WitnessIndex:
             data = self.entries[low.bit_length() - 1]
             dead = self.dead_set(data, data.take(marking), node_budget)
             if dead:
-                found = (data.indices, dead)
+                found = (data, dead)
                 break
         self.at_memo[key] = found
         return found
@@ -614,8 +614,8 @@ class WitnessIndex:
                 hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
                                  node_budget)
                 if hit:
-                    indices = hit[0]
-                    targets.append((indices, tuple(s[i] for i in indices)))
+                    data = hit[0]
+                    targets.append((data, data.take(s)))
                     if len(targets) >= 8:
                         return tuple(targets), explored
                     continue

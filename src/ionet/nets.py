@@ -5,11 +5,10 @@ are plain tuples of non-negative ints indexed by the net's place order.  The
 analyses fill per-net caches in `net._analysis` as they run, without locks,
 so a net is not safe to share across threads that analyse it.  The caches:
 "class", "move_table", "place_masks" and "relaxed_arcs" (fixed size, the
-last built by `structure`); "drain_weights" and "drain_plans" (at most one
-entry per siphon); and "witness_index", whose `witness_at`, `dead_set`
-and abstract probe memos, and per-subset clean lists, grow without bound
-as markings are decided.  No
-cache points back at the net, so reference counting frees them with it.
+last built by `structure`); and "witness_index", whose `witness_at` and
+abstract probe memos, and per-siphon `dead_set` memos and clean lists, grow
+without bound as markings are decided.  No cache points back at the net, so
+reference counting frees them with it.
 """
 from __future__ import annotations
 

@@ -166,18 +166,29 @@ def _siphon_witness(net, marking):
     return Witness(m_wit=tuple(marking), p_cruc=tuple(s), t_dead=dead, path=())
 
 
-def _drain_weights(net, indices):
-    """Steps for a token to leave the place set, following cheapest moves."""
-    cache = net._analysis.setdefault("drain_weights", {})
-    got = cache.get(indices)
-    if got is not None:
-        return got
+def _drains(net, data):
+    """(weights, plan) of a siphon record, built on the first call and kept
+    in `data.drains`.
+
+    `weights` holds, per place of the subset, the steps a token needs to
+    leave the subset, following cheapest moves.  `plan` is an unconditional
+    drain schedule for the subset, or None.  It uses only transitions with a
+    single unit pre-place missing from their post-set, which stay enabled
+    while their source is marked, processed from the innermost places out;
+    each step is (place, transition, sparse delta).  A marking can be pushed
+    along the plan by batched arithmetic; the result is a genuinely
+    reachable capped configuration.
+    """
+    if data.drains is not None:
+        return data.drains
+    indices = data.indices
+    arcs = relaxed_arcs(net)
     far = 4 * len(indices) + 8
     dist = {i: far for i in indices}
     changed = True
     while changed:
         changed = False
-        for src, dests in relaxed_arcs(net):
+        for src, dests in arcs:
             if src not in dist:
                 continue
             if dests:
@@ -187,9 +198,25 @@ def _drain_weights(net, indices):
             if best < dist[src]:
                 dist[src] = best
                 changed = True
-    out = tuple(dist[i] for i in indices)
-    cache[indices] = out
-    return out
+    deltas = _move_table(net).deltas
+    masks = place_masks(net)
+    plan = []
+    for i in sorted(indices, key=lambda i: -dist[i]):
+        best = None
+        for ti, pre in enumerate(net._pre):
+            if pre != ((i, 1),) or masks[ti][1] >> i & 1:
+                continue
+            spawn = sum(dist.get(d, 0) for d in arcs[ti][1])
+            if best is None or spawn < best[0]:
+                best = (spawn, ti)
+        if best is None:
+            plan = None
+            break
+        plan.append((i, best[1], deltas[best[1]]))
+    else:
+        plan = tuple(plan)
+    data.drains = (tuple(dist[i] for i in indices), plan)
+    return data.drains
 
 
 def _heuristic(net, targets):
@@ -199,9 +226,8 @@ def _heuristic(net, targets):
     if not targets:
         return lambda counts: 0
     tables = []
-    for indices, r in targets[:6]:
-        weights = _drain_weights(net, indices)
-        tables.append(tuple(zip(indices, r, weights)))
+    for data, r in targets[:6]:
+        tables.append(tuple(zip(data.indices, r, _drains(net, data)[0])))
 
     def h(counts):
         best = -1
@@ -221,51 +247,18 @@ def _heuristic(net, targets):
     return h
 
 
-def _drain_plan(net, indices):
-    """Unconditional drain schedule for a place set, or None.
-
-    Uses only transitions with a single unit pre-place missing from their
-    post-set, which stay enabled while their source is marked, processed from
-    the innermost places out; each step is (place, transition, sparse delta).
-    A marking can be pushed along the plan by batched arithmetic; the result
-    is a genuinely reachable capped configuration.
-    """
-    cache = net._analysis.setdefault("drain_plans", {})
-    if indices in cache:
-        return cache[indices]
-    weights = dict(zip(indices, _drain_weights(net, indices)))
-    arcs = relaxed_arcs(net)
-    deltas = _move_table(net).deltas
-    masks = place_masks(net)
-    plan = []
-    for i in sorted(indices, key=lambda i: -weights[i]):
-        best = None
-        for ti, pre in enumerate(net._pre):
-            if pre != ((i, 1),) or masks[ti][1] >> i & 1:
-                continue
-            spawn = sum(weights.get(d, 0) for d in arcs[ti][1])
-            if best is None or spawn < best[0]:
-                best = (spawn, ti)
-        if best is None:
-            cache[indices] = None
-            return None
-        plan.append((i, best[1], deltas[best[1]]))
-    cache[indices] = plan = tuple(plan)
-    return plan
-
-
 def _try_drains(net, start, targets, node_budget, idx):
     """Deterministically drain toward each witness candidate; cheap and
     sound (every batched step is a sequence of capped firings), but not
     complete."""
     cap = cap_value(net)
-    for indices, _r in targets:
-        plan = _drain_plan(net, indices)
+    for data, _r in targets:
+        plan = _drains(net, data)[1]
         if plan is None:
             continue
         counts = list(start[0])
         path = []
-        for _ in range(len(indices) + 1):
+        for _ in range(len(data.indices) + 1):
             moved = False
             for i, ti, delta in plan:
                 k = counts[i]

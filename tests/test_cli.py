@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import ionet.cli
 from ionet import serialize_net
 from ionet.cli import main
 from tests.conftest import FIXTURES, ring17
@@ -64,6 +65,27 @@ def test_live_command_schema(tmp_path, capsys):
     assert (data["verdict"], data["method"]) == ("nonlive", "capped-search")
     _, out, _ = run(capsys, "slp", pump, "--json")
     jsonschema.validate(json.loads(out), SCHEMA)
+
+
+def test_live_checks_the_witness_at_the_budget(tmp_path, monkeypatch, capsys):
+    """`live` checks the witness it prints at `--budget`, as it decides,
+    not at `check_witness`'s own default."""
+    budgets = []
+    check = ionet.cli.check_witness
+
+    def recording(net, witness, variant="ordinary", node_budget=200_000):
+        budgets.append(node_budget)
+        return check(net, witness, variant=variant, node_budget=node_budget)
+
+    monkeypatch.setattr(ionet.cli, "check_witness", recording)
+    monkeypatch.delenv("IONET_BUDGET", raising=False)
+    ring = tmp_path / "ring17.net"
+    ring.write_text(serialize_net(ring17(), (1,) + (0,) * 16))
+    code, out, _ = run(capsys, "live", str(ring), "--budget", "1234", "--json")
+    assert (code, json.loads(out)["verdict"], budgets) == (0, "nonlive", [1234])
+    budgets.clear()
+    code, out, _ = run(capsys, "live", str(ring), "--json")
+    assert (code, json.loads(out)["verdict"], budgets) == (0, "nonlive", [500_000])
 
 
 def test_live_command_bad_marking(capsys):

@@ -18,6 +18,7 @@ from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet import liveness, nets, slp
 from ionet.liveness import _sub, witness_index
+from ionet.structure import relaxed_arcs
 from ionet.slp import (
     SlpVerdict, _box_iter, _capped_closure,
     _search_box, _siphon_witness,
@@ -717,6 +718,70 @@ def test_is_nonlive_live_after_positive_probe(monkeypatch):
     assert v.witness is None and v.configs_explored > 0
 
 
+def _drain_weights_reference(net, indices):
+    """Steps for a token to leave the place set, following cheapest moves
+    (the separate, per-net cached function that `slp._drains` replaced,
+    without its cache)."""
+    far = 4 * len(indices) + 8
+    dist = {i: far for i in indices}
+    changed = True
+    while changed:
+        changed = False
+        for src, dests in relaxed_arcs(net):
+            if src not in dist:
+                continue
+            if dests:
+                best = 1 + min(dist.get(d, 0) for d in dests)
+            else:
+                best = 1
+            if best < dist[src]:
+                dist[src] = best
+                changed = True
+    return tuple(dist[i] for i in indices)
+
+
+def _drain_plan_reference(net, indices):
+    """Unconditional drain schedule for a place set, or None (the
+    separate, per-net cached function that `slp._drains` replaced, without
+    its cache)."""
+    weights = dict(zip(indices, _drain_weights_reference(net, indices)))
+    arcs = relaxed_arcs(net)
+    deltas = nets._move_table(net).deltas
+    masks = nets.place_masks(net)
+    plan = []
+    for i in sorted(indices, key=lambda i: -weights[i]):
+        best = None
+        for ti, pre in enumerate(net._pre):
+            if pre != ((i, 1),) or masks[ti][1] >> i & 1:
+                continue
+            spawn = sum(weights.get(d, 0) for d in arcs[ti][1])
+            if best is None or spawn < best[0]:
+                best = (spawn, ti)
+        if best is None:
+            return None
+        plan.append((i, best[1], deltas[best[1]]))
+    return tuple(plan)
+
+
+def test_drains_match_separate_weights_and_plan():
+    """On every siphon record of every fixture and of seeded nets of all
+    eight rows, `_drains` gives the weights and the plan of the separate
+    reference functions, and a second call returns the kept pair."""
+    nets_ = [parse_net(path.read_text())[0] for path in sorted(FIXTURES.glob("*.net"))]
+    nets_ += [random_net_in_row(row, n_places=3 + k % 3, n_trans=1 + k % 4, seed=1_300 + k)
+              for row in ROWS for k in range(8)]
+    plans = Counter()
+    for net in nets_:
+        for data in witness_index(net).entries:
+            want = (_drain_weights_reference(net, data.indices),
+                    _drain_plan_reference(net, data.indices))
+            got = slp._drains(net, data)
+            assert got == want, (net.name, data.indices)
+            assert slp._drains(net, data) is got is data.drains
+            plans[want[1] is None] += 1
+    assert plans[True] and plans[False]
+
+
 def _abstract_successors_transcribed(net, idx, state):
     """The abstract step on `net` by its definition, over every transition
     in declaration order: fire when enabled, keep TOP places TOP, cap exact
@@ -819,7 +884,7 @@ def _first_exact_witness(idx, state, top):
         else:
             dead = idx.dead_set(data, tuple(state[i] for i in data.indices))
             if dead:
-                return data.indices, dead
+                return data, dead
     return None
 
 
@@ -873,10 +938,10 @@ def test_abstract_successors_flag_domination():
                 if clean is None:
                     clean = idx.witness_at(s, many(s)) is None
                 if clean:
-                    fresh.memo.clear()
                     fresh.at_memo.clear()
                     for data in fresh.entries:
-                        data.clean = ()
+                        data.memo.clear()
+                        data.clean.clear()
                     assert fresh.witness_at(nxt, many(nxt)) is None, (name, s, nxt)
                     flagged += 1
     assert pairs > 40_000 and flagged > 10_000 and mixed > 5_000
@@ -1164,12 +1229,13 @@ def test_witness_at_start_rejection():
         weighted += net.max_weight == 3
         idx = witness_index(net)
         for m in _boundary_markings(net):
-            idx.memo.clear()
+            for data in idx.entries:
+                data.memo.clear()
             idx.at_memo.clear()
             got = idx.witness_at(m)
             searched = (idx.entries if got is None else
-                        idx.entries[:[d.indices for d in idx.entries].index(got[0]) + 1])
-            assert set(idx.memo) == {
+                        idx.entries[:idx.entries.index(got[0]) + 1])
+            assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
                 (d.indices, _sub(m, d.indices)) for d in searched
                 if not _covered_outside_t_i(d, _sub(m, d.indices))}, (name, m)
             for data in idx.entries:
@@ -1196,12 +1262,13 @@ def test_witness_at_start_rejection_with_inexact_places():
         for s in idx.reach:
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             masked += mask != 0
-            idx.memo.clear()
+            for data in idx.entries:
+                data.memo.clear()
             idx.at_memo.clear()
             got = idx.witness_at(s, mask)
             searched = (len(idx.entries) if got is None else
-                        [d.indices for d in idx.entries].index(got[0]) + 1)
-            assert set(idx.memo) == {
+                        idx.entries.index(got[0]) + 1)
+            assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
                 (d.indices, _sub(s, d.indices))
                 for d, bits in zip(idx.entries[:searched], place_bits)
                 if not bits & mask and not _covered_outside_t_i(d, _sub(s, d.indices))
@@ -1216,10 +1283,10 @@ def test_dense_memo_holds_no_rejected_pair():
     for m in [stored, *itertools.islice(itertools.product((0, 1), repeat=12), 32)]:
         is_nonlive(net, m, node_budget=2_000_000)
     idx = witness_index(net)
-    by_indices = {data.indices: data for data in idx.entries}
-    assert idx.memo
-    for indices, r in idx.memo:
-        assert not _covered_outside_t_i(by_indices[indices], r), (indices, r)
+    assert any(data.memo for data in idx.entries)
+    for data in idx.entries:
+        for r in data.memo:
+            assert not _covered_outside_t_i(data, r), (data.indices, r)
 
 
 def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
@@ -1340,7 +1407,7 @@ def test_dead_set_answers_do_not_depend_on_lookup_order():
             idx = liveness.WitnessIndex(net)
             for e, r in order:
                 data = idx.entries[e]
-                fresh, points = (data.indices, r) not in idx.memo, len(data.clean)
+                fresh, points = r not in data.memo, len(data.clean)
                 got = idx.dead_set(data, r)
                 assert got == want[e, r], (name, data.indices, r)
                 if fresh and got is None and len(data.clean) == points:
