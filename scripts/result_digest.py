@@ -28,7 +28,10 @@ It hashes, in a fixed order:
     returned, read as ("budget", states explored);
   - the reachability graph (nodes in order, labelled successor lists,
     parents) of each of the 24 markings of the machines workload, from the
-    truncated marking that `is_nonlive` explores.
+    truncated marking that `is_nonlive` explores;
+  - `decide_slp` on each accepting two-letter compiled machine at candidate
+    budgets 1, 2, 7, 50, 500 and 1 000, and at the certificate's position
+    in the candidate order minus one and exactly.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -47,9 +50,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from ionet import (  # noqa: E402
-    DUMMY_PLACE, BudgetExceeded, Net, NetError, classify, cover_basis, dead_at, decide_slp,
-    find_witness, is_carrier_maximal, is_live_exact, is_nonlive, is_self_coverable,
-    parse_net, pre_mset, presentation, reach_graph, relaxed_net, sccs, truncate,
+    DUMMY_PLACE, BudgetExceeded, Net, NetError, build_stage, classify, cover_basis, dead_at,
+    decide_slp, find_witness, is_carrier_maximal, is_live_exact, is_nonlive,
+    is_self_coverable, parse_lba, parse_net, pre_mset, presentation, reach_graph,
+    relaxed_net, sccs, simulate_lba, truncate,
 )
 from ionet.generate import random_marking, random_net, random_net_in_row  # noqa: E402
 from ionet.ordinarize import check_liveness_transfer  # noqa: E402
@@ -229,6 +233,22 @@ def _machine_graphs(answers):
                _bounded(reach_graph, q.net, truncate(q.net, q.marking), budget))
 
 
+def _slp_budget_checks():
+    """`decide_slp` on the accepting two-letter machines at candidate budgets
+    that run out at the first candidates, inside the box and just before the
+    certificate, and at the certificate."""
+    for name in ("accept_all_2", "reject_all_2", "even_a_2", "flip_2"):
+        spec = parse_lba((ROOT / "fixtures" / "lba" / f"{name}.lba").read_text())
+        for word in ("aa", "ab", "ba", "bb"):
+            if simulate_lba(spec, word) != "accept":
+                continue
+            where = decide_slp(build_stage(spec, word, "Nbar")[0]).candidates_tested
+            for budget in (1, 2, 7, 50, 500, 1_000, where - 1, where):
+                net = build_stage(spec, word, "Nbar")[0]
+                yield (("slp_budget", name, word, budget),
+                       decide_slp(net, candidate_budget=budget).to_dict())
+
+
 def _relaxed(net):
     rlx = relaxed_net(net)
     return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
@@ -256,6 +276,7 @@ def checks():
     yield from _reach_graph_checks()
     yield from _budget_checks()
     yield from _machine_graphs(answers)
+    yield from _slp_budget_checks()
 
 
 def main():

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import NamedTuple
 
 from .classify import classify, NotBimo
@@ -451,39 +451,15 @@ class SlpVerdict:
         return out
 
 
-def _box_iter(n, bound):
-    """Markings with components in [0, bound], ascending total then lex."""
-    if n == 0:
-        yield ()
-        return
-    c = [0] * n
-    for total in range(0, bound * n + 1):
-        rest, first = total, -1
-        while True:
-            # the lex-least tail after `first` holding `rest`: packed right
-            for j in range(n - 1, first, -1):
-                c[j] = x = min(bound, rest)
-                rest -= x
-            yield tuple(c)
-            # the last place before the end that can take a token from its tail
-            rest = c[-1]
-            first = n - 2
-            while first >= 0 and (rest == 0 or c[first] == bound):
-                rest += c[first]
-                first -= 1
-            if first < 0:
-                break
-            c[first] += 1
-            rest -= 1
-
-
 def decide_slp(net, candidate_budget=200_000, node_budget=500_000):
     """Search the per-class candidate box for a live marking.
 
-    Candidates are enumerated by ascending token total (then lexicographic),
-    so certificates are small and deterministic.  The budget caps how many
-    candidates may be tested; liveness itself is never approximated, so no
-    candidate is ever pruned on monotonicity grounds.  Each candidate's
+    Candidates are tested by ascending token total (then lexicographic),
+    so certificates are small and deterministic.  Runs of candidates that a
+    known siphon settles are counted, not enumerated; they still count
+    against `candidate_budget`, which caps how many candidates may be
+    tested.  Liveness itself is never approximated, so no candidate is ever
+    pruned on monotonicity grounds.  Each candidate's
     `is_nonlive` gets the whole `node_budget`, which bounds each of its
     searches on its own, not the call's total work; answers memoised on the
     net cost nothing against it.
@@ -493,48 +469,84 @@ def decide_slp(net, candidate_budget=200_000, node_budget=500_000):
 
 
 def _search_box(net, bound, candidate_budget, node_budget):
-    """First live marking with components in [0, bound], in `_box_iter` order.
+    """First live marking with components in [0, bound], by ascending token
+    total, then lexicographically.
 
     Candidates that `is_nonlive`'s siphon shortcut would refute are refuted
-    here, exploring nothing: first by a known siphon, one that refuted an
-    earlier candidate, shrunk to a minimal siphon that still meets the read
-    places, when none of its places is marked; else by the siphon fixpoint
-    on the unmarked places.  Both settle the same candidates: a union of
-    siphons is a siphon, so the largest siphon inside the unmarked places
-    contains every known siphon inside them, and meets the read places
-    whenever one of those does."""
+    here, exploring nothing: by a known siphon (one that refuted an earlier
+    candidate, shrunk to a minimal siphon still meeting the read places)
+    with no marked place, else by the siphon fixpoint on the unmarked
+    places.  Both settle the same candidates, since a union of siphons is a
+    siphon: the largest one inside the unmarked places holds every known
+    siphon inside them.
+
+    The candidates of one total that share a prefix c[:d] come in one run.
+    When a known siphon ending at place d - 1 has no marked place in the
+    prefix, the whole run is settled and counted from a table of bounded
+    compositions, building none of its candidates.  Counted candidates count
+    against `candidate_budget`; a run that passes it is counted up to it."""
+    n = len(net.places)
     masks = place_masks(net)
     read = 0  # places some transition reads from
     for pre, _ in masks:
         read |= pre
-    known = []  # the known siphons, as place indices
+    known = [[] for _ in range(n)]  # the known siphons as bitmasks, by highest place
+    tails = [[1]]  # tails[k][r]: the k-tuples over [0, bound] that sum to r
+    for k in range(n):
+        tails.append([sum(tails[k][max(0, r - bound):r + 1])
+                      for r in range(bound * k + bound + 1)])
+    c = [0] * n
+    zeros = [0] * (n + 1)  # zeros[d]: unmarked places among the first d
+    rests = [0] * (n + 1)  # rests[d]: tokens left for the places from d on
     tested = explored = settled = 0
 
     def verdict(status, certificate=None):
         return SlpVerdict(status, certificate=certificate, candidates_tested=tested,
                           configs_explored=explored, siphon_settled=settled)
 
-    for cand in _box_iter(len(net.places), bound):
-        if tested >= candidate_budget:
-            return verdict("budget_exceeded")
-        tested += 1
-        for q in known:
-            for i in q:
-                if cand[i]:
+    for total in range(bound * n + 1):
+        rests[0] = total
+        d = 0  # the prefix c[:d] is set
+        while True:
+            z = zeros[d]  # 0 at d == 0, so known[-1] settles nothing there
+            for q in chain(*known) if d == n else known[d - 1]:
+                if q & z == q:
                     break
             else:
-                break  # no place of q is marked
-        else:  # no known siphon applies: run the fixpoint
-            unmarked = sum(1 << i for i, x in enumerate(cand) if not x)
-            siphon = _shrink_siphon_mask(masks, unmarked, read)
-            if not siphon:
-                v = is_nonlive(net, cand, node_budget=node_budget)
-                explored += v.configs_explored
-                if v.status == "budget_exceeded":
+                q = 0
+                if d == n:  # a whole candidate no known siphon settles
+                    q = _shrink_siphon_mask(masks, z, read)
+                    if q:
+                        known[q.bit_length() - 1].append(q)
+            if q or d == n:  # the candidates extending c[:d], settled or one
+                size = tails[n - d][rests[d]]
+                if tested + size > candidate_budget:
+                    settled += candidate_budget - tested  # 0 at an unsettled leaf
+                    tested = candidate_budget
                     return verdict("budget_exceeded")
-                if v.is_live:
-                    return verdict("structurally_live", cand)
-                continue
-            known.append(tuple(i for i in range(len(cand)) if siphon >> i & 1))
-        settled += 1
+                tested += size
+                if q:
+                    settled += size
+                else:
+                    cand = tuple(c)
+                    v = is_nonlive(net, cand, node_budget=node_budget)
+                    explored += v.configs_explored
+                    if v.status == "budget_exceeded":
+                        return verdict("budget_exceeded")
+                    if v.is_live:
+                        return verdict("structurally_live", cand)
+            if d < n and not q:  # descend: the least value for place d
+                j = d
+                x = max(0, rests[d] - bound * (n - d - 1))
+            else:  # the next prefix: raise the last place that can take a token
+                j = d - 1
+                while j >= 0 and (c[j] == bound or c[j] == rests[j]):
+                    j -= 1
+                if j < 0:
+                    break
+                x = c[j] + 1
+            c[j] = x
+            d = j + 1
+            rests[d] = rests[j] - x
+            zeros[d] = zeros[j] | (not x) << j
     return verdict("not_structurally_live")

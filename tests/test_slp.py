@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -20,8 +21,7 @@ from ionet import liveness, nets, slp
 from ionet.liveness import _sub, witness_index
 from ionet.structure import relaxed_arcs
 from ionet.slp import (
-    SlpVerdict, _box_iter, _capped_closure,
-    _search_box, _siphon_witness,
+    SlpVerdict, _capped_closure, _search_box, _siphon_witness,
 )
 from tests.conftest import (
     FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, ring17, with_spawns,
@@ -270,7 +270,6 @@ def test_witness_path_replays_in_capped_space(pump_net):
 
 def test_decide_slp_tiny_exhaustive():
     # on 2-3 place nets the verdict must match brute force over the whole box
-    from ionet.slp import _box_iter
     rng = random.Random(67)
     for seed in range(40):
         net = random_net("imo", n_places=2 + seed % 2, n_trans=2, wmax=1, seed=seed)
@@ -1462,6 +1461,33 @@ def test_node_budget_bounds_the_restricted_exploration():
     assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "abstract", 11)
 
 
+def _box_iter(n, bound):
+    """Markings with components in [0, bound], ascending total then lex: the
+    order in which `_search_box` tests the box."""
+    if n == 0:
+        yield ()
+        return
+    c = [0] * n
+    for total in range(0, bound * n + 1):
+        rest, first = total, -1
+        while True:
+            # the lex-least tail after `first` holding `rest`: packed right
+            for j in range(n - 1, first, -1):
+                c[j] = x = min(bound, rest)
+                rest -= x
+            yield tuple(c)
+            # the last place before the end that can take a token from its tail
+            rest = c[-1]
+            first = n - 2
+            while first >= 0 and (rest == 0 or c[first] == bound):
+                rest += c[first]
+                first -= 1
+            if first < 0:
+                break
+            c[first] += 1
+            rest -= 1
+
+
 def _ref_search_box(net, bound, candidate_budget, node_budget=500_000):
     """The box loop with `is_nonlive` on every candidate; siphon verdicts
     are the candidates the siphon test alone settles."""
@@ -1507,6 +1533,35 @@ def _box_cases():
         yield (lambda: load_net("io_fragile")[0]), 1, budget
     for budget in (1, 2, 7, 50):
         yield machines[0], _first_bound(machines[0]()), budget
+    # 60 seeded budgets in [1, candidates tested + 1] on each of three
+    # accepting machines (of accept_all_2, even_a_2 and flip_2): most run out
+    # inside a run of candidates that the search counts at once
+    rng = random.Random(26)
+    for make in (machines[0], machines[4], machines[6]):
+        bound = _first_bound(make())
+        full = _ref_search_box(make(), bound, 2_000_000).candidates_tested
+        for _ in range(60):
+            yield make, bound, rng.randint(1, full + 1)
+
+
+def _search_traced(net, bound, budget):
+    """`_search_box`'s verdict, and the (token total, prefix) of the counted
+    run of candidates in which it ran out of `budget` (None when it stopped
+    elsewhere), read from the search's locals as it returns."""
+    code, seen = _search_box.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            loc = frame.f_locals
+            seen.append((loc["d"] < loc["n"], loc["total"], tuple(loc["c"][:loc["d"]])))
+
+    sys.setprofile(profile)
+    try:
+        v = _search_box(net, bound, budget, 500_000)
+    finally:
+        sys.setprofile(None)
+    counted, total, prefix = seen[0]
+    return v, (total, prefix) if v.status == "budget_exceeded" and counted else None
 
 
 def _compositions(n, total, bound):
@@ -1531,15 +1586,25 @@ def test_box_iter_matches_recursive_definition():
 
 
 def test_box_loop_matches_per_candidate_reference():
-    settled_at_budget = 0
+    settled_at_budget = inside = 0
     for make, bound, budget in _box_cases():
-        got = _search_box(make(), bound, budget, 500_000)
+        got, where = _search_traced(make(), bound, budget)
         assert got == _ref_search_box(make(), bound, budget), (make(), bound, budget)
-        if got.status == "budget_exceeded" and budget > 1 and budget <= 50:
+        if got.status != "budget_exceeded" or budget == 1:
+            continue
+        before, where_before = _search_traced(make(), bound, budget - 1)
+        if budget <= 50:
             # did the budget run out on a candidate the siphon test settled?
-            before = _search_box(make(), bound, budget - 1, 500_000)
             settled_at_budget += got.siphon_settled > before.siphon_settled
+        if where is not None and where == where_before:
+            # both budgets ran out in one counted run, so candidates b and
+            # b + 1 both lie in it: b ran out inside the run, having counted
+            # candidate b without building it
+            inside += 1
+            assert got.candidates_tested == before.candidates_tested + 1 == budget
+            assert got.siphon_settled == before.siphon_settled + 1
     assert settled_at_budget >= 10
+    assert inside >= 100
 
 
 def test_box_loop_matches_per_candidate_reference_on_fixtures():
