@@ -31,7 +31,12 @@ It hashes, in a fixed order:
     truncated marking that `is_nonlive` explores;
   - `decide_slp` on each accepting two-letter compiled machine at candidate
     budgets 1, 2, 7, 50, 500 and 1 000, and at the certificate's position
-    in the candidate order minus one and exactly.
+    in the candidate order minus one and exactly;
+  - `check_witness`, both variants, at node budgets 1, 3, 20 and its
+    default, on seeded nets of all eight rows, half with spawning
+    transitions: at the witnesses `find_witness` finds, at the same with a
+    token added or taken somewhere, and at random crucial sets (the empty
+    one among them) and dead sets at random markings.
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
@@ -50,10 +55,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from ionet import (  # noqa: E402
-    DUMMY_PLACE, BudgetExceeded, Net, NetError, build_stage, classify, cover_basis, dead_at,
-    decide_slp, find_witness, is_carrier_maximal, is_live_exact, is_nonlive,
-    is_self_coverable, parse_lba, parse_net, pre_mset, presentation, reach_graph,
-    relaxed_net, sccs, simulate_lba, truncate,
+    DUMMY_PLACE, BudgetExceeded, Net, NetError, Witness, build_stage, check_witness,
+    classify, cover_basis, dead_at, decide_slp, find_witness, is_carrier_maximal,
+    is_live_exact, is_nonlive, is_self_coverable, parse_lba, parse_net, pre_mset,
+    presentation, reach_graph, relaxed_net, sccs, simulate_lba, truncate,
 )
 from ionet.generate import random_marking, random_net, random_net_in_row  # noqa: E402
 from ionet.ordinarize import check_liveness_transfer  # noqa: E402
@@ -249,6 +254,42 @@ def _slp_budget_checks():
                        decide_slp(net, candidate_budget=budget).to_dict())
 
 
+def _checked_witnesses():
+    """(name, net, witness) on seeded nets of all eight rows, half with
+    spawning transitions: found, perturbed and random witnesses."""
+    rng = random.Random(96)
+    for k in range(120):
+        net = random_net_in_row(ROWS[k % 8], n_places=2 + k % 4, n_trans=1 + k % 4,
+                                seed=96_000 + k)
+        if k % 2:
+            net = _with_spawns(net, rng)
+        n_p, n_t = len(net.places), len(net.transitions)
+        for _ in range(3):
+            m = random_marking(net, 2 * n_p, rng)
+            w = find_witness(net, m)
+            if w is not None:
+                yield f"row{k}", net, w
+                i = rng.randrange(n_p)
+                bumped = list(m)
+                bumped[i] += 1 if not m[i] or rng.random() < 0.5 else -1
+                yield f"row{k}", net, Witness(tuple(bumped), w.p_cruc, w.t_dead)
+            places = tuple(rng.sample(net.places, rng.randint(0, n_p)))
+            dead = tuple(rng.sample(net.transitions, rng.randint(1, n_t)))
+            yield f"row{k}", net, Witness(m, places, dead)
+        yield f"row{k}", net, Witness(m, (), net.transitions[:1])
+
+
+def _witness_check_checks():
+    """`check_witness` at budgets small enough to run out, and at its
+    default."""
+    for name, net, w in _checked_witnesses():
+        for variant in ("ordinary", "weighted"):
+            for budget in (1, 3, 20, None):
+                extra = {} if budget is None else {"node_budget": budget}
+                yield (("check_witness", name, w.m_wit, w.p_cruc, w.t_dead, variant, budget),
+                       _bounded(lambda: check_witness(net, w, variant, **extra).to_dict()))
+
+
 def _relaxed(net):
     rlx = relaxed_net(net)
     return (rlx.name, rlx.places, rlx.transitions, sorted(rlx.flow.items()),
@@ -277,6 +318,7 @@ def checks():
     yield from _budget_checks()
     yield from _machine_graphs(answers)
     yield from _slp_budget_checks()
+    yield from _witness_check_checks()
 
 
 def main():

@@ -87,12 +87,12 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _witness_payload(net, witness, **budget):
-    """The witness as a dict with its conditions; `budget` may give
-    `check_witness` a `node_budget`."""
+def _witness_payload(net, witness, report=None, **budget):
+    """The witness as a dict with its conditions: `report`, a check already
+    made, or else `check_witness`'s, which `budget` may give a `node_budget`."""
     data = witness.to_dict()
     variant = "ordinary" if classify(net).ordinary else "weighted"
-    report = check_witness(net, witness, variant=variant, **budget)
+    report = report or check_witness(net, witness, variant=variant, **budget)
     data["conditions"] = report.to_dict()
     return data
 
@@ -130,7 +130,7 @@ def cmd_live(args):
     payload["stats"]["wall_ms"] = wall
     lines = [f"marking {','.join(map(str, marking))}: {verdict.status}"]
     if verdict.witness is not None:
-        payload["witness"] = _witness_payload(net, verdict.witness,
+        payload["witness"] = _witness_payload(net, verdict.witness, verdict.report,
                                               node_budget=args.budget)
         lines.append(f"  crucial places: {' '.join(verdict.witness.p_cruc) or '-'}")
         lines.append(f"  dead: {' '.join(verdict.witness.t_dead)}")

@@ -5,7 +5,8 @@ checked locally: restricted to the crucial places, every non-dead transition
 moves single tokens (so the restriction is conservative and its state space
 finite), and no dead transition's restricted pre-mset is ever coverable.
 Soundness: anything dead in the restriction is dead in the full net, because
-ignored places can be imagined as holding arbitrarily many tokens.
+ignored places can be imagined as holding arbitrarily many tokens.  The witness
+search and `check_witness` explore it alike (`WitnessIndex._explore`).
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
 
-from .classify import classify, is_imo_msets
+from .classify import classify
 from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _walk, mleq,
-                   msize, carrier, place_masks, post_mset, pre_mset)
+                   msize, place_masks, post_mset, pre_mset)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
@@ -33,15 +34,25 @@ class Markings(Sequence):
     place i's count read from bits [width*i, width*(i+1)).  Its length
     unpacks nothing."""
 
-    __slots__ = ("codes", "_shifts", "_mask")
+    __slots__ = ("codes", "_shifts", "_mask", "_spread", "_lows")
 
     def __init__(self, codes, width, n_places):
         self.codes = codes
         self._shifts = range(0, width * n_places, width)
         self._mask = (1 << width) - 1
+        self._spread = range(1, width)
+        self._lows = self.pack((1,) * n_places)
 
     def pack(self, marking):
         return sum(x << s for x, s in zip(marking, self._shifts))
+
+    def marked(self, code):
+        """The low bit of each field of `code` that holds a token: the code
+        ORed with its shifts by 1 to width-1 bits, masked to those bits."""
+        x = code
+        for s in self._spread:
+            x |= code >> s
+        return x & self._lows
 
     def unpack(self, code):
         mask = self._mask
@@ -105,24 +116,19 @@ def reach_graph(net, m0, node_budget=200_000):
     Markings are packed ints of `_width` bits per place, so a successor is
     the node's code plus the transition's packed delta, built on its first
     firing.  The marked places, which `nets._walk` needs, are the fields
-    with a set bit: OR the code with its shifts by 1 to width-1 bits and
-    keep the low bit of each field."""
+    with a set bit (`Markings.marked`)."""
     net.check_marking(m0)
     table = _move_table(net)
     width = _width(net, m0, node_budget)
     g = ReachGraph(net, m0, width)
     codes, succ, enabled, parent = g.codes, g.succ, g.enabled, g.parent
     index = {codes[0]: 0}
-    lows = g.nodes.pack((1,) * len(net.places))
+    fields = g.nodes.marked
     mask = (1 << width) - 1
-    shifts = range(1, width)
     packed = [None] * len(net.transitions)
     names = net.transitions
     for v, code in enumerate(codes):  # the BFS queue: new nodes join the end
-        x = code
-        for s in shifts:
-            x |= code >> s
-        x &= lows
+        x = fields(code)
         marked = []
         while x:
             low = x & -x
@@ -185,7 +191,8 @@ def dead_at(net, marking, t, node_budget=200_000):
 
 
 def _fates(graph):
-    """Per node of a completed reach graph, the transitions `dead` there
+    """The strongly connected components of a completed reach graph, each
+    node's component, and per component c the transitions `dead` there
     (enabled at no reachable node) and the `nonlive` ones (dead at some
     reachable node), as bitmasks over transition indices.
 
@@ -212,7 +219,7 @@ def _fates(graph):
         enabled.append(en)
         dead.append(full & ~en)
         nonlive.append(below | full & ~en)
-    return [dead[c] for c in comp_of], [nonlive[c] for c in comp_of]
+    return comps, comp_of, dead, nonlive
 
 
 def is_live_exact(net, m0, node_budget=200_000):
@@ -223,21 +230,43 @@ def is_live_exact(net, m0, node_budget=200_000):
         g = reach_graph(net, m0, node_budget)
     except BudgetExceeded as exc:
         return exc
-    dead, _ = _fates(g)
-    return not any(dead)
+    return not any(_fates(g)[2])
 
 
 def _dl_node(graph):
     """First node, in index order, where every transition is dead or live and
-    at least one is dead: (node, dead names, live names), or None iff the
-    root is live."""
-    net = graph.net
-    dead, nonlive = _fates(graph)
-    for v, (d, nl) in enumerate(zip(dead, nonlive)):
-        if d and not nl & ~d:
-            return (v, tuple(t for ti, t in enumerate(net.transitions) if d >> ti & 1),
-                    tuple(t for ti, t in enumerate(net.transitions) if not d >> ti & 1))
-    return None
+    at least one is dead: (node, dead names, live names, sink), or None iff
+    the root is live.  `sink` is `_first_sink` from the node."""
+    names = graph.net.transitions
+    comps, comp_of, dead, nonlive = _fates(graph)
+    firsts = [comp[0] for comp, d, nl in zip(comps, dead, nonlive) if d and not nl & ~d]
+    if not firsts:
+        return None
+    v = min(firsts)
+    d = dead[comp_of[v]]
+    return (v, tuple(t for ti, t in enumerate(names) if d >> ti & 1),
+            tuple(t for ti, t in enumerate(names) if not d >> ti & 1),
+            _first_sink(graph.succ, comps, comp_of, v))
+
+
+def _first_sink(succ, comps, comp_of, v):
+    """The first sink component, a sorted node list, that a depth-first
+    preorder from node v enters, following `succ` in order: the component
+    Tarjan's search from v alone emits first."""
+    sinks = {}  # component -> whether no edge leaves it
+    seen = set()
+    stack = [v]
+    while True:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        c = comp_of[v]
+        if c not in sinks:
+            sinks[c] = all(comp_of[w] == c for u in comps[c] for w in succ[u])
+        if sinks[c]:
+            return comps[c]
+        stack.extend(reversed(succ[v]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +317,12 @@ class WitnessReport:
                 "cond3": self.cond3, "sound": self.sound}
 
 
-def _sub(vec, indices):
-    return tuple(vec[i] for i in indices)
-
-
 def check_witness(net, witness, variant="ordinary", node_budget=200_000):
     """Check the three witness conditions; cond1 is diagnostic only.
 
     cond2 and cond3 together certify non-liveness of any marking that can
-    reach `m_wit` in the full net.
+    reach `m_wit` in the full net.  cond3 explores the restriction firing
+    every non-dead transition, in T_I or not, within `node_budget` states.
     """
     if variant not in ("ordinary", "weighted"):
         raise NetError(f"unknown witness variant {variant!r}")
@@ -309,54 +335,22 @@ def check_witness(net, witness, variant="ordinary", node_budget=200_000):
             raise UnknownNode(f"unknown transition {t!r}")
     if not witness.t_dead:
         raise NetError("witness requires a nonempty dead set")
+    if any(len(set(names)) < len(names) for names in (witness.p_cruc, witness.t_dead)):
+        raise NetError("witness lists a place or transition twice")
 
-    indices = tuple(sorted(net.place_index[p] for p in witness.p_cruc))
-    r = _sub(witness.m_wit, indices)
+    mask = sum(1 << net.place_index[p] for p in witness.p_cruc)
+    dead = sum(1 << net.trans_index[t] for t in witness.t_dead)
+    alive = (1 << len(net.transitions)) - 1 & ~dead
+    data = _SubsetData(_move_table(net), mask, alive)
+    r = data.take(tuple(witness.m_wit))
     if variant == "ordinary":
-        cond1 = msize(r) < len(indices) and all(x <= 1 for x in r)
+        cond1 = msize(r) < len(r) and all(x <= 1 for x in r)
     else:
         cond1 = all(x <= net.max_weight for x in r)
-
-    dead_idx = sorted(net.trans_index[t] for t in witness.t_dead)
-    dead_set = set(dead_idx)
-    alive_idx = [ti for ti in range(len(net.transitions)) if ti not in dead_set]
-    vectors = [(_sub(pre_mset(net, t), indices), _sub(post_mset(net, t), indices))
-               for t in net.transitions]
-
-    cond2 = all(is_imo_msets(*vectors[ti]) for ti in alive_idx)
-
-    cond3 = _restricted_never_covers(vectors, r, alive_idx, dead_idx, node_budget)
+    cond2 = not data.blockers & alive
+    watch = [(ti, data.covers[ti]) for ti in range(len(net.transitions)) if dead >> ti & 1]
+    cond3 = WitnessIndex._explore(data, r, watch, dead, node_budget) is not None
     return WitnessReport(variant=variant, cond1=cond1, cond2=cond2, cond3=cond3)
-
-
-def _restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
-    """Explore the restriction, given by each transition's restricted
-    (pre, post) vectors, firing `fire_idx` only; fail if any watched
-    transition's restricted pre-mset gets covered."""
-    watch = [(ti, vectors[ti][0]) for ti in watch_idx]
-    moves = []
-    for ti in fire_idx:
-        pre, post = vectors[ti]
-        if any(pre) or any(post):
-            moves.append((pre, tuple(q - p for p, q in zip(pre, post))))
-    seen = {r}
-    queue = deque([r])
-    explored = 0
-    while queue:
-        m = queue.popleft()
-        explored += 1
-        if explored > node_budget:
-            raise BudgetExceeded(explored)
-        for _, wpre in watch:
-            if mleq(wpre, m):
-                return False
-        for pre, delta in moves:
-            if mleq(pre, m):
-                nm = tuple(a + d for a, d in zip(m, delta))
-                if nm not in seen:
-                    seen.add(nm)
-                    queue.append(nm)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +371,15 @@ class _SubsetData:
     __slots__ = ("indices", "take", "blockers", "fire", "covers", "memo", "clean",
                  "drains")
 
-    def __init__(self, table, mask):
+    def __init__(self, table, mask, moving=0):
         # `table`: the net's `MoveTable`; bit i of `mask` set iff place i is
-        # in the subset
+        # in the subset; `moving` transitions fire outside T_I too
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-        # the restriction of a marking tuple to the subset, as a tuple (an
-        # itemgetter of one index would return the bare count; a slice does not)
+        # the restriction of a marking tuple to the subset, as a tuple (a slice
+        # where an itemgetter of one index, or of none, would not give one)
+        top = mask.bit_length()
         self.take = (itemgetter(*indices) if len(indices) > 1
-                     else itemgetter(slice(indices[0], indices[0] + 1)))
+                     else itemgetter(slice(top - len(indices), top)))
         pos = dict(zip(indices, range(len(indices))))
         self.blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
@@ -400,6 +395,8 @@ class _SubsetData:
             # T_I: as many tokens enter the subset as leave it, at most one
             if sum(vec) or sum([x for x in vec if x < 0]) < -1:
                 self.blockers |= 1 << ti
+                if moving >> ti & 1:
+                    fire.append((support, tuple(vec)))
             elif support:
                 fire.append((support, tuple(vec)))
         self.fire = tuple(fire)
@@ -469,18 +466,20 @@ class WitnessIndex:
             else:
                 memo[r] = None
                 return None
-        dead = memo[r] = self._explore(data, r, node_budget)
+        dead = memo[r] = self._explore(data, r, enumerate(data.covers), data.blockers,
+                                       node_budget)
         if dead is None:
             data.clean.append(r)
         return dead
 
     @staticmethod
-    def _explore(data, r, node_budget):
-        """The restricted exploration behind `dead_set`.  It stops as soon as
-        every transition is covered, since the dead set is then empty; the
-        answer is the same as exploring to the end."""
-        blockers = data.blockers
-        uncovered = list(enumerate(data.covers))
+    def _explore(data, r, watch, fail, node_budget):
+        """The restricted exploration behind `dead_set` and `check_witness`:
+        from r, fire `data.fire` and collect the (transition, restricted
+        pre-mset) pairs of `watch` never covered; None as soon as a
+        transition of the `fail` mask is covered or every pair is, since the
+        answer is then None when exploring to the end too."""
+        uncovered = list(watch)
         seen = {r}
         queue = deque([r])
         explored = 0
@@ -496,7 +495,7 @@ class WitnessIndex:
                         rest.append(item)
                         break
                 else:
-                    if blockers >> item[0] & 1:
+                    if fail >> item[0] & 1:
                         return None
             uncovered = rest
             if not uncovered:
@@ -670,12 +669,11 @@ def constructed_witness(net, graph):
     res = _dl_node(graph)
     if res is None:
         return None
-    v0, dead, live = res
+    _, dead, live, sink = res
 
-    # a bottom SCC of the subgraph reachable from v0, where no dead
-    # transition fires; Tarjan emits a sink component first
-    nodes = _tarjan(len(graph.succ), graph.succ, (v0,))[0]
-    v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
+    # the carrier size of a node is the number of its code's marked fields
+    codes, fields = graph.codes, graph.nodes.marked
+    v_star = max(sink, key=lambda v: (fields(codes[v]).bit_count(), -v))
     m_star = graph.nodes[v_star]
 
     # the dummy of an empty pre-set holds its one token, and place-free

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from .classify import classify, NotBimo
 from .liveness import (
-    SUBSET_CAP, BudgetExceeded, Witness, check_witness, constructed_witness,
-    cover_basis, reach_graph, witness_index,
+    SUBSET_CAP, BudgetExceeded, Witness, WitnessReport, check_witness,
+    constructed_witness, cover_basis, reach_graph, witness_index,
 )
 from .nets import (Net, NetError, _move_table, _walk, mleq, place_masks, pre_mset,
                    successors)
@@ -136,6 +136,7 @@ class LivenessVerdict:
     witness: Witness = None
     configs_explored: int = 0
     method: str = ""
+    report: WitnessReport = None  # the witness's check, when the decision ran one
 
     @property
     def is_live(self):
@@ -331,7 +332,7 @@ def _conservative_large(net, m0, node_budget):
     if not report.sound:
         raise NetError("internal error: constructed witness failed validation")
     return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.codes),
-                           method="reach-graph")
+                           method="reach-graph", report=report)
 
 
 def is_nonlive(net, m0, node_budget=500_000):

@@ -78,19 +78,17 @@ def _graph(net):
     return net.places + net.transitions, succ
 
 
-def _tarjan(n_vertices, succ, roots=None):
-    """Iterative Tarjan: the strongly connected components of the vertices
-    reachable from `roots` (default: every vertex, in index order), each a
-    sorted vertex list.  Sinks come first: a component is emitted after
-    every component it reaches, so the first one is a sink reachable from
-    the first root."""
+def _tarjan(n_vertices, succ):
+    """Iterative Tarjan: the strongly connected components, each a sorted
+    vertex list.  Sinks come first: a component is emitted after every
+    component it reaches."""
     index = [None] * n_vertices
     low = [0] * n_vertices
     on_stack = [False] * n_vertices
     stack = []
     sccs = []
     counter = 0
-    for root in range(n_vertices) if roots is None else roots:
+    for root in range(n_vertices):
         if index[root] is not None:
             continue
         work = [(root, 0)]

@@ -23,6 +23,11 @@ def dense_arcs(net):
     return [(pre_mset(net, t), post_mset(net, t)) for t in net.transitions]
 
 
+def _sub(vec, indices):
+    """The entries of `vec` at `indices`, as a tuple."""
+    return tuple(vec[i] for i in indices)
+
+
 def labelled_edges(graph):
     """Each reach-graph node's out-edges as (transition name, node) pairs,
     rebuilt from `succ` and `enabled`: the k-th set bit of `enabled[v]`

@@ -68,16 +68,18 @@ def test_live_command_schema(tmp_path, capsys):
 
 
 def test_live_checks_the_witness_at_the_budget(tmp_path, monkeypatch, capsys):
-    """`live` checks the witness it prints at `--budget`, as it decides,
-    not at `check_witness`'s own default."""
+    """`live` checks the witness it prints once, at `--budget`, as it
+    decides, not at `check_witness`'s own default: the reach-graph decision
+    checks it and the printed conditions are that check's."""
     budgets = []
-    check = ionet.cli.check_witness
+    check = ionet.liveness.check_witness
 
     def recording(net, witness, variant="ordinary", node_budget=200_000):
         budgets.append(node_budget)
         return check(net, witness, variant=variant, node_budget=node_budget)
 
-    monkeypatch.setattr(ionet.cli, "check_witness", recording)
+    for module in (ionet.cli, ionet.slp):
+        monkeypatch.setattr(module, "check_witness", recording)
     monkeypatch.delenv("IONET_BUDGET", raising=False)
     ring = tmp_path / "ring17.net"
     ring.write_text(serialize_net(ring17(), (1,) + (0,) * 16))

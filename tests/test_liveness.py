@@ -1,24 +1,26 @@
 import dataclasses
 import operator
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
 from ionet import (
     DUMMY_PLACE, BudgetExceeded, Net, NetError, SubsetCapExceeded, UnknownNode, Witness,
-    build_stage, carrier, check_witness, cover_basis, dead_at, enabled, find_dl_marking,
-    find_witness, fire, is_carrier_maximal, is_live_exact, is_self_coverable, mleq, pre_mset,
-    reach_graph, relaxed_net, replay, rich_poor, sccs, simulate_lba, unmarked_siphon,
+    WitnessReport, build_stage, carrier, check_witness, cover_basis, dead_at, enabled,
+    find_dl_marking, find_witness, fire, is_carrier_maximal, is_live_exact, is_self_coverable,
+    mleq, msize, post_mset, pre_mset, reach_graph, relaxed_net, replay, rich_poor, sccs,
+    simulate_lba, unmarked_siphon,
 )
-from ionet import liveness
+from ionet import liveness, nets
+from ionet.classify import is_imo_msets
 from ionet.lba import STEP_BUDGET
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks, successors
 from ionet.structure import _shrink_siphon_mask
 from tests.conftest import (
-    dense_arcs, labelled_edges, load_lba, load_net, random_flow_net, with_spawns,
+    _sub, dense_arcs, labelled_edges, load_lba, load_net, random_flow_net, with_spawns,
 )
 
 
@@ -375,8 +377,22 @@ def _ref_dl_node(graph):
         if some_dead and ok:
             dead = tuple(net.transitions[ti] for ti in range(n_t) if bad[ti][v])
             live = tuple(net.transitions[ti] for ti in range(n_t) if not nlv[ti][v])
-            return v, dead, live
+            return v, dead, live, _ref_sink(graph, v)
     return None
+
+
+def _ref_sink(graph, v0):
+    """The first component Tarjan gives on the subgraph reachable from v0,
+    renumbered in BFS order from v0, mapped back and sorted."""
+    reach = [v0]
+    local = {v0: 0}
+    for v in reach:
+        for w in graph.succ[v]:
+            if w not in local:
+                local[w] = len(reach)
+                reach.append(w)
+    succ = [[local[w] for w in graph.succ[v]] for v in reach]
+    return sorted(reach[v] for v in liveness._tarjan(len(reach), succ)[0])
 
 
 def _ref_unmarked_siphon(net, marking, minimize=False):
@@ -457,17 +473,9 @@ def _constructed_witness_transcribed(net, graph):
     res = liveness._dl_node(graph)
     if res is None:
         return None
-    v0, dead, live = res
+    v0, dead, live, _ = res
     live_set = set(live)
-    reach = [v0]
-    local = {v0: 0}
-    for v in reach:
-        for w in graph.succ[v]:
-            if w not in local:
-                local[w] = len(reach)
-                reach.append(w)
-    succ = [[local[w] for w in graph.succ[v]] for v in reach]
-    nodes = [reach[v] for v in liveness._tarjan(len(reach), succ)[0]]
+    nodes = _ref_sink(graph, v0)
     v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
     m_star = graph.nodes[v_star]
     flow = {k: w for k, w in net.flow.items()
@@ -674,6 +682,137 @@ def test_reach_graph_node_view():
         g.nodes[len(g.codes)]
 
 
+def _ref_check_witness(net, witness, variant="ordinary", node_budget=200_000):
+    """`check_witness` as it was, with its own dense exploration of the
+    restriction: each transition's pre- and post-vectors restricted to the
+    crucial places, cond2 by `is_imo_msets`, and cond3 by a BFS on marking
+    tuples that fires every non-dead transition moving tokens there."""
+    if variant not in ("ordinary", "weighted"):
+        raise NetError(f"unknown witness variant {variant!r}")
+    net.check_marking(witness.m_wit)
+    for p in witness.p_cruc:
+        if p not in net.place_index:
+            raise UnknownNode(f"unknown place {p!r}")
+    for t in witness.t_dead:
+        if t not in net.trans_index:
+            raise UnknownNode(f"unknown transition {t!r}")
+    if not witness.t_dead:
+        raise NetError("witness requires a nonempty dead set")
+
+    indices = tuple(sorted(net.place_index[p] for p in witness.p_cruc))
+    r = _sub(witness.m_wit, indices)
+    if variant == "ordinary":
+        cond1 = msize(r) < len(indices) and all(x <= 1 for x in r)
+    else:
+        cond1 = all(x <= net.max_weight for x in r)
+
+    dead_idx = sorted(net.trans_index[t] for t in witness.t_dead)
+    dead_set = set(dead_idx)
+    alive_idx = [ti for ti in range(len(net.transitions)) if ti not in dead_set]
+    vectors = [(_sub(pre_mset(net, t), indices), _sub(post_mset(net, t), indices))
+               for t in net.transitions]
+
+    cond2 = all(is_imo_msets(*vectors[ti]) for ti in alive_idx)
+
+    cond3 = _ref_restricted_never_covers(vectors, r, alive_idx, dead_idx, node_budget)
+    return WitnessReport(variant=variant, cond1=cond1, cond2=cond2, cond3=cond3)
+
+
+def _ref_restricted_never_covers(vectors, r, fire_idx, watch_idx, node_budget):
+    """Explore the restriction, given by each transition's restricted
+    (pre, post) vectors, firing `fire_idx` only; fail if any watched
+    transition's restricted pre-mset gets covered."""
+    watch = [(ti, vectors[ti][0]) for ti in watch_idx]
+    moves = []
+    for ti in fire_idx:
+        pre, post = vectors[ti]
+        if any(pre) or any(post):
+            moves.append((pre, tuple(q - p for p, q in zip(pre, post))))
+    seen = {r}
+    queue = deque([r])
+    explored = 0
+    while queue:
+        m = queue.popleft()
+        explored += 1
+        if explored > node_budget:
+            raise BudgetExceeded(explored)
+        for _, wpre in watch:
+            if mleq(wpre, m):
+                return False
+        for pre, delta in moves:
+            if mleq(pre, m):
+                nm = tuple(a + d for a, d in zip(m, delta))
+                if nm not in seen:
+                    seen.add(nm)
+                    queue.append(nm)
+    return True
+
+
+def _checked_witnesses():
+    """(net, witness, variant) on seeded nets of all eight rows, half with
+    spawning transitions: the witnesses `find_witness` finds, the same with
+    a token added or taken somewhere, and random crucial sets (the empty one
+    among them) and dead sets at random markings."""
+    rng = random.Random(127)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(96):
+        net = random_net_in_row(rows[k % 8], n_places=2 + k % 4, n_trans=1 + k % 4,
+                                seed=127_000 + k)
+        if k % 2:
+            net = with_spawns(net, k)
+        variant = ("ordinary", "weighted")[k // 8 % 2]
+        n_p, n_t = len(net.places), len(net.transitions)
+        for _ in range(3):
+            m = random_marking(net, 2 * n_p, rng)
+            w = find_witness(net, m)
+            if w is not None:
+                yield net, w, variant
+                i = rng.randrange(n_p)
+                bumped = list(m)
+                bumped[i] += 1 if not m[i] or rng.random() < 0.5 else -1
+                yield net, dataclasses.replace(w, m_wit=tuple(bumped)), variant
+            places = rng.sample(net.places, rng.randint(0, n_p))
+            dead = rng.sample(net.transitions, rng.randint(1, n_t))
+            yield net, Witness(m_wit=m, p_cruc=tuple(places), t_dead=tuple(dead)), variant
+        yield net, Witness(m_wit=m, p_cruc=(), t_dead=net.transitions[:1]), variant
+
+
+def test_check_witness_matches_dense_reference(monkeypatch):
+    """`check_witness` gives the report, or the run-out with its explored
+    count, of the dense checker it replaced, at budgets 1, 3, 20 and the
+    default, and builds no dense vector.  The sample holds found witnesses,
+    perturbed ones, empty crucial sets, and witnesses failing cond2
+    (spawning transitions among the non-dead ones) whose cond3 the dense
+    checker still decided."""
+    def dense(*args):
+        raise AssertionError("dense vector built")
+
+    for module in (liveness, nets):
+        monkeypatch.setattr(module, "pre_mset", dense)
+        monkeypatch.setattr(module, "post_mset", dense)
+    seen = Counter()
+    for net, w, variant in _checked_witnesses():
+        for budget in (1, 3, 20, 200_000):
+            outcomes = []
+            for check in (_ref_check_witness, check_witness):
+                try:
+                    outcomes.append(check(net, w, variant=variant, node_budget=budget))
+                except BudgetExceeded as exc:
+                    outcomes.append(("budget", exc.explored))
+            want, got = outcomes
+            assert got == want, (net.name, w, variant, budget)
+            if budget == 200_000 and isinstance(want, WitnessReport):
+                seen["sound" if want.sound else "unsound"] += 1
+                seen["empty"] += not w.p_cruc
+                seen["cond2 false, cond3"] += not want.cond2 and want.cond3
+                seen["spawning"] += not want.cond2 and any(
+                    not net._pre[net.trans_index[t]] and t not in w.t_dead
+                    for t in net.transitions)
+            else:
+                seen["run-out"] += not isinstance(want, WitnessReport)
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
 def _pump_witness(**change):
     net, _ = load_net("bimo_pump")
     witness = find_witness(net, (1, 0, 0, 0, 0))
@@ -686,6 +825,10 @@ def _pump_witness(**change):
     ({"p_cruc": ("nowhere",)}, "ordinary", UnknownNode, "unknown place"),
     ({"t_dead": ("never",)}, "ordinary", UnknownNode, "unknown transition"),
     ({"t_dead": ()}, "ordinary", NetError, "nonempty dead set"),
+    ({"p_cruc": ("p1", "p1", "p2", "p3", "p4", "p5")}, "ordinary", NetError,
+     "place or transition twice"),
+    ({"t_dead": ("t4", "t5", "t6", "t7", "t4")}, "ordinary", NetError,
+     "place or transition twice"),
 ])
 def test_check_witness_rejections(change, variant, error, fragment):
     net, witness = _pump_witness(**change)

@@ -18,13 +18,13 @@ from ionet import (
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet import liveness, nets, slp
-from ionet.liveness import _sub, witness_index
+from ionet.liveness import witness_index
 from ionet.structure import relaxed_arcs
 from ionet.slp import (
     SlpVerdict, _capped_closure, _search_box, _siphon_witness,
 )
 from tests.conftest import (
-    FIXTURES, accepting_machines, dense_arcs, load_lba, load_net, ring17, with_spawns,
+    FIXTURES, _sub, accepting_machines, dense_arcs, load_lba, load_net, ring17, with_spawns,
 )
 
 ROWS = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")

@@ -10,6 +10,7 @@ from ionet import (
     post_mset, pre_mset,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
+from ionet.liveness import _first_sink
 from ionet.nets import place_masks
 from ionet.structure import (
     _is_siphon_mask, _largest_siphon_mask, _shrink_siphon_mask, _tarjan, relaxed_arcs,
@@ -150,17 +151,23 @@ def test_sccs_ring_chain_oracle():
         assert ring_comps[0].is_top and ring_comps[-1].is_bottom
 
 
-def test_tarjan_from_roots_matches_renumbered_subgraph():
-    """From one root, `_tarjan` gives the components that the default call
-    gives on the subgraph reachable from it, renumbered in BFS order from
-    the root and mapped back, in the same order; on seeded digraphs with
-    self-loops and repeated edges, from every start vertex."""
+def test_first_sink_matches_renumbered_subgraph():
+    """From one vertex, `liveness._first_sink` on the whole graph's
+    components gives the first component that `_tarjan` gives on the
+    subgraph reachable from it, renumbered in BFS order from the vertex and
+    mapped back; on seeded digraphs with self-loops and repeated edges, from
+    every start vertex."""
     rng = random.Random(61)
     loops = partial = 0
     for k in range(120):
         n = 1 + k % 10
         succ = [[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)]
         loops += any(v in out for v, out in enumerate(succ))
+        comps = _tarjan(n, succ)
+        comp_of = [0] * n
+        for c, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = c
         for v in range(n):
             reach, local = [v], {v: 0}
             for u in reach:
@@ -169,8 +176,8 @@ def test_tarjan_from_roots_matches_renumbered_subgraph():
                         local[w] = len(reach)
                         reach.append(w)
             sub = [[local[w] for w in succ[u]] for u in reach]
-            want = [sorted(reach[u] for u in comp) for comp in _tarjan(len(reach), sub)]
-            assert _tarjan(n, succ, (v,)) == want, (succ, v)
+            want = sorted(reach[u] for u in _tarjan(len(reach), sub)[0])
+            assert _first_sink(succ, comps, comp_of, v) == want, (succ, v)
             partial += len(reach) < n
     assert loops >= 40 and partial >= 100
 
