@@ -91,8 +91,7 @@ def _witness_payload(net, witness, report=None, **budget):
     """The witness as a dict with its conditions: `report`, a check already
     made, or else `check_witness`'s, which `budget` may give a `node_budget`."""
     data = witness.to_dict()
-    variant = "ordinary" if classify(net).ordinary else "weighted"
-    report = report or check_witness(net, witness, variant=variant, **budget)
+    report = report or check_witness(net, witness, **budget)
     data["conditions"] = report.to_dict()
     return data
 

@@ -17,7 +17,7 @@ from itertools import compress, count
 from operator import itemgetter
 
 from .classify import classify
-from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _walk, mleq,
+from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _path, _walk, mleq,
                    msize, place_masks, post_mset, pre_mset)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
@@ -89,12 +89,7 @@ class ReachGraph:
         self.parent = [None]       # (src_index, transition) BFS tree
 
     def path_to(self, v):
-        out = []
-        while self.parent[v] is not None:
-            u, t = self.parent[v]
-            out.append(t)
-            v = u
-        return tuple(reversed(out))
+        return _path(self.parent, v)
 
 
 def _width(net, m0, node_budget):
@@ -235,18 +230,15 @@ def is_live_exact(net, m0, node_budget=200_000):
 
 def _dl_node(graph):
     """First node, in index order, where every transition is dead or live and
-    at least one is dead: (node, dead names, live names, sink), or None iff
-    the root is live.  `sink` is `_first_sink` from the node."""
-    names = graph.net.transitions
+    at least one is dead: (node, dead transition bitmask, sink), or None
+    iff the root is live; the other transitions are live there.  `sink` is
+    `_first_sink` from the node."""
     comps, comp_of, dead, nonlive = _fates(graph)
     firsts = [comp[0] for comp, d, nl in zip(comps, dead, nonlive) if d and not nl & ~d]
     if not firsts:
         return None
     v = min(firsts)
-    d = dead[comp_of[v]]
-    return (v, tuple(t for ti, t in enumerate(names) if d >> ti & 1),
-            tuple(t for ti, t in enumerate(names) if not d >> ti & 1),
-            _first_sink(graph.succ, comps, comp_of, v))
+    return v, dead[comp_of[v]], _first_sink(graph.succ, comps, comp_of, v)
 
 
 def _first_sink(succ, comps, comp_of, v):
@@ -317,13 +309,17 @@ class WitnessReport:
                 "cond3": self.cond3, "sound": self.sound}
 
 
-def check_witness(net, witness, variant="ordinary", node_budget=200_000):
+def check_witness(net, witness, variant=None, node_budget=200_000):
     """Check the three witness conditions; cond1 is diagnostic only.
 
     cond2 and cond3 together certify non-liveness of any marking that can
     reach `m_wit` in the full net.  cond3 explores the restriction firing
     every non-dead transition, in T_I or not, within `node_budget` states.
+    `variant` defaults to the net's own: "ordinary" when it is, else
+    "weighted".
     """
+    if variant is None:
+        variant = "ordinary" if classify(net).ordinary else "weighted"
     if variant not in ("ordinary", "weighted"):
         raise NetError(f"unknown witness variant {variant!r}")
     net.check_marking(witness.m_wit)
@@ -669,7 +665,7 @@ def constructed_witness(net, graph):
     res = _dl_node(graph)
     if res is None:
         return None
-    _, dead, live, sink = res
+    _, dead, sink = res
 
     # the carrier size of a node is the number of its code's marked fields
     codes, fields = graph.codes, graph.nodes.marked
@@ -680,9 +676,8 @@ def constructed_witness(net, graph):
     # components hold none of none, so neither is ever poor
     arcs = relaxed_arcs(net)
     succ = [[] for _ in net.places]
-    for t in live:
-        src, dests = arcs[net.trans_index[t]]
-        if src is not None:
+    for ti, (src, dests) in enumerate(arcs):
+        if src is not None and not dead >> ti & 1:
             succ[src].extend(dests)
     cruc = []
     for comp in _tarjan(len(net.places), succ):
@@ -691,6 +686,6 @@ def constructed_witness(net, graph):
     return Witness(
         m_wit=m_star,
         p_cruc=tuple(net.places[i] for i in sorted(cruc)),
-        t_dead=tuple(dead),
+        t_dead=tuple(t for ti, t in enumerate(net.transitions) if dead >> ti & 1),
         path=graph.path_to(v_star),
     )

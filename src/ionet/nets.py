@@ -310,6 +310,30 @@ def successors(net, marking):
     return out
 
 
+def _breadth_first(start, step):
+    """Yield (state, parents) in breadth-first order from `start`, where
+    `step(state)` lists (label, successor) pairs and `parents` maps each
+    state found so far to (parent, label), and `start` to None."""
+    parents = {start: None}
+    queue = [start]
+    for state in queue:  # new states join the end
+        yield state, parents
+        for label, nxt in step(state):
+            if nxt not in parents:
+                parents[nxt] = (state, label)
+                queue.append(nxt)
+
+
+def _path(parents, state):
+    """The labels from the root to `state` in `parents`, a dict or list
+    whose entries are (parent, label), or None at the root."""
+    out = []
+    while parents[state] is not None:
+        state, label = parents[state]
+        out.append(label)
+    return tuple(reversed(out))
+
+
 def place_masks(net):
     """(pre-place bitmask, post-place bitmask) per transition, bit i standing
     for place i; built on first use and cached on the net."""

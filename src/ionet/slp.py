@@ -22,8 +22,8 @@ decided on their (finite) reachability graph directly.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, count
 from typing import NamedTuple
 
@@ -32,8 +32,8 @@ from .liveness import (
     SUBSET_CAP, BudgetExceeded, Witness, WitnessReport, check_witness,
     constructed_witness, cover_basis, reach_graph, witness_index,
 )
-from .nets import (Net, NetError, _move_table, _walk, mleq, place_masks, pre_mset,
-                   successors)
+from .nets import (Net, NetError, _breadth_first, _move_table, _path, _walk, mleq,
+                   place_masks, pre_mset, successors)
 from .structure import _shrink_siphon_mask, relaxed_arcs, unmarked_siphon
 
 
@@ -287,8 +287,7 @@ def _capped_closure(net, start, targets, node_budget, idx):
     closure; raises BudgetExceeded."""
     h = _heuristic(net, targets)
     states = [start]
-    parents = [-1]   # index of each state's parent in `states`
-    labels = [None]  # step from the parent
+    parents = [None]  # (index of the parent in `states`, step from it)
     visited = {start.counts: [start.saturated]}
     heap = [(h(start.counts), 0)]  # ties go to the earlier state
     explored = 0
@@ -300,17 +299,12 @@ def _capped_closure(net, start, targets, node_budget, idx):
         state = states[k]
         hit = idx.witness_at(state.counts, node_budget=node_budget)
         if hit is not None:
-            path = []
-            while parents[k] >= 0:
-                path.append(labels[k])
-                k = parents[k]
-            return Witness.from_hit(net, hit, state.counts, tuple(reversed(path))), explored
+            return Witness.from_hit(net, hit, state.counts, _path(parents, k)), explored
         for label, nxt in capped_successors(net, state):
             if _admit(visited, nxt):
                 heapq.heappush(heap, (h(nxt.counts), len(states)))
                 states.append(nxt)
-                parents.append(k)
-                labels.append(label)
+                parents.append((k, label))
     return None, explored
 
 
@@ -324,9 +318,8 @@ def _conservative_large(net, m0, node_budget):
     if wit is None:
         return LivenessVerdict("live", configs_explored=len(g.codes),
                                method="reach-graph")
-    variant = "ordinary" if classify(net).ordinary else "weighted"
     try:
-        report = check_witness(net, wit, variant=variant, node_budget=node_budget)
+        report = check_witness(net, wit, node_budget=node_budget)
     except BudgetExceeded as exc:
         raise BudgetExceeded(len(g.codes) + exc.explored) from exc
     if not report.sound:
@@ -405,12 +398,7 @@ def find_dl_marking(net, m0, node_budget=200_000):
         return None
     bases = [cover_basis(net, pre_mset(net, t), node_budget) for t in net.transitions]
     restricted = {}
-    seen = {tuple(m0)}
-    queue = deque(seen)
-    explored = 0
-    while queue:
-        m = queue.popleft()
-        explored += 1
+    for explored, (m, _) in enumerate(_breadth_first(tuple(m0), partial(successors, net)), 1):
         if explored > node_budget:
             raise BudgetExceeded(explored)
         dead = tuple(t for t, basis in zip(net.transitions, bases)
@@ -424,10 +412,6 @@ def find_dl_marking(net, m0, node_budget=200_000):
             sub = restricted[dead]
             if not sub.transitions or _decided_live(sub, m, node_budget):
                 return m, dead, tuple(t for t in net.transitions if t not in dead)
-        for _, nm in successors(net, m):
-            if nm not in seen:
-                seen.add(nm)
-                queue.append(nm)
     raise BudgetExceeded(explored)
 
 

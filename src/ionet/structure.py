@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .classify import NotBimo, _split, classify, dummy_augment
-from .nets import BudgetExceeded, Net, UnknownNode, carrier, mleq, place_masks, successors
+from .nets import (BudgetExceeded, Net, UnknownNode, _breadth_first, _path, carrier, mleq,
+                   place_masks, successors)
 
 
 @dataclass(frozen=True)
@@ -258,31 +259,19 @@ def is_self_coverable(net, marking, node_budget=200_000):
     """
     net.check_marking(marking)
     start = tuple(marking)
-    n_trans = len(net.transitions)
-    full = (1 << n_trans) - 1
-    init = (start, 0)
-    seen = {init: None}
-    queue = deque([init])
-    explored = 0
-    while queue:
-        state = queue.popleft()
-        m, mask = state
-        explored += 1
-        if mask == full and mleq(start, m):
-            seq = []
-            cur = state
-            while seen[cur] is not None:
-                prev, t = seen[cur]
-                seq.append(t)
-                cur = prev
-            return SearchResult(status="yes", sequence=tuple(reversed(seq)), explored=explored)
+    names = net.transitions
+    full = (1 << len(names)) - 1
+
+    def step(state):
+        m, fired = state
+        return [(names[ti], (nm, fired | 1 << ti)) for ti, nm in successors(net, m)]
+
+    for explored, (state, parents) in enumerate(_breadth_first((start, 0), step), 1):
+        m, fired = state
+        if fired == full and mleq(start, m):
+            return SearchResult(status="yes", sequence=_path(parents, state), explored=explored)
         if explored > node_budget:
             raise BudgetExceeded(explored)
-        for ti, nm in successors(net, m):
-            nxt = (nm, mask | (1 << ti))
-            if nxt not in seen:
-                seen[nxt] = (state, net.transitions[ti])
-                queue.append(nxt)
     return SearchResult(status="no", explored=explored)
 
 
@@ -291,18 +280,9 @@ def is_carrier_maximal(net, marking, node_budget=200_000):
     net.check_marking(marking)
     start = tuple(marking)
     base = len(carrier(start))
-    seen = {start}
-    queue = deque([start])
-    explored = 0
-    while queue:
-        m = queue.popleft()
-        explored += 1
+    for explored, (m, _) in enumerate(_breadth_first(start, partial(successors, net)), 1):
         if len(carrier(m)) > base:
             return SearchResult(status="no", marking=m, explored=explored)
         if explored > node_budget:
             raise BudgetExceeded(explored)
-        for _, nxt in successors(net, m):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
     return SearchResult(status="yes", explored=explored)

@@ -74,7 +74,7 @@ def test_live_checks_the_witness_at_the_budget(tmp_path, monkeypatch, capsys):
     budgets = []
     check = ionet.liveness.check_witness
 
-    def recording(net, witness, variant="ordinary", node_budget=200_000):
+    def recording(net, witness, variant=None, node_budget=200_000):
         budgets.append(node_budget)
         return check(net, witness, variant=variant, node_budget=node_budget)
 
@@ -351,6 +351,17 @@ def test_fixture_report_prints_machines():
         assert " structurally_live cert=" in line, line
         assert ("candidates=1624 siphon_settled=1623 " in line
                 or "candidates=2947 siphon_settled=2946 " in line), line
+
+
+def test_src_size_prints_two_counts():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "src_size.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    raw, code = (int(field) for field in proc.stdout.split())
+    assert raw == sum(len(path.read_text().splitlines())
+                      for path in (root / "src").rglob("*.py"))
+    assert 0 < code < raw
 
 
 @pytest.mark.parametrize("argv", [

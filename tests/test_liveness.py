@@ -9,18 +9,19 @@ from ionet import (
     DUMMY_PLACE, BudgetExceeded, Net, NetError, SubsetCapExceeded, UnknownNode, Witness,
     WitnessReport, build_stage, carrier, check_witness, cover_basis, dead_at, enabled,
     find_dl_marking, find_witness, fire, is_carrier_maximal, is_live_exact, is_self_coverable,
-    mleq, msize, post_mset, pre_mset, reach_graph, relaxed_net, replay, rich_poor, sccs,
-    simulate_lba, unmarked_siphon,
+    mleq, msize, parse_net, post_mset, pre_mset, reach_graph, relaxed_net, replay, rich_poor,
+    sccs, simulate_lba, unmarked_siphon,
 )
-from ionet import liveness, nets
+from ionet import liveness, nets, slp
 from ionet.classify import is_imo_msets
 from ionet.lba import STEP_BUDGET
 from ionet.liveness import constructed_witness
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet.nets import place_masks, successors
-from ionet.structure import _shrink_siphon_mask
+from ionet.structure import SearchResult, _shrink_siphon_mask
 from tests.conftest import (
-    _sub, dense_arcs, labelled_edges, load_lba, load_net, random_flow_net, with_spawns,
+    FIXTURES, _sub, dense_arcs, labelled_edges, load_lba, load_net, random_flow_net,
+    with_spawns,
 )
 
 
@@ -210,6 +211,138 @@ def test_find_dl_marking_none_for_live(fragile_net):
     assert find_dl_marking(net, m0) is None
 
 
+def _ref_is_self_coverable(net, marking, node_budget=200_000):
+    """`is_self_coverable` with its own queue, seen set and parent chain."""
+    net.check_marking(marking)
+    start = tuple(marking)
+    n_trans = len(net.transitions)
+    full = (1 << n_trans) - 1
+    init = (start, 0)
+    seen = {init: None}
+    queue = deque([init])
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        m, mask = state
+        explored += 1
+        if mask == full and mleq(start, m):
+            seq = []
+            cur = state
+            while seen[cur] is not None:
+                prev, t = seen[cur]
+                seq.append(t)
+                cur = prev
+            return SearchResult(status="yes", sequence=tuple(reversed(seq)), explored=explored)
+        if explored > node_budget:
+            raise BudgetExceeded(explored)
+        for ti, nm in successors(net, m):
+            nxt = (nm, mask | (1 << ti))
+            if nxt not in seen:
+                seen[nxt] = (state, net.transitions[ti])
+                queue.append(nxt)
+    return SearchResult(status="no", explored=explored)
+
+
+def _ref_is_carrier_maximal(net, marking, node_budget=200_000):
+    """`is_carrier_maximal` with its own queue and seen set."""
+    net.check_marking(marking)
+    start = tuple(marking)
+    base = len(carrier(start))
+    seen = {start}
+    queue = deque([start])
+    explored = 0
+    while queue:
+        m = queue.popleft()
+        explored += 1
+        if len(carrier(m)) > base:
+            return SearchResult(status="no", marking=m, explored=explored)
+        if explored > node_budget:
+            raise BudgetExceeded(explored)
+        for _, nxt in successors(net, m):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return SearchResult(status="yes", explored=explored)
+
+
+def _ref_find_dl_marking(net, m0, node_budget=200_000):
+    """`find_dl_marking` with its own queue and seen set."""
+    net.check_marking(m0)
+    if slp._decided_live(net, m0, node_budget):
+        return None
+    bases = [cover_basis(net, pre_mset(net, t), node_budget) for t in net.transitions]
+    restricted = {}
+    seen = {tuple(m0)}
+    queue = deque(seen)
+    explored = 0
+    while queue:
+        m = queue.popleft()
+        explored += 1
+        if explored > node_budget:
+            raise BudgetExceeded(explored)
+        dead = tuple(t for t, basis in zip(net.transitions, bases)
+                     if not any(mleq(b, m) for b in basis))
+        if dead:
+            if dead not in restricted:
+                keep = tuple(t for t in net.transitions if t not in dead)
+                flow = {k: w for k, w in net.flow.items()
+                        if k[0] in keep or k[1] in keep}
+                restricted[dead] = Net(net.name + ".dl", net.places, keep, flow)
+            sub = restricted[dead]
+            if not sub.transitions or slp._decided_live(sub, m, node_budget):
+                return m, dead, tuple(t for t in net.transitions if t not in dead)
+        for _, nm in successors(net, m):
+            if nm not in seen:
+                seen.add(nm)
+                queue.append(nm)
+    raise BudgetExceeded(explored)
+
+
+def _walk_cases():
+    """(net, marking) on seeded nets of all eight rows and on the fixtures,
+    at their stored marking or a seeded one."""
+    rng = random.Random(281)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(32):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=281_000 + k)
+        yield net, random_marking(net, 1 + k % 5, rng)
+    for path in sorted(FIXTURES.glob("*.net")):
+        net, m = parse_net(path.read_text())
+        yield net, m or random_marking(net, 3, rng)
+
+
+def test_breadth_first_searches_match_reference():
+    """`is_self_coverable`, `is_carrier_maximal` and `find_dl_marking`, on
+    the shared breadth-first walk, answer as their hand-rolled loops did,
+    or run out with the same explored count, at node budgets 1 to 50 and
+    at the default.  Each call gets a fresh net, so no call warms the
+    caches of another."""
+    seen = Counter()
+    pairs = ((_ref_is_self_coverable, is_self_coverable),
+             (_ref_is_carrier_maximal, is_carrier_maximal),
+             (_ref_find_dl_marking, find_dl_marking))
+    for net, m in _walk_cases():
+        for budget in (*range(1, 51), 200_000):
+            for ref, search in pairs:
+                outcomes = []
+                for run in (ref, search):
+                    fresh = Net(net.name, net.places, net.transitions, net.flow)
+                    try:
+                        outcomes.append(run(fresh, m, node_budget=budget))
+                    except BudgetExceeded as exc:
+                        outcomes.append(("budget", exc.explored))
+                want, got = outcomes
+                assert got == want, (search.__name__, net.name, m, budget)
+                if isinstance(want, tuple) and want[0] == "budget":
+                    seen[search.__name__, "run-out"] += 1
+                elif isinstance(want, SearchResult):
+                    seen[search.__name__, want.status] += 1
+                else:
+                    seen[search.__name__, "live" if want is None else "dl"] += 1
+    assert len(seen) == 9 and min(seen.values()) >= 10, seen
+
+
 def test_check_witness_three_conditions(witness_net):
     net, m0 = witness_net
     m_wit = replay(net, m0, ["t3", "t4", "t2", "t1", "t1", "t6", "t6", "t6"]).final
@@ -381,6 +514,18 @@ def _ref_dl_node(graph):
     return None
 
 
+def _ref_dl_node_masked(graph):
+    """`_ref_dl_node` in `_dl_node`'s shape, (node, dead transition bitmask,
+    sink), after checking that the live transitions there are the others."""
+    res = _ref_dl_node(graph)
+    if res is None:
+        return None
+    v, dead, live, sink = res
+    names = graph.net.transitions
+    assert live == tuple(t for t in names if t not in dead), (graph.net, v)
+    return v, sum(1 << ti for ti, t in enumerate(names) if t in dead), sink
+
+
 def _ref_sink(graph, v0):
     """The first component Tarjan gives on the subgraph reachable from v0,
     renumbered in BFS order from v0, mapped back and sorted."""
@@ -457,10 +602,10 @@ def test_kernels_match_reference(monkeypatch):
         assert exact is _ref_is_live(g), (net, m)
         live += exact
         nonlive += not exact
-        assert liveness._dl_node(g) == _ref_dl_node(g), (net, m)
+        assert liveness._dl_node(g) == _ref_dl_node_masked(g), (net, m)
         witness = constructed_witness(net, g)
         with monkeypatch.context() as patch:
-            patch.setattr(liveness, "_dl_node", _ref_dl_node)
+            patch.setattr(liveness, "_dl_node", _ref_dl_node_masked)
             assert witness == constructed_witness(net, g), (net, m)
     assert graphs >= 80 and live >= 10 and nonlive >= 10
 
@@ -473,7 +618,9 @@ def _constructed_witness_transcribed(net, graph):
     res = liveness._dl_node(graph)
     if res is None:
         return None
-    v0, dead, live, _ = res
+    v0, dead_mask, _ = res
+    dead = tuple(t for ti, t in enumerate(net.transitions) if dead_mask >> ti & 1)
+    live = tuple(t for t in net.transitions if t not in dead)
     live_set = set(live)
     nodes = _ref_sink(graph, v0)
     v_star = max(nodes, key=lambda v: (len(carrier(graph.nodes[v])), -v))
@@ -834,3 +981,19 @@ def test_check_witness_rejections(change, variant, error, fragment):
     net, witness = _pump_witness(**change)
     with pytest.raises(error, match=fragment):
         check_witness(net, witness, variant=variant)
+
+
+def test_check_witness_defaults_to_the_nets_variant():
+    """Without a variant, `check_witness` judges an ordinary net as
+    "ordinary" and a weighted one as "weighted"."""
+    pump, pump_witness = _pump_witness()
+    single, _ = load_net("weighted_single")
+    lone = Witness(m_wit=(1, 0), p_cruc=("p1",), t_dead=("t",))
+    for net, witness, variant in ((pump, pump_witness, "ordinary"),
+                                  (single, lone, "weighted")):
+        report = check_witness(net, witness)
+        assert report == check_witness(net, witness, variant=variant)
+        assert report.variant == variant and report.sound
+    # cond1 tells the two variants apart on the weighted net
+    assert not check_witness(single, lone, variant="ordinary").cond1
+    assert check_witness(single, lone).cond1

@@ -378,7 +378,7 @@ def test_reach_graph_witness_check_shares_the_budget(monkeypatch):
     budgets = []
     check = slp.check_witness
 
-    def recording(net, witness, variant="ordinary", node_budget=200_000):
+    def recording(net, witness, variant=None, node_budget=200_000):
         budgets.append(node_budget)
         return check(net, witness, variant=variant, node_budget=node_budget)
 
