@@ -84,16 +84,29 @@ def classify(net):
     # the `is_*_msets` tests on the arc pairs: with the dummy loop an empty
     # pre-set has size 1 and the post-set one more token, so |pre| <= 2 and
     # |pre| == |post| read the same with or without it; a bimo transition
-    # moves one token exactly when it keeps the token count
+    # moves one token exactly when it keeps the token count, and only one
+    # that reads two tokens or more can lose two
     for pre, post in zip(net._pre, net._post):
-        sp = sum(w for _, w in pre)
-        if sp != sum(w for _, w in post):
+        sp = sq = 0
+        for _, w in pre:
+            sp += w
+        for _, w in post:
+            sq += w
+        if sp != sq:
             conservative = False
-        back = dict(post)
-        if sum(max(w - back.get(i, 0), 0) for i, w in pre) > 1:
-            bimo = False
         if sp > 2:
             bio = False
+        if sp > 1 and bimo:
+            lost = j = 0
+            for i, w in pre:  # merge the two arc tuples, both in place order
+                while j < len(post) and post[j][0] < i:
+                    j += 1
+                if j < len(post) and post[j][0] == i:
+                    w -= post[j][1]
+                if w > 0:
+                    lost += w
+            if lost > 1:
+                bimo = False
     bio = bio and bimo
     imo = bimo and conservative
     result = NetClass(

@@ -95,7 +95,8 @@ class Net:
     """Places, transitions and a weighted flow function.
 
     The constructor's `flow` maps (place, transition) and (transition, place)
-    pairs to weights >= 1; absent pairs and weight 0 mean no arc.  Place and
+    pairs to weights >= 1; absent pairs and weight 0 mean no arc, but a
+    weight-0 pair must still name declared nodes.  Place and
     transition order is fixed at construction and determines marking indices
     and all tie-breaks.  Each transition's arcs are stored once, as `_pre`
     and `_post`: its (place index, weight) pairs in ascending place order.
@@ -115,35 +116,41 @@ class Net:
         for ident in places + transitions:
             if not isinstance(ident, str) or not _IDENTIFIER.fullmatch(ident):
                 raise NetError(f"identifier {ident!r} cannot be written in the text format")
-        if len(set(places)) != len(places):
+        place_index = {p: i for i, p in enumerate(places)}
+        if len(place_index) != len(places):
             raise NetError("duplicate place identifier")
-        if len(set(transitions)) != len(transitions):
+        trans_index = {t: i for i, t in enumerate(transitions)}
+        if len(trans_index) != len(transitions):
             raise NetError("duplicate transition identifier")
-        if set(places) & set(transitions):
+        if not place_index.keys().isdisjoint(trans_index):
             raise NetError("place and transition identifiers must be disjoint")
         self.name = name
         self.places = places
         self.transitions = transitions
-        self.place_index = {p: i for i, p in enumerate(places)}
-        self.trans_index = {t: i for i, t in enumerate(transitions)}
+        self.place_index = place_index
+        self.trans_index = trans_index
         pre = [[] for _ in transitions]
         post = [[] for _ in transitions]
+        max_weight = 1
         for (a, b), w in flow.items():
-            if not isinstance(w, int) or isinstance(w, bool):
+            if type(w) is not int and (not isinstance(w, int) or isinstance(w, bool)):
                 raise NetError(f"weight for ({a}, {b}) must be an integer")
-            if w == 0:
-                continue
-            if w < 1 or w > MAX_WEIGHT:
+            if w < 0 or w > MAX_WEIGHT:
                 raise NetError(f"weight {w} for ({a}, {b}) out of range")
-            if a in self.place_index and b in self.trans_index:
-                pre[self.trans_index[b]].append((self.place_index[a], w))
-            elif a in self.trans_index and b in self.place_index:
-                post[self.trans_index[a]].append((self.place_index[b], w))
+            i = place_index.get(a)
+            if i is not None:
+                ti, arcs = trans_index.get(b), pre
             else:
+                ti, i, arcs = trans_index.get(a), place_index.get(b), post
+            if i is None or ti is None:
                 raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
+            if w:
+                arcs[ti].append((i, w))
+                if w > max_weight:
+                    max_weight = w
         self._pre = tuple(tuple(sorted(arcs)) for arcs in pre)
         self._post = tuple(tuple(sorted(arcs)) for arcs in post)
-        self.max_weight = max((w for arcs in pre + post for _, w in arcs), default=1)
+        self.max_weight = max_weight
         self._analysis = {}  # lazily filled caches keyed by analysis name
 
     @property
@@ -252,17 +259,32 @@ def _move_table(net):
         deltas = []
         rest = []
         for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+            bit = 1 << ti
             if pre:
-                first[pre[0][0]] |= 1 << ti
-                last[pre[-1][0]] |= 1 << ti
+                first[pre[0][0]] |= bit
+                last[pre[-1][0]] |= bit
             else:
-                free |= 1 << ti
-            rest.append(tuple(arc for k, arc in enumerate(pre)
-                              if arc[1] > 1 or 0 < k < len(pre) - 1))
-            delta = dict(post)
-            for i, w in pre:
-                delta[i] = delta.get(i, 0) - w
-            deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
+                free |= bit
+            # one merge of the two arc tuples, both in ascending place order
+            end = len(pre) - 1
+            n = len(post)
+            todo = []
+            delta = []
+            j = 0
+            for k, (i, w) in enumerate(pre):
+                if w > 1 or 0 < k < end:
+                    todo.append((i, w))
+                while j < n and post[j][0] < i:
+                    delta.append(post[j])
+                    j += 1
+                if j < n and post[j][0] == i:
+                    if post[j][1] != w:
+                        delta.append((i, post[j][1] - w))
+                    j += 1
+                else:
+                    delta.append((i, -w))
+            rest.append(tuple(todo))
+            deltas.append(tuple(delta) + post[j:])
         table = MoveTable(tuple(deltas), tuple(first), free, net._pre, tuple(last),
                           tuple(rest))
         net._analysis["move_table"] = table
@@ -339,9 +361,15 @@ def place_masks(net):
     for place i; built on first use and cached on the net."""
     masks = net._analysis.get("place_masks")
     if masks is None:
-        masks = tuple((sum(1 << i for i, _ in pre), sum(1 << i for i, _ in post))
-                      for pre, post in zip(net._pre, net._post))
-        net._analysis["place_masks"] = masks
+        out = []
+        for pre, post in zip(net._pre, net._post):
+            a = b = 0
+            for i, _ in pre:
+                a |= 1 << i
+            for i, _ in post:
+                b |= 1 << i
+            out.append((a, b))
+        masks = net._analysis["place_masks"] = tuple(out)
     return masks
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ionet import (
-    DUMMY_PLACE, Net, NotBimo, augment_marking, build_stage, classify, dummy_augment,
+    DUMMY_PLACE, STAGES, Net, NotBimo, augment_marking, build_stage, classify, dummy_augment,
     msize, msub, parse_net, post_mset, pre_mset, presentation, reach_graph,
 )
 from ionet.classify import _split, is_bimo_msets, is_bio_msets, is_imo_msets
@@ -101,10 +101,11 @@ def _classify_cases():
     for k in range(300):
         yield random_flow_net(72_000 + k, n_places=1 + k % 5, n_trans=1 + k % 6)
     for name, words in (("accept_all_2", ("aa", "ab")), ("even_a_2", ("ab", "bb")),
-                        ("flip_2", ("ba",)), ("first_a_3", ("abb",))):
+                        ("flip_2", ("ba", "ab")), ("first_a_3", ("abb", "bab")),
+                        ("loop_2", ("ab", "ba")), ("reject_all_2", ("aa", "bb"))):
         spec = load_lba(name)
         for word in words:
-            for stage in ("N", "Nbar"):
+            for stage in STAGES:
                 yield build_stage(spec, word, stage)[0]
 
 

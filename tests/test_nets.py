@@ -13,7 +13,7 @@ from ionet import (
     parse_net, post_mset, pre_mset, reach_graph, replay, serialize_net,
 )
 from ionet.generate import random_net, random_marking, random_net_in_row
-from ionet.nets import MAX_WEIGHT, _move_table, _walk
+from ionet.nets import MAX_WEIGHT, MoveTable, _IDENTIFIER, _NET_NAME, _move_table, _walk, place_masks
 from tests.conftest import dense_arcs, load_lba, random_flow_net, with_spawns
 
 counts = st.lists(st.integers(min_value=0, max_value=9), min_size=4, max_size=4)
@@ -138,12 +138,36 @@ def _moves_cases():
     yield machine, reach_graph(machine, m0).nodes
 
 
+def _move_table_reference(net):
+    """The move table built with a dict of deltas per transition and
+    `sorted`, kept as the reference for the single-merge builder."""
+    first = [0] * len(net.places)
+    last = [0] * len(net.places)
+    free = 0
+    deltas = []
+    rest = []
+    for ti, (pre, post) in enumerate(zip(net._pre, net._post)):
+        if pre:
+            first[pre[0][0]] |= 1 << ti
+            last[pre[-1][0]] |= 1 << ti
+        else:
+            free |= 1 << ti
+        rest.append(tuple(arc for k, arc in enumerate(pre)
+                          if arc[1] > 1 or 0 < k < len(pre) - 1))
+        delta = dict(post)
+        for i, w in pre:
+            delta[i] = delta.get(i, 0) - w
+        deltas.append(tuple(sorted((i, d) for i, d in delta.items() if d)))
+    return MoveTable(tuple(deltas), tuple(first), free, net._pre, tuple(last), tuple(rest))
+
+
 def test_moves_match_dense_definition():
     """`nets._walk` on the net's move table lists exactly the enabled
     transitions with their sparse deltas, in ascending index: on transitions
     without pre-places, with end arcs of weight 2 or more, and reading three
     or more places, where the two watched pre-places do not settle the
-    answer alone."""
+    answer alone.  The place masks match the dense arcs, and the whole move
+    table matches the dict-and-sort reference."""
     free = heavy_ends = wide = markings = enabled_moves = 0
     for net, ms in _moves_cases():
         for pre in net._pre:
@@ -151,6 +175,10 @@ def test_moves_match_dense_definition():
             heavy_ends += bool(pre) and max(pre[0][1], pre[-1][1]) > 1
             wide += len(pre) >= 3
         arcs = dense_arcs(net)
+        assert place_masks(net) == tuple(
+            (sum(1 << i for i, w in enumerate(pre) if w),
+             sum(1 << i for i, w in enumerate(post) if w)) for pre, post in arcs), net
+        assert _move_table(net) == _move_table_reference(net), net
         for m in ms:
             got = _walk(_move_table(net), itertools.compress(itertools.count(), m),
                         m.__getitem__)
@@ -306,20 +334,123 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
-@pytest.mark.parametrize("build,error,fragment", [
-    (lambda: Net("n", ["p", "p"], ["t"], {}), NetError, "duplicate place"),
-    (lambda: Net("n", ["p"], ["t", "t"], {}), NetError, "duplicate transition"),
-    (lambda: Net("n", ["x"], ["x"], {}), NetError, "disjoint"),
-    (lambda: Net("n", ["p"], ["t"], {("p", "t"): 1.0}), NetError, "integer"),
-    (lambda: Net("n", ["p"], ["t"], {("p", "t"): True}), NetError, "integer"),
-    (lambda: Net("n", ["p"], ["t"], {("t", "p"): MAX_WEIGHT + 1}), NetError, "out of range"),
-    (lambda: Net("n", ["p"], ["t"], {("p", "u"): 1}), UnknownNode, "declared nodes"),
-    (lambda: Net("n", ["p"], ["t"], {}).check_marking((-1,)), NetError, "negative"),
+# Each case builds with the constructor it is given: `Net`, or the reference.
+_NET_REJECTIONS = [
+    (lambda net: net("n", ["p", "p"], ["t"], {}), NetError, "duplicate place"),
+    (lambda net: net("n", ["p"], ["t", "t"], {}), NetError, "duplicate transition"),
+    (lambda net: net("n", ["x"], ["x"], {}), NetError, "disjoint"),
+    (lambda net: net("n", ["p"], ["t"], {("p", "t"): 1.0}), NetError, "integer"),
+    (lambda net: net("n", ["p"], ["t"], {("p", "t"): True}), NetError, "integer"),
+    (lambda net: net("n", ["p"], ["t"], {("t", "p"): MAX_WEIGHT + 1}), NetError, "out of range"),
+    (lambda net: net("n", ["p"], ["t"], {("p", "u"): 1}), UnknownNode, "declared nodes"),
+    (lambda net: net("n", ["p"], ["t"], {}).check_marking((-1,)), NetError, "negative"),
+]
+
+
+@pytest.mark.parametrize("build,error,fragment", _NET_REJECTIONS + [
+    # a weight-0 pair adds no arc, but must still name declared nodes
+    (lambda net: net("n", ["p"], ["t"], {("ghost", "spook"): 0}), UnknownNode, "ghost"),
 ])
 def test_net_rejections(build, error, fragment):
     """What `parse_net` never passes on: `Net(...)` called directly."""
     with pytest.raises(error, match=fragment):
-        build()
+        build(Net)
+
+
+class _ReferenceNet(Net):
+    """`Net` with the constructor that built its arc tuples from set
+    copies, `in` tests and `max` over all arcs, kept as the reference for
+    the single-pass one; its weight-0 pairs skip the node lookup."""
+
+    def __init__(self, name, places, transitions, flow):
+        places = tuple(places)
+        transitions = tuple(transitions)
+        if not isinstance(name, str) or not _NET_NAME.fullmatch(name):
+            raise NetError(f"net name {name!r} is not a single token without '#'")
+        for ident in places + transitions:
+            if not isinstance(ident, str) or not _IDENTIFIER.fullmatch(ident):
+                raise NetError(f"identifier {ident!r} cannot be written in the text format")
+        if len(set(places)) != len(places):
+            raise NetError("duplicate place identifier")
+        if len(set(transitions)) != len(transitions):
+            raise NetError("duplicate transition identifier")
+        if set(places) & set(transitions):
+            raise NetError("place and transition identifiers must be disjoint")
+        self.name = name
+        self.places = places
+        self.transitions = transitions
+        self.place_index = {p: i for i, p in enumerate(places)}
+        self.trans_index = {t: i for i, t in enumerate(transitions)}
+        pre = [[] for _ in transitions]
+        post = [[] for _ in transitions]
+        for (a, b), w in flow.items():
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise NetError(f"weight for ({a}, {b}) must be an integer")
+            if w == 0:
+                continue
+            if w < 1 or w > MAX_WEIGHT:
+                raise NetError(f"weight {w} for ({a}, {b}) out of range")
+            if a in self.place_index and b in self.trans_index:
+                pre[self.trans_index[b]].append((self.place_index[a], w))
+            elif a in self.trans_index and b in self.place_index:
+                post[self.trans_index[a]].append((self.place_index[b], w))
+            else:
+                raise UnknownNode(f"flow pair ({a!r}, {b!r}) does not match declared nodes")
+        self._pre = tuple(tuple(sorted(arcs)) for arcs in pre)
+        self._post = tuple(tuple(sorted(arcs)) for arcs in post)
+        self.max_weight = max((w for arcs in pre + post for _, w in arcs), default=1)
+        self._analysis = {}
+
+
+def _outcome(build, net_class):
+    """What `build(net_class)` gives: the net's arcs, weight and indices, or
+    the type and message of what it raised."""
+    try:
+        net = build(net_class)
+    except NetError as err:
+        return type(err), str(err)
+    return net._pre, net._post, net.max_weight, net.place_index, net.trans_index
+
+
+def _constructor_cases():
+    """Builders of seeded flows of all eight rows, with and without
+    transitions lacking pre-places, in shuffled order, with weight-0 pairs
+    added on declared nodes and, now and then, one bad weight or pair; then
+    the rejection cases."""
+    rng = random.Random(29)
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    for k in range(160):
+        net = random_net_in_row(rows[k % 8], n_places=3 + k % 4, n_trans=1 + k % 6,
+                                seed=2_900 + k)
+        if k % 2:
+            net = with_spawns(net, seed=k)
+        items = list(net.flow.items())
+        for _ in range(rng.randrange(3)):
+            p, t = rng.choice(net.places), rng.choice(net.transitions)
+            if (p, t) not in net.flow and (t, p) not in net.flow:
+                items.append(((p, t) if rng.random() < 0.5 else (t, p), 0))
+        rng.shuffle(items)
+        if k % 5 == 4:
+            bad = rng.choice([((net.places[0], "nowhere"), 1), (("nowhere", net.places[0]), 1),
+                              ((net.places[0], net.transitions[0]), -2),
+                              ((net.transitions[0], net.places[0]), 2.5)])
+            items.insert(rng.randrange(len(items) + 1), bad)
+        flow = dict(items)
+        yield lambda net_class, net=net, flow=flow: net_class(
+            net.name, net.places, net.transitions, flow)
+    for build, _, _ in _NET_REJECTIONS:
+        yield build
+
+
+def test_constructor_matches_reference():
+    """`Net(...)` gives the same arcs, maximum weight and indices as the
+    reference constructor, or raises the same error with the same message."""
+    kinds = set()
+    for build in _constructor_cases():
+        got = _outcome(build, Net)
+        assert got == _outcome(build, _ReferenceNet), got
+        kinds.add(got[0] if isinstance(got[0], type) else "net")
+    assert kinds == {"net", NetError, UnknownNode}
 
 
 def test_comments_and_weights():
