@@ -63,8 +63,10 @@ def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None):
     net = Net(f"rand-{cls}-{seed}", places, trans, flow)
     nc = classify(net)
     if not getattr(nc, cls):
-        # extremely rare with the shapes above; regenerate deterministically
-        return random_net(cls, n_places, n_trans, wmax, seed=None, rng=rng)
+        # with wmax > 1, an observation of weight 2 or more makes an io or
+        # bio shape read more than two tokens, so such draws often miss the
+        # class; draw again from the same generator
+        return random_net(cls, n_places, n_trans, wmax, seed=seed, rng=rng)
     return net
 
 
@@ -87,7 +89,7 @@ def random_net_in_row(row, n_places, n_trans, seed, wmax=3):
     cls = row[4:] if ordinary else row
     for attempt in range(200):
         w = 1 if ordinary else wmax
-        net = random_net(cls, n_places, n_trans, wmax=w, rng=rng)
+        net = random_net(cls, n_places, n_trans, wmax=w, seed=seed, rng=rng)
         nc = classify(net)
         if ordinary != nc.ordinary:
             continue

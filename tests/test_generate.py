@@ -24,6 +24,14 @@ def test_generator_respects_class_and_weight():
                     assert nc.ordinary
 
 
+def test_generated_names_keep_the_seed():
+    # seed 5 misses the io class twice with weights, so the net is redrawn
+    assert random_net("io", n_places=4, n_trans=4, wmax=3, seed=5).name == "rand-io-5"
+    for row in ("ord-io", "io", "imo", "bimo"):
+        net = random_net_in_row(row, n_places=4, n_trans=3, seed=11)
+        assert net.name == f"rand-{row.removeprefix('ord-')}-11"
+
+
 def test_row_generator_hits_each_row():
     rows = ["ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo"]
     for row in rows:
