@@ -4,9 +4,10 @@ from __future__ import annotations
 import random
 
 from .classify import classify
-from .nets import Net
+from .nets import Net, NetError
 
 CLASSES = ("io", "imo", "bio", "bimo")
+MAX_DRAWS = 1_000  # draws of one `random_net` call before it gives up
 
 
 def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None):
@@ -22,6 +23,19 @@ def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None):
     if rng is None:
         rng = random.Random(seed)
     places = [f"p{i}" for i in range(1, n_places + 1)]
+    for _ in range(MAX_DRAWS):
+        net = _draw(cls, places, n_trans, wmax, seed, rng)
+        # with wmax > 1, an observation of weight 2 or more makes an io or
+        # bio shape read more than two tokens, so such draws often miss the
+        # class; draw again from the same generator
+        if getattr(classify(net), cls):
+            return net
+    raise NetError(f"no {cls} net with {n_trans} transitions and weights up to "
+                   f"{wmax} drawn in {MAX_DRAWS} tries")
+
+
+def _draw(cls, places, n_trans, wmax, seed, rng):
+    """One net of transitions shaped for `cls`; it may still miss the class."""
     flow = {}
     trans = []
     for k in range(1, n_trans + 1):
@@ -60,14 +74,7 @@ def random_net(cls="io", n_places=4, n_trans=4, wmax=1, seed=0, rng=None):
             w = obs.get(p, 0) + dest.get(p, 0)
             if w:
                 flow[(t, p)] = w
-    net = Net(f"rand-{cls}-{seed}", places, trans, flow)
-    nc = classify(net)
-    if not getattr(nc, cls):
-        # with wmax > 1, an observation of weight 2 or more makes an io or
-        # bio shape read more than two tokens, so such draws often miss the
-        # class; draw again from the same generator
-        return random_net(cls, n_places, n_trans, wmax, seed=seed, rng=rng)
-    return net
+    return Net(f"rand-{cls}-{seed}", places, trans, flow)
 
 
 def random_marking(net, max_tokens, rng):
@@ -88,21 +95,9 @@ def random_net_in_row(row, n_places, n_trans, seed, wmax=3):
     ordinary = row.startswith("ord-")
     cls = row[4:] if ordinary else row
     for attempt in range(200):
-        w = 1 if ordinary else wmax
-        net = random_net(cls, n_places, n_trans, wmax=w, seed=seed, rng=rng)
-        nc = classify(net)
-        if ordinary != nc.ordinary:
-            continue
-        if not ordinary and nc.max_weight < 2:
-            continue
-        if cls == "io" and not nc.io:
-            continue
-        if cls == "imo" and not (nc.imo and not nc.io):
-            continue
-        if cls == "bio" and not (nc.bio and not nc.imo):
-            continue
-        if cls == "bimo" and not (nc.bimo and not nc.bio and not nc.imo):
-            continue
-        return net
+        net = random_net(cls, n_places, n_trans, wmax=1 if ordinary else wmax,
+                         seed=seed, rng=rng)
+        if classify(net).finest() == row:
+            return net
     raise RuntimeError(f"could not draw a net for row {row!r} with seed {seed}")
 

@@ -71,8 +71,9 @@ class LbaSpec:
         for q, x, q2, x2, m in self.rules:
             if q in (self.accept, self.reject):
                 raise ParseError(f"rule from halting state {q!r}")
-            if q not in names or q2 not in names:
-                raise ParseError(f"rule uses undeclared state")
+            for state in (q, q2):
+                if state not in names:
+                    raise ParseError(f"rule uses undeclared state {state!r}")
             if x not in ALPHABET or x2 not in ALPHABET:
                 raise ParseError(f"rule uses symbol outside {ALPHABET}")
             if m not in (-1, 1):
@@ -92,10 +93,9 @@ class LbaSpec:
 
 
 def parse_lba(text):
-    """Line format: states/init/accept/reject declarations plus rule lines
-    `rule <q> <x> <q'> <x'> <L|R>`."""
-    states = None
-    named = {}  # init/accept/reject -> state
+    """Line format: one each of the states/init/accept/reject declarations
+    plus rule lines `rule <q> <x> <q'> <x'> <L|R>`."""
+    named = {}  # states/init/accept/reject -> the declared states/state
     rules = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -103,8 +103,10 @@ def parse_lba(text):
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in named:
+            raise ParseError(f"repeated {kind} declaration", line_no)
         if kind == "states":
-            states = tuple(parts[1:])
+            named[kind] = tuple(parts[1:])
         elif kind in ("init", "accept", "reject"):
             if len(parts) != 2:
                 raise ParseError(f"expected: {kind} <state>", line_no)
@@ -115,9 +117,9 @@ def parse_lba(text):
             rules.append((parts[1], parts[2], parts[3], parts[4], MOVES[parts[5]]))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)
-    if states is None or len(named) != 3:
+    if len(named) != 4:
         raise ParseError("missing states/init/accept/reject declaration")
-    return LbaSpec(states=states, initial=named["init"], accept=named["accept"],
+    return LbaSpec(states=named["states"], initial=named["init"], accept=named["accept"],
                    reject=named["reject"], rules=tuple(rules)).validate()
 
 

@@ -414,7 +414,7 @@ def _split_weight(token, line_no):
 
 def parse_net(text):
     """Parse the textual format; returns (net, marking or None)."""
-    name = "net"
+    name = None
     places = []
     tokens = {}
     trans = []
@@ -429,6 +429,8 @@ def parse_net(text):
         if kind == "net":
             if len(parts) != 2:
                 raise ParseError("expected: net <name>", line_no)
+            if name is not None:
+                raise ParseError("repeated net line", line_no)
             name = parts[1]
         elif kind == "place":
             if len(parts) < 2:
@@ -446,6 +448,8 @@ def parse_net(text):
                         raise ParseError(f"bad token count {extra!r}", line_no) from None
                     if n < 0:
                         raise ParseError("token count must be >= 0", line_no)
+                    if pid in tokens:
+                        raise ParseError(f"repeated tokens= for {pid!r}", line_no)
                     tokens[pid] = n
                 else:
                     raise ParseError(f"unexpected token {extra!r}", line_no)
@@ -480,7 +484,7 @@ def parse_net(text):
                 raise ParseError(f"accumulated weight too large for {pid!r}", line_no)
             flow[key] = total
 
-    net = Net(name, places, trans, flow)
+    net = Net(name or "net", places, trans, flow)
     if tokens:
         marking = tuple(tokens.get(p, 0) for p in places)
     else:

@@ -308,26 +308,6 @@ def _capped_closure(net, start, targets, node_budget, idx):
     return None, explored
 
 
-def _conservative_large(net, m0, node_budget):
-    """Exact decision on the reachability graph for nets too large for
-    subset enumeration (conservative, so the graph is finite); raises
-    BudgetExceeded."""
-    g = reach_graph(net, m0, node_budget)
-    # None exactly when no reachable marking has a dead transition
-    wit = constructed_witness(net, g)
-    if wit is None:
-        return LivenessVerdict("live", configs_explored=len(g.codes),
-                               method="reach-graph")
-    try:
-        report = check_witness(net, wit, node_budget=node_budget)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(len(g.codes) + exc.explored) from exc
-    if not report.sound:
-        raise NetError("internal error: constructed witness failed validation")
-    return LivenessVerdict("nonlive", witness=wit, configs_explored=len(g.codes),
-                           method="reach-graph", report=report)
-
-
 def is_nonlive(net, m0, node_budget=500_000):
     """Decide liveness of a marking of a branching-observation-family net.
 
@@ -345,34 +325,39 @@ def is_nonlive(net, m0, node_budget=500_000):
         raise NotBimo("the liveness decision covers the branching-observation family")
     start = capped_config(net, m0)
     trunc = start.counts
-    explored = 0
-
-    wit = _siphon_witness(net, trunc)
-    if wit is not None:
-        return LivenessVerdict("nonlive", witness=wit, configs_explored=0,
-                               method="siphon")
+    witness = _siphon_witness(net, trunc)
+    if witness is not None:
+        return LivenessVerdict("nonlive", witness=witness, method="siphon")
 
     large = len(net.places) > SUBSET_CAP and nc.conservative
     method = "reach-graph" if large else "abstract"
+    explored = 0
+    report = None
     try:
         if large:
-            return _conservative_large(net, trunc, node_budget)
-        idx = witness_index(net)
-        targets, explored = idx.probe(trunc, node_budget)
-        if not targets:
-            return LivenessVerdict("live", configs_explored=explored, method=method)
-        method = "capped-search"
-        witness = _try_drains(net, start, targets, node_budget, idx)
-        if witness is None:
-            witness, n_configs = _capped_closure(net, start, targets, node_budget, idx)
-            explored += n_configs
+            # conservative, so the graph is finite and the decision exact
+            g = reach_graph(net, trunc, node_budget)
+            explored = len(g.codes)
+            # None exactly when no reachable marking has a dead transition
+            witness = constructed_witness(net, g)
+            if witness is not None:
+                report = check_witness(net, witness, node_budget=node_budget)
+                if not report.sound:
+                    raise NetError("internal error: constructed witness failed validation")
+        else:
+            idx = witness_index(net)
+            targets, explored = idx.probe(trunc, node_budget)
+            if targets:
+                method = "capped-search"
+                witness = _try_drains(net, start, targets, node_budget, idx)
+                if witness is None:
+                    witness, n_configs = _capped_closure(net, start, targets, node_budget, idx)
+                    explored += n_configs
     except BudgetExceeded as exc:
         return LivenessVerdict("budget_exceeded", configs_explored=explored + exc.explored,
                                method=method)
-    if witness is None:
-        return LivenessVerdict("live", configs_explored=explored, method=method)
-    return LivenessVerdict("nonlive", witness=witness, configs_explored=explored,
-                           method=method)
+    return LivenessVerdict("live" if witness is None else "nonlive", witness=witness,
+                           configs_explored=explored, method=method, report=report)
 
 
 def _decided_live(net, m, node_budget):
@@ -412,7 +397,10 @@ def find_dl_marking(net, m0, node_budget=200_000):
             sub = restricted[dead]
             if not sub.transitions or _decided_live(sub, m, node_budget):
                 return m, dead, tuple(t for t in net.transitions if t not in dead)
-    raise BudgetExceeded(explored)
+    # from a non-live m0 with finitely many reachable markings, some bottom
+    # component has a dead transition, and its markings are dl-markings; so
+    # only a wrong liveness decision at m0 ends up here
+    raise NetError("internal error: a non-live marking reaches no dl-marking")
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,7 @@ def test_presentation_not_bimo():
     net = Net("bad", ["a", "b"], ["t"], {("a", "t"): 1, ("b", "t"): 1})
     with pytest.raises(NotBimo):
         presentation(net, "t")
+    assert classify(net).finest() == "general"
 
 
 def test_presentation_empty_pre_uses_dummy():

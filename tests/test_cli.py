@@ -386,6 +386,9 @@ def test_commands_write_stdout_without_out(tmp_path, capsys, argv):
     (("check-reduction", str(FIXTURES / "lba" / "even_a_2.lba"), "ab",
       "--candidates", "1"), 3, None),
     (("check-reduction", str(FIXTURES / "lba" / "loop_2.lba"), "aa", "--skip-slp"), 2, ""),
+    # no net of the class turns up in `MAX_DRAWS` draws: an error, not a traceback
+    (("gen", "--class", "io", "--trans", "60", "--wmax", "5", "--seed", "1"), 2, ""),
+    (("gen", "--class", "bio", "--trans", "30", "--wmax", "4", "--seed", "3"), 2, ""),
 ])
 def test_command_outcomes(tmp_path, capsys, argv, code, stdout):
     unmarked = tmp_path / "unmarked.net"

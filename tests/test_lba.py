@@ -92,6 +92,10 @@ _HEADER = "states q0 q1 acc rej\ninit q0\naccept acc\nreject rej\n"
      ParseError, "halting state"),
     (lambda: _spec(rules=[("q0", "a", "zz", "a", 1)]).validate(),
      ParseError, "rule uses undeclared state"),
+    (lambda: _spec(rules=[("q0", "a", "ww", "a", 1)]).validate(),
+     ParseError, "rule uses undeclared state 'ww'"),
+    (lambda: _spec(rules=[("yy", "a", "q1", "a", 1)]).validate(),
+     ParseError, "rule uses undeclared state 'yy'"),
     (lambda: _spec(rules=[("q0", "c", "q1", "a", 1)]).validate(),
      ParseError, "symbol outside"),
     (lambda: _spec(rules=[("q0", "a", "q1", "a", 0)]).validate(),
@@ -103,6 +107,9 @@ _HEADER = "states q0 q1 acc rej\ninit q0\naccept acc\nreject rej\n"
     (lambda: parse_lba(_HEADER + "rule q0 a q1 a X\n"), ParseError, "expected: rule"),
     (lambda: parse_lba(_HEADER + "rule q0 a q1 a\n"), ParseError, "expected: rule"),
     (lambda: parse_lba(_HEADER + "stats q0\n"), ParseError, "unknown directive"),
+    *[(lambda line=line: parse_lba(_HEADER + line), ParseError,
+       f"line 5: repeated {line.split()[0]} declaration")
+      for line in ("states q0 q1 acc rej\n", "init q1\n", "accept acc\n", "reject q1\n")],
     (lambda: simulate_lba(_spec(rules=[("q0", "a", "acc", "a", 1)]), "aa"),
      ConventionViolated, "halted away from cell 1"),
     (lambda: simulate_lba(_spec(rules=[("q0", "a", "q1", "a", 1)]), "aa"),

@@ -164,6 +164,37 @@ def test_find_dl_marking_raises_when_a_liveness_check_runs_out():
     assert find_dl_marking(net, m0) == want
 
 
+def _token_chain():
+    """Six tokens on p0 that move on along p0 -> p1 -> p2 -> p3; `x` only
+    reads p0."""
+    net = Net("chain", ["p0", "p1", "p2", "p3"], ["t0", "t1", "t2", "x"],
+              {("p0", "t0"): 1, ("t0", "p1"): 1, ("p1", "t1"): 1, ("t1", "p2"): 1,
+               ("p2", "t2"): 1, ("t2", "p3"): 1, ("p0", "x"): 1, ("x", "p0"): 1})
+    return net, (6, 0, 0, 0)
+
+
+def test_find_dl_marking_breadth_first_search_runs_out():
+    """The only dl-marking puts every token on p3, the last of the 84
+    reachable markings in breadth-first order, while deciding m0 takes 74
+    configurations; so at 80 the walk itself runs out."""
+    with pytest.raises(BudgetExceeded) as info:
+        find_dl_marking(*_token_chain(), node_budget=80)
+    assert info.value.explored == 81
+    assert info.traceback[-1].name == "find_dl_marking"
+    assert find_dl_marking(*_token_chain(), node_budget=84) == (
+        (0, 0, 0, 6), ("t0", "t1", "t2", "x"), ())
+
+
+def test_find_dl_marking_without_a_dl_marking_is_an_internal_error(monkeypatch, fragile_net):
+    """A live marking read as non-live walks its whole finite reachable set
+    without a dl-marking: an internal error, not a budget result."""
+    net, m0 = fragile_net
+    assert find_dl_marking(net, m0) is None
+    monkeypatch.setattr(slp, "_decided_live", lambda net, m, node_budget: False)
+    with pytest.raises(NetError, match="internal error: a non-live marking reaches no"):
+        find_dl_marking(net, m0)
+
+
 def _budget_outcome(search, net, m0):
     try:
         out = search(net, m0)
@@ -295,7 +326,7 @@ def _ref_find_dl_marking(net, m0, node_budget=200_000):
             if nm not in seen:
                 seen.add(nm)
                 queue.append(nm)
-    raise BudgetExceeded(explored)
+    raise NetError("internal error: a non-live marking reaches no dl-marking")
 
 
 def _walk_cases():

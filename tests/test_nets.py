@@ -199,6 +199,7 @@ def test_replay_full_sequence(siphon_net):
         (4, 0, 0, 0, 1, 1), (4, 0, 0, 0, 0, 1),
     ]
     assert [m for _, m in ex.steps] == want
+    assert ex.sequence == ("t2", "t3", "t3", "t4", "t4", "t4", "t5", "t5")
     assert ex.final == (4, 0, 0, 0, 0, 1)
     assert net.carrier_names(ex.final) == ("p1", "p6")
 
@@ -206,7 +207,7 @@ def test_replay_full_sequence(siphon_net):
 def test_replay_empty_and_error(siphon_net):
     net, _ = siphon_net
     ex = replay(net, (4, 0, 0, 0, 0, 1), [])
-    assert ex.final == (4, 0, 0, 0, 0, 1) and ex.steps == ()
+    assert ex.final == (4, 0, 0, 0, 0, 1) and ex.steps == () and ex.sequence == ()
     with pytest.raises(NotEnabled) as err:
         replay(net, (1, 1, 1, 1, 1, 1), ["t2", "t2"])
     assert err.value.step == 1
@@ -306,6 +307,8 @@ def test_round_trip_random():
 def test_empty_net_round_trips():
     net, marking = parse_net("net empty\n")
     assert net.places == () and net.transitions == () and marking is None
+    assert repr(net) == "Net('empty', |P|=0, |T|=0)"
+    assert repr(Net("one", ["p", "q"], ["t"], {})) == "Net('one', |P|=2, |T|=1)"
     assert parse_net(serialize_net(net))[0].places == ()
 
 
@@ -327,6 +330,8 @@ def test_empty_net_round_trips():
     ("place p1 tokens=x\n", "bad token count"),
     ("place p1 x\n", "unexpected token"),
     ("place p1\ntrans t p1\n", "expected 'pre' or 'post'"),
+    ("net a\nplace p1\nnet b\n", "line 3: repeated net line"),
+    ("place p1 tokens=1 tokens=2\n", "line 1: repeated tokens= for 'p1'"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ionet import (
     NetError, NotBimo, Net, classify, check_liveness_transfer, embed_marking, enabled,
     fire, is_nonlive, ordinarize, parse_net, project_marking, replay,
-    serialize_net,
+    serialize_net, TransferReport,
 )
 from ionet.generate import random_net, random_marking
 from tests.conftest import load_net
@@ -148,6 +148,10 @@ def test_liveness_transfer_zero():
     net = random_net("bimo", n_places=3, n_trans=2, wmax=2, seed=5)
     rep = check_liveness_transfer(net, (0,) * 3)
     assert rep.agree
+    assert rep.to_dict() == {"original": rep.original_status, "ring": rep.original_status,
+                             "agree": True}
+    assert TransferReport("live", "nonlive").to_dict() == {
+        "original": "live", "ring": "nonlive", "agree": False}
 
 
 def test_liveness_transfer_random():

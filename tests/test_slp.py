@@ -373,7 +373,8 @@ def test_ring17_decided_on_the_reachability_graph():
 def test_reach_graph_witness_check_shares_the_budget(monkeypatch):
     """The reach-graph decision checks its constructed witness within the
     caller's `node_budget`, and a run-out there is a `budget_exceeded`
-    verdict, not an exception."""
+    verdict, not an exception; a witness the check rejects is an internal
+    error."""
     one = (1,) + (0,) * 16
     budgets = []
     check = slp.check_witness
@@ -393,6 +394,11 @@ def test_reach_graph_witness_check_shares_the_budget(monkeypatch):
     v = is_nonlive(ring17(), one)
     # the 17 nodes of the reachability graph plus the check's 7 states
     assert (v.status, v.method, v.configs_explored) == ("budget_exceeded", "reach-graph", 24)
+
+    monkeypatch.setattr(slp, "check_witness",
+                        lambda *args, **kwargs: liveness.WitnessReport("ordinary", *[False] * 3))
+    with pytest.raises(nets.NetError, match="constructed witness failed validation"):
+        is_nonlive(ring17(), one)
 
 
 _OBSERVER = {"x": {("p0", "x"): 1, ("p1", "x"): 1, ("x", "p1"): 1, ("x", "p2"): 1}}

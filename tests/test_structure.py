@@ -207,6 +207,7 @@ def test_rich_poor_live_restriction(witness_net):
     rlx = relaxed_net(live_part)
     comps = sccs(rlx)
     status = sorted(rich_poor(rlx, m_wit, comps).values())
+    assert rich_poor(rlx, m_wit) == rich_poor(rlx, m_wit, comps)  # components found here
     assert status == ["poor", "poor", "rich"]
     poor_places = sorted(
         p for c, s in rich_poor(rlx, m_wit, comps).items() if s == "poor"
