@@ -389,6 +389,8 @@ def test_commands_write_stdout_without_out(tmp_path, capsys, argv):
     # no net of the class turns up in `MAX_DRAWS` draws: an error, not a traceback
     (("gen", "--class", "io", "--trans", "60", "--wmax", "5", "--seed", "1"), 2, ""),
     (("gen", "--class", "bio", "--trans", "30", "--wmax", "4", "--seed", "3"), 2, ""),
+    # a weight bound above `MAX_WEIGHT` is refused before the first draw
+    (("gen", "--class", "bimo", "--wmax", "3000000000"), 2, ""),
 ])
 def test_command_outcomes(tmp_path, capsys, argv, code, stdout):
     unmarked = tmp_path / "unmarked.net"
