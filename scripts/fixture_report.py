@@ -6,13 +6,16 @@ siphon test alone refuted.  Under each fixture inside the subset cap, a
 second line gives what its decision left in the witness index (the summed
 sizes of the per-siphon `dead_set` memos, the number of clean points and the
 longest clean list),
-the index's number of entries, how long a fresh index takes to build, and
-how many `witness_at` lookups ran (the size of the `witness_at` memo).
+the index's number of entries, how long a fresh index takes to build, how
+many `witness_at` lookups ran (counted by wrapping the method) and the size
+of the `witness_at` memo, which also holds the states the abstract probe
+answered without a lookup.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
 import sys
 import time
+from collections import Counter
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -24,6 +27,18 @@ from ionet.liveness import SubsetCapExceeded, WitnessIndex, witness_index  # noq
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 MACHINES = ("accept_all_2", "reject_all_2", "even_a_2", "flip_2")
+LOOKUPS = Counter()  # witness index -> the `witness_at` calls it ran
+
+
+def _count_lookups():
+    """Wrap `WitnessIndex.witness_at` so that LOOKUPS counts its calls."""
+    lookup = WitnessIndex.witness_at
+
+    def counted(self, *args, **kwargs):
+        LOOKUPS[self] += 1
+        return lookup(self, *args, **kwargs)
+
+    WitnessIndex.witness_at = counted
 
 
 def _decide(net, args):
@@ -39,8 +54,8 @@ def _decide(net, args):
 
 
 def _index_line(net):
-    """The witness index's memo and clean-list sizes, entries, build time
-    and lookups run, or None above the cap."""
+    """The witness index's memo and clean-list sizes, entries, build time,
+    lookups run and `witness_at` memo size, or None above the cap."""
     try:
         idx = witness_index(net)
     except SubsetCapExceeded:
@@ -52,7 +67,7 @@ def _index_line(net):
     clean = [len(data.clean) for data in idx.entries]
     return (f"{'':28} witness index: memo={memo} clean={sum(clean)} "
             f"longest_clean={max(clean, default=0)} entries={len(idx.entries)} "
-            f"build_ms={build_ms:.1f} lookups={len(idx.at_memo)}")
+            f"build_ms={build_ms:.1f} lookups={LOOKUPS[idx]} at_memo={len(idx.at_memo)}")
 
 
 def main():
@@ -60,6 +75,7 @@ def main():
     ap.add_argument("--budget", type=_positive("--budget"), default=2_000_000)
     ap.add_argument("--candidates", type=_positive("--candidates"), default=5_000)
     args = ap.parse_args()
+    _count_lookups()
     for path in sorted(FIXTURES.glob("*.net")):
         net, marking = parse_net(path.read_text())
         nc = classify(net)

@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .classify import classify
 from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _path, _walk, mleq,
@@ -23,6 +23,8 @@ from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
 SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
+# bit 8i: one token on place i of a state packed a count per byte
+_BYTE_UNITS = tuple(1 << 8 * i for i in range(SUBSET_CAP))
 
 
 class SubsetCapExceeded(NetError):
@@ -501,7 +503,7 @@ class WitnessIndex:
                     if m[k] < w:
                         break
                 else:
-                    nm = tuple(a + d for a, d in zip(m, delta))
+                    nm = tuple(map(add, m, delta))
                     if nm not in seen:
                         seen.add(nm)
                         queue.append(nm)
@@ -524,9 +526,10 @@ class WitnessIndex:
         # that hold no place where the marking has fewer tokens than ti reads.
         contains = self.contains
         rejected = 0
-        for i, c in enumerate(contains):
-            if inexact >> i & 1:
-                rejected |= c
+        while inexact:
+            low = inexact & -inexact
+            inexact ^= low
+            rejected |= contains[low.bit_length() - 1]
         for support, blocked in self.blocking:
             short = 0
             for i, w in support:
@@ -592,11 +595,27 @@ class WitnessIndex:
         return list(targets), explored
 
     def _search(self, start, node_budget):
-        reach, witness_at, m = self.reach, self.witness_at, self.m
+        reach, witness_at, at_memo, m = self.reach, self.witness_at, self.at_memo, self.m
         # state -> whether it dominates an expanded state, whose lookup found
         # no witness; None is closed upward, so such a state needs no lookup
         seen = {start: False}
         queue = deque([start])
+        # The codes and token totals of the states expanded clean: looked up
+        # with answer None, flagged above, or skipped below.  A state that
+        # dominates a clean one, "many" counting as the largest value, is
+        # clean: its lookup is skipped and its None memoised as the lookup
+        # would.  A code holds place i's count in byte i (in fields of m's bit
+        # length when m fits no byte), so code - units[i] is the state one
+        # token lower on a marked place i, a TOP value m dropping to exactly
+        # m-1; such a neighbour holds one token fewer in all, which most
+        # states of a conservative net rule out at once.  `digits` maps a
+        # state's bytes to its TOP places as binary digits, place 0 first.
+        clean = set()
+        totals = set()
+        small = m < 256
+        units = (_BYTE_UNITS if small else
+                 [1 << m.bit_length() * i for i in range(len(start))])
+        digits = b"0" * m + b"1" * (256 - m) if small else None
         targets = []
         explored = 0
         while queue:
@@ -604,16 +623,30 @@ class WitnessIndex:
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
+            if small:
+                b = bytes(s)
+                code = int.from_bytes(b, "little")
+            else:
+                code = sum(map(mul, s, units))
+            total = sum(s)
             if not seen[s]:
                 # only subsets on which every count is exact can be flagged
-                hit = witness_at(s, sum(1 << i for i, x in enumerate(s) if x >= m),
-                                 node_budget)
-                if hit:
-                    data = hit[0]
-                    targets.append((data, data.take(s)))
-                    if len(targets) >= 8:
-                        return tuple(targets), explored
-                    continue
+                many = (int(b.translate(digits)[::-1] or b"0", 2) if small
+                        else sum(1 << i for i, x in enumerate(s) if x >= m))
+                for u in compress(units, s) if total - 1 in totals else ():
+                    if code - u in clean:
+                        at_memo[s, many] = None
+                        break
+                else:
+                    hit = witness_at(s, many, node_budget)
+                    if hit:
+                        data = hit[0]
+                        targets.append((data, data.take(s)))
+                        if len(targets) >= 8:
+                            return tuple(targets), explored
+                        continue
+            clean.add(code)
+            totals.add(total)
             for nxt, up in self.abstract_successors(s):
                 if nxt in seen:
                     if up:

@@ -336,11 +336,12 @@ def test_fixture_report_prints_machines():
         assert not head.strip() and counts, line
         fields = dict(field.split("=") for field in counts.split())
         assert list(fields) == ["memo", "clean", "longest_clean", "entries",
-                                "build_ms", "lookups"], line
+                                "build_ms", "lookups", "at_memo"], line
         memo, clean, longest, entries = (int(fields[k]) for k in list(fields)[:4])
         assert longest <= clean <= memo, line
         assert entries > 0 and float(fields["build_ms"]) >= 0, line
-        index[name] = memo, clean, longest, entries, int(fields["lookups"])
+        index[name] = (memo, clean, longest, entries, int(fields["lookups"]),
+                       int(fields["at_memo"]))
     assert min(index["bio_dense.net"]) > 0
     assert index["bio_dense.net"][3] == 440
     machines = [line for line in lines if " machine " in line]

@@ -954,8 +954,9 @@ def test_abstract_successors_flag_domination():
 
 def test_probe_skips_lookups_on_dominating_states(monkeypatch):
     """The stored bio_dense marking is live by the abstract probe, which pops
-    7 795 states but asks the witness index about only 5 411 of them: the
-    rest dominate a state whose lookup answered None."""
+    7 795 states but asks the witness index about only 853 of them: each of
+    the rest dominates a state the same search expanded clean, its parent
+    or a state one token lower on some place."""
     lookups = []
     witness_at = liveness.WitnessIndex.witness_at
 
@@ -967,7 +968,55 @@ def test_probe_skips_lookups_on_dominating_states(monkeypatch):
     net, stored = load_net("bio_dense")
     v = is_nonlive(net, stored)
     assert (v.status, v.method, v.configs_explored) == ("live", "abstract", 7_795)
-    assert len(lookups) == 5_411 < v.configs_explored
+    assert len(lookups) == 853 < v.configs_explored
+
+
+def _heavy_probed_net():
+    """("heavy", net) for a bimo net of weight 261 after a probe that runs
+    out of its 2 000 states: TOP is 263, so the probe packs its counts in
+    9-bit fields rather than bytes."""
+    net = random_net("bimo", n_places=5, n_trans=6, wmax=300, seed=2)
+    v = is_nonlive(net, (400, 400, 2, 400, 2), node_budget=2_000)
+    assert (v.status, v.method, net.max_weight) == ("budget_exceeded", "abstract", 261)
+    yield "heavy", net
+
+
+def test_probe_lower_neighbour_skips_find_no_witness(monkeypatch):
+    """Every state the probe skipped by the lower-neighbour rule, on the nets
+    of `_probed_nets()` and on a net whose TOP fits no byte, has no witness
+    under its own "many" mask: a fresh index, with its memos and clean
+    lists emptied before each lookup, answers None there.  The skipped
+    states are the `witness_at` memo keys that no lookup made, each holding
+    None; the rule fires on bio_dense and on the heavy net."""
+    called = {}  # index -> the keys its `witness_at` was called with
+    witness_at = liveness.WitnessIndex.witness_at
+
+    def recorded(self, marking, inexact=0, node_budget=1_000_000):
+        called.setdefault(self, set()).add((marking, inexact))
+        return witness_at(self, marking, inexact, node_budget)
+
+    monkeypatch.setattr(liveness.WitnessIndex, "witness_at", recorded)
+    skipped = Counter()
+    for name, net in itertools.chain(_probed_nets(), _heavy_probed_net()):
+        idx = net._analysis.get("witness_index")
+        if idx is None:
+            continue
+        top = idx.m
+        fresh = liveness.WitnessIndex(net)
+        looked_up = called.get(idx, set())
+        for (s, many), found in idx.at_memo.items():
+            if (s, many) in looked_up:
+                continue
+            assert found is None, (name, s)
+            assert many == sum(1 << i for i, x in enumerate(s) if x >= top), (name, s)
+            fresh.at_memo.clear()
+            for data in fresh.entries:
+                data.memo.clear()
+                data.clean.clear()
+            assert witness_at(fresh, s, many) is None, (name, s, many)
+            skipped[name] += 1
+    assert skipped["bio_dense"] > 0 and skipped["heavy"] > 0
+    assert sum(skipped.values()) > skipped["bio_dense"] + skipped["heavy"]
 
 
 def test_witness_at_mask_matches_exactness_loop():
@@ -1297,13 +1346,18 @@ def test_dense_memo_holds_no_rejected_pair():
 def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
     """`decide_slp(bio_dense)`'s candidates share capped configurations, so
     most of its `witness_at` lookups repeat an earlier one and the memo
-    answers them without a `dead_set` call.  The memo-less cost charges each
-    repeat the `dead_set` calls its first lookup made (at the time of
-    writing: 71 394 lookups of 8 559 keys, 47 341 `dead_set` calls against
-    347 600 without the memo)."""
+    answers them without a `dead_set` call.  Every repeat is a memo hit.  A
+    first lookup is one exactly when the abstract probe stored its key
+    without running `witness_at`, for a state it skipped by the
+    lower-neighbour rule.  The memo-less cost charges each repeat the
+    `dead_set` calls its first lookup made, none for a first hit (at the
+    time of writing: 8 328 lookups of 2 307 keys, 676 of them first hits,
+    19 018 `dead_set` calls against 68 463 without the memo)."""
     lookups, first_cost = {}, {}
-    dead_calls = hits = 0
+    first_hits, probe_stored = set(), set()
+    dead_calls = repeat_hits = 0
     witness_at, dead_set = liveness.WitnessIndex.witness_at, liveness.WitnessIndex.dead_set
+    search = liveness.WitnessIndex._search
 
     def counted_dead_set(self, *args, **kwargs):
         nonlocal dead_calls
@@ -1311,21 +1365,38 @@ def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
         return dead_set(self, *args, **kwargs)
 
     def counted_witness_at(self, marking, inexact=0, node_budget=1_000_000):
-        nonlocal hits
+        nonlocal repeat_hits
         key = (marking, inexact)
+        seen_before = key in lookups
         lookups[key] = lookups.get(key, 0) + 1
-        hits += key in self.at_memo
+        if key in self.at_memo:
+            if seen_before:
+                repeat_hits += 1
+            else:
+                first_hits.add(key)
         before = dead_calls
         found = witness_at(self, marking, inexact, node_budget)
         first_cost.setdefault(key, dead_calls - before)
         return found
 
+    def recorded_search(self, start, node_budget):
+        # the memo only grows, so the keys past its old length are new
+        size = len(self.at_memo)
+        try:
+            return search(self, start, node_budget)
+        finally:
+            probe_stored.update(key for key in itertools.islice(self.at_memo, size, None)
+                                if key not in lookups)
+
     monkeypatch.setattr(liveness.WitnessIndex, "dead_set", counted_dead_set)
     monkeypatch.setattr(liveness.WitnessIndex, "witness_at", counted_witness_at)
+    monkeypatch.setattr(liveness.WitnessIndex, "_search", recorded_search)
     decide_slp(load_net("bio_dense")[0])
     total = sum(lookups.values())
     memoless = sum(n * first_cost[key] for key, n in lookups.items())
-    assert hits == total - len(lookups) > total // 2
+    assert repeat_hits == total - len(lookups)
+    assert first_hits == probe_stored & lookups.keys() and first_hits
+    assert repeat_hits + len(first_hits) > total // 2
     assert dead_calls < memoless // 3, (dead_calls, memoless)
 
 
