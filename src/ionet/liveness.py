@@ -10,21 +10,21 @@ search and `check_witness` explore it alike (`WitnessIndex._explore`).
 """
 from __future__ import annotations
 
+import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress
 from operator import add, itemgetter, mul
+from struct import calcsize
 
 from .classify import classify
 from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _path, _walk, mleq,
-                   msize, place_masks, post_mset, pre_mset)
+                   msize, place_masks, post_mset, pre_mset, transition_masks)
 from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
 SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
-# bit 8i: one token on place i of a state packed a count per byte
-_BYTE_UNITS = tuple(1 << 8 * i for i in range(SUBSET_CAP))
 
 
 class SubsetCapExceeded(NetError):
@@ -339,7 +339,7 @@ def check_witness(net, witness, variant=None, node_budget=200_000):
     mask = sum(1 << net.place_index[p] for p in witness.p_cruc)
     dead = sum(1 << net.trans_index[t] for t in witness.t_dead)
     alive = (1 << len(net.transitions)) - 1 & ~dead
-    data = _SubsetData(_move_table(net), mask, alive)
+    data = _SubsetData(net, mask, alive)
     r = data.take(tuple(witness.m_wit))
     if variant == "ordinary":
         cond1 = msize(r) < len(r) and all(x <= 1 for x in r)
@@ -369,9 +369,10 @@ class _SubsetData:
     __slots__ = ("indices", "take", "blockers", "fire", "covers", "memo", "clean",
                  "drains")
 
-    def __init__(self, table, mask, moving=0):
-        # `table`: the net's `MoveTable`; bit i of `mask` set iff place i is
-        # in the subset; `moving` transitions fire outside T_I too
+    def __init__(self, net, mask, moving=0):
+        # bit i of `mask` set iff place i is in the subset; `moving`
+        # transitions fire outside T_I too
+        table = _move_table(net)
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         # the restriction of a marking tuple to the subset, as a tuple (a slice
         # where an itemgetter of one index, or of none, would not give one)
@@ -379,24 +380,39 @@ class _SubsetData:
         self.take = (itemgetter(*indices) if len(indices) > 1
                      else itemgetter(slice(top - len(indices), top)))
         pos = dict(zip(indices, range(len(indices))))
-        self.blockers = 0  # bit ti set iff transition ti is outside T_I
+        # Only the transitions with an arc on the subset are read: any other
+        # reads and moves nothing there, so it is in T_I with an empty
+        # restricted pre-mset, `covers[ti] = ()`, and never fires.
+        touch = transition_masks(net)
+        near = 0
+        for i in indices:
+            near |= touch[i]
+        blockers = 0  # bit ti set iff transition ti is outside T_I
         fire = []
-        covers = []
-        for ti, (pre, delta) in enumerate(zip(table.pre, table.deltas)):
+        covers = [()] * len(table.pre)
+        while near:
+            low = near & -near
+            near ^= low
+            ti = low.bit_length() - 1
             # the restricted pre-mset as (subset position, weight) pairs
-            support = tuple([(pos[i], w) for i, w in pre if i in pos])
-            covers.append(support)
+            support = covers[ti] = tuple([(pos[i], w) for i, w in table.pre[ti] if i in pos])
             vec = [0] * len(indices)  # the restricted delta
-            for i, x in delta:
-                if i in pos:
-                    vec[pos[i]] = x
+            gain = lost = 0
+            for i, x in table.deltas[ti]:
+                j = pos.get(i)
+                if j is not None:
+                    vec[j] = x
+                    gain += x
+                    if x < 0:
+                        lost -= x
             # T_I: as many tokens enter the subset as leave it, at most one
-            if sum(vec) or sum([x for x in vec if x < 0]) < -1:
-                self.blockers |= 1 << ti
-                if moving >> ti & 1:
+            if gain or lost > 1:
+                blockers |= low
+                if moving & low:
                     fire.append((support, tuple(vec)))
             elif support:
                 fire.append((support, tuple(vec)))
+        self.blockers = blockers
         self.fire = tuple(fire)
         self.covers = tuple(covers)
         self.memo = {}  # restricted marking -> `WitnessIndex.dead_set` answer
@@ -424,22 +440,46 @@ class WitnessIndex:
     def __init__(self, net):
         masks = place_masks(net)
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
-        self.table = table = _move_table(net)
-        self.m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
+        self.table = _move_table(net)
+        self.m = m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
+        # A probe state is one int that holds place i's count in field i, a
+        # field being one item of struct format `fmt`: a byte while m fits
+        # one, else two or four (m <= MAX_WEIGHT + 2 < 2^32).  The fields
+        # follow the native byte order, so the state's `to_bytes` in that
+        # order, cast to `fmt`, reads its counts; units[i] is one token on
+        # place i.
+        n = len(net.places)
+        self.fmt = fmt = next(f for f in "BHI" if m < 1 << 8 * calcsize(f))
+        width = 8 * calcsize(fmt)
+        self.size = n * width // 8
+        shifts = range(0, n * width, width)
+        self.units = tuple(1 << s for s in (shifts if sys.byteorder == "little"
+                                             else reversed(shifts)))
+        # `kinds` maps a byte to its class: 0, one class per byte of m's
+        # field, 255 for any other.  A field's classes tell whether it is 0,
+        # TOP or exact, so a state's bytes translated by `kinds` key which of
+        # its places are unmarked, exact or TOP (`_shape`).
+        kinds = bytearray(b"\xff") * 256
+        for j, v in enumerate(sorted({0, *m.to_bytes(width // 8, sys.byteorder)})):
+            kinds[v] = j
+        self.kinds = bytes(kinds)
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
-        self.entries = sorted((_SubsetData(table, s) for s in siphons),
+        self.entries = sorted((_SubsetData(net, s) for s in siphons),
                               key=lambda data: (len(data.indices), data.indices))
         # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
         # entries with place i, blocked[ti] those with ti outside their T_I
-        self.contains = [0] * len(net.places)
+        self.contains = [0] * n
         self.blocked = [0] * len(net.transitions)
         for e, data in enumerate(self.entries):
+            bit = 1 << e
             for i in data.indices:
-                self.contains[i] |= 1 << e
-            for ti in range(len(net.transitions)):
-                if data.blockers >> ti & 1:
-                    self.blocked[ti] |= 1 << e
+                self.contains[i] |= bit
+            x = data.blockers
+            while x:
+                low = x & -x
+                x ^= low
+                self.blocked[low.bit_length() - 1] |= bit
         # (pre arcs, blocked) of the transitions outside some entry's T_I
         self.blocking = tuple((pre, bits) for pre, bits in zip(net._pre, self.blocked) if bits)
         self.at_memo = {}
@@ -550,30 +590,93 @@ class WitnessIndex:
         return found
 
 
-    def abstract_successors(self, state):
-        """(successor, dominates) pairs: `dominates` says the successor is at
-        least `state` on every place, TOP being the largest value.  It fails
-        when an exact place loses a token, and on the drained m-1 branch."""
+    def pack(self, state):
+        """The probe state of a tuple of counts, each at most m."""
+        return sum(map(mul, state, self.units))
+
+    def unpack(self, code):
+        """The tuple of counts of a probe state."""
+        return tuple(memoryview(code.to_bytes(self.size, sys.byteorder)).cast(self.fmt))
+
+    def _shape(self, c, interned):
+        """(TOP mask, moves) of the states whose places are unmarked, exact
+        or TOP as in the counts `c`.  The moves are those of the transitions
+        that can be enabled there, in ascending order, each as (tests,
+        delta, caps, drain, up): the `rest` arcs that an exact count may
+        fail; the packed change on the exact places; (place, change, unit)
+        where a gain of two or more may pass m; the unit of the last TOP
+        place that loses a token, else 0; and whether the successor
+        dominates the state.  The dict `interned` keeps the moves, so that
+        shapes alike on a transition's places share its move."""
+        m, units = self.m, self.units
+        deltas, first, todo, _, last, rest = self.table
+        many = a = b = 0
+        for i, x in enumerate(c):
+            if x:
+                a |= first[i]
+                b |= last[i]
+                if x >= m:
+                    many |= 1 << i
+        todo |= a & b
+        moves = []
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            ti = low.bit_length() - 1
+            tests = []
+            for i, w in rest[ti]:
+                if not c[i]:
+                    break  # never enabled on this shape
+                if w > 1 and c[i] < m:
+                    tests.append((i, w))
+            else:
+                delta = drain = 0
+                caps = []
+                up = True
+                for i, d in deltas[ti]:
+                    if c[i] >= m:
+                        if d < 0:
+                            drain = units[i]
+                    else:
+                        delta += d * units[i]
+                        up &= d > 0
+                        if d > 1:
+                            caps.append((i, d, units[i]))
+                move = (tuple(tests), delta, tuple(caps), drain, up)
+                moves.append(interned.setdefault(move, move))
+        return many, tuple(moves)
+
+    def _step(self, code, c, moves):
+        """(successor, dominates) pairs of the probe state `code`, whose
+        counts are `c` and `moves` its shape's: `dominates` says the
+        successor is at least the state on every place, TOP being the
+        largest value.  It fails when an exact place loses a token, and on
+        the drained m-1 branch.  Each enabled transition gives its
+        successor, exact counts capped at TOP and TOP places kept TOP, then,
+        when it drains a TOP place, the same with that place at exactly
+        m-1."""
         m = self.m
         out = []
-        for _, delta in _walk(self.table, compress(count(), state), state.__getitem__):
-            base = list(state)
-            drain = None
-            up = True
-            for i, d in delta:
-                v = state[i]
-                if v == m:
-                    if d < 0:
-                        drain = i
-                else:
-                    x = v + d
-                    base[i] = x if x < m else m
-                    up &= d > 0
-            out.append((tuple(base), up))
-            if drain is not None:
-                base[drain] = m - 1
-                out.append((tuple(base), False))
+        for tests, delta, caps, drain, up in moves:
+            for i, w in tests:
+                if c[i] < w:
+                    break
+            else:
+                nxt = code + delta
+                for i, d, u in caps:
+                    over = c[i] + d - m
+                    if over > 0:
+                        nxt -= over * u
+                out.append((nxt, up))
+                if drain:
+                    out.append((nxt - drain, False))
         return out
+
+    def abstract_successors(self, code):
+        """`_step` at the probe state `code`, in the order the probe lists
+        the successors."""
+        c = self.unpack(code)
+        return self._step(code, c, self._shape(c, {})[1])
 
     def probe(self, marking, node_budget):
         """(witness targets, abstract states explored).  No targets is a
@@ -585,7 +688,7 @@ class WitnessIndex:
         start answered from the memo explores nothing.
         """
         m = self.m
-        start = tuple(x if x < m else m for x in marking)
+        start = self.pack([x if x < m else m for x in marking])
         reach = self.reach
         targets = reach.get(start)
         explored = 0
@@ -595,49 +698,48 @@ class WitnessIndex:
         return list(targets), explored
 
     def _search(self, start, node_budget):
-        reach, witness_at, at_memo, m = self.reach, self.witness_at, self.at_memo, self.m
+        reach, witness_at, at_memo = self.reach, self.witness_at, self.at_memo
+        units, size, order, kinds = self.units, self.size, sys.byteorder, self.kinds
+        # bytes read as byte counts already; the cast that wider fields need
+        # would cost byte fields about 5 % of the search
+        fmt = None if self.fmt == "B" else self.fmt
+        shape, step = self._shape, self._step
+        shapes = {}  # a state's bytes translated by `kinds` -> its `_shape`
+        interned = {}  # the moves of those shapes
         # state -> whether it dominates an expanded state, whose lookup found
         # no witness; None is closed upward, so such a state needs no lookup
         seen = {start: False}
         queue = deque([start])
-        # The codes and token totals of the states expanded clean: looked up
+        # The states and token totals of the states expanded clean: looked up
         # with answer None, flagged above, or skipped below.  A state that
         # dominates a clean one, "many" counting as the largest value, is
         # clean: its lookup is skipped and its None memoised as the lookup
-        # would.  A code holds place i's count in byte i (in fields of m's bit
-        # length when m fits no byte), so code - units[i] is the state one
-        # token lower on a marked place i, a TOP value m dropping to exactly
-        # m-1; such a neighbour holds one token fewer in all, which most
-        # states of a conservative net rule out at once.  `digits` maps a
-        # state's bytes to its TOP places as binary digits, place 0 first.
+        # would.  code - units[i] is the state one token lower on a marked
+        # place i, a TOP value m dropping to exactly m-1; such a neighbour
+        # holds one token fewer in all, which most states of a conservative
+        # net rule out at once.
         clean = set()
         totals = set()
-        small = m < 256
-        units = (_BYTE_UNITS if small else
-                 [1 << m.bit_length() * i for i in range(len(start))])
-        digits = b"0" * m + b"1" * (256 - m) if small else None
         targets = []
         explored = 0
         while queue:
-            s = queue.popleft()
+            code = queue.popleft()
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
-            if small:
-                b = bytes(s)
-                code = int.from_bytes(b, "little")
-            else:
-                code = sum(map(mul, s, units))
-            total = sum(s)
-            if not seen[s]:
+            b = code.to_bytes(size, order)
+            c = b if fmt is None else memoryview(b).cast(fmt)
+            key = b.translate(kinds)
+            many, moves = shapes.get(key) or shapes.setdefault(key, shape(c, interned))
+            total = sum(c)
+            if not seen[code]:
                 # only subsets on which every count is exact can be flagged
-                many = (int(b.translate(digits)[::-1] or b"0", 2) if small
-                        else sum(1 << i for i, x in enumerate(s) if x >= m))
-                for u in compress(units, s) if total - 1 in totals else ():
+                for u in compress(units, c) if total - 1 in totals else ():
                     if code - u in clean:
-                        at_memo[s, many] = None
+                        at_memo[tuple(c), many] = None
                         break
                 else:
+                    s = tuple(c)
                     hit = witness_at(s, many, node_budget)
                     if hit:
                         data = hit[0]
@@ -647,7 +749,7 @@ class WitnessIndex:
                         continue
             clean.add(code)
             totals.add(total)
-            for nxt, up in self.abstract_successors(s):
+            for nxt, up in step(code, c, moves):
                 if nxt in seen:
                     if up:
                         seen[nxt] = True

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import operator
 import random
 import re
 import sys
@@ -815,8 +816,20 @@ def _abstract_successors_transcribed(net, idx, state):
     return out
 
 
+def _successors(idx, state):
+    """`idx.abstract_successors` at a tuple of counts, as (tuple, dominates)
+    pairs."""
+    return [(idx.unpack(nxt), up) for nxt, up in idx.abstract_successors(idx.pack(state))]
+
+
+def _probe_states(idx):
+    """The abstract states whose outcome the probe memoised on `idx`, as
+    tuples of counts."""
+    return [idx.unpack(code) for code in idx.reach]
+
+
 def test_abstract_successors_against_transcription():
-    """The move-table walk lists the abstract successors in the order of the
+    """The packed step lists the abstract successors in the order of the
     dense definition, on nets of every row, with and without transitions
     that have no pre-places, at states mixing exact and TOP places."""
     rng = random.Random(61)
@@ -832,7 +845,7 @@ def test_abstract_successors_against_transcription():
                 state = tuple(rng.choice((top, rng.randrange(top)))
                               for _ in net.places)
                 mixed += 0 < state.count(top) < len(state)
-                assert [nxt for nxt, _ in idx.abstract_successors(state)] == \
+                assert [nxt for nxt, _ in _successors(idx, state)] == \
                     _abstract_successors_transcribed(net, idx, state), (net, state)
                 checked += 1
     assert checked == 576 and mixed >= 100
@@ -845,7 +858,7 @@ def test_abstract_successors_drain_top():
     top = idx.m
 
     def states(state):
-        return [nxt for nxt, _ in idx.abstract_successors(state)]
+        return [nxt for nxt, _ in _successors(idx, state)]
 
     assert sorted(states((top, 0))) == [(top - 1, 1), (top, 1)]
     assert sorted(states((top, top))) == [(top - 1, top), (top, top)]
@@ -932,10 +945,10 @@ def test_abstract_successors_flag_domination():
         def many(state):
             return sum(1 << i for i, x in enumerate(state) if x >= top)
 
-        for s in idx.reach:
+        for s in _probe_states(idx):
             mixed += 0 < s.count(top) < len(s)
             clean = None
-            for nxt, dominates in idx.abstract_successors(s):
+            for nxt, dominates in _successors(idx, s):
                 pairs += 1
                 assert dominates == all(a <= b for a, b in zip(s, nxt)), (name, s, nxt)
                 if not dominates:
@@ -974,7 +987,7 @@ def test_probe_skips_lookups_on_dominating_states(monkeypatch):
 def _heavy_probed_net():
     """("heavy", net) for a bimo net of weight 261 after a probe that runs
     out of its 2 000 states: TOP is 263, so the probe packs its counts in
-    9-bit fields rather than bytes."""
+    two-byte fields rather than bytes."""
     net = random_net("bimo", n_places=5, n_trans=6, wmax=300, seed=2)
     v = is_nonlive(net, (400, 400, 2, 400, 2), node_budget=2_000)
     assert (v.status, v.method, net.max_weight) == ("budget_exceeded", "abstract", 261)
@@ -1019,6 +1032,159 @@ def test_probe_lower_neighbour_skips_find_no_witness(monkeypatch):
     assert sum(skipped.values()) > skipped["bio_dense"] + skipped["heavy"]
 
 
+_BYTE_UNITS = tuple(1 << 8 * i for i in range(liveness.SUBSET_CAP))
+
+
+def _tuple_successors(idx, state):
+    """The abstract step on tuple states, as the probe took it before its
+    states were packed: `nets._walk` on the state, then one copy per
+    successor."""
+    m = idx.m
+    out = []
+    for _, delta in nets._walk(idx.table, itertools.compress(itertools.count(), state),
+                               state.__getitem__):
+        base = list(state)
+        drain = None
+        up = True
+        for i, d in delta:
+            v = state[i]
+            if v == m:
+                if d < 0:
+                    drain = i
+            else:
+                x = v + d
+                base[i] = x if x < m else m
+                up &= d > 0
+        out.append((tuple(base), up))
+        if drain is not None:
+            base[drain] = m - 1
+            out.append((tuple(base), False))
+    return out
+
+
+def _tuple_search(idx, reach, start, node_budget):
+    """`WitnessIndex._search` on tuple states, as it was before its states
+    were packed, memoising outcomes in `reach` rather than `idx.reach`."""
+    witness_at, at_memo, m = idx.witness_at, idx.at_memo, idx.m
+    seen = {start: False}
+    queue = deque([start])
+    clean = set()
+    totals = set()
+    small = m < 256
+    units = (_BYTE_UNITS if small else
+             [1 << m.bit_length() * i for i in range(len(start))])
+    digits = b"0" * m + b"1" * (256 - m) if small else None
+    targets = []
+    explored = 0
+    while queue:
+        s = queue.popleft()
+        explored += 1
+        if explored > node_budget:
+            raise nets.BudgetExceeded(explored)
+        if small:
+            b = bytes(s)
+            code = int.from_bytes(b, "little")
+        else:
+            code = sum(map(operator.mul, s, units))
+        total = sum(s)
+        if not seen[s]:
+            many = (int(b.translate(digits)[::-1] or b"0", 2) if small
+                    else sum(1 << i for i, x in enumerate(s) if x >= m))
+            for u in itertools.compress(units, s) if total - 1 in totals else ():
+                if code - u in clean:
+                    at_memo[s, many] = None
+                    break
+            else:
+                hit = witness_at(s, many, node_budget)
+                if hit:
+                    data = hit[0]
+                    targets.append((data, data.take(s)))
+                    if len(targets) >= 8:
+                        return tuple(targets), explored
+                    continue
+        clean.add(code)
+        totals.add(total)
+        for nxt, up in _tuple_successors(idx, s):
+            if nxt in seen:
+                if up:
+                    seen[nxt] = True
+                continue
+            known = reach.get(nxt)
+            if known is None:
+                seen[nxt] = up
+                queue.append(nxt)
+            elif known:
+                return tuple(targets + list(known))[:8], explored
+    if not targets:
+        reach.update(dict.fromkeys(seen, ()))
+    return tuple(targets), explored
+
+
+def _tuple_probe(idx, reach, marking, node_budget):
+    """`WitnessIndex.probe` by `_tuple_search`."""
+    start = tuple(min(x, idx.m) for x in marking)
+    targets = reach.get(start)
+    explored = 0
+    if targets is None:
+        targets, explored = _tuple_search(idx, reach, start, node_budget)
+        reach[start] = targets
+    return list(targets), explored
+
+
+def _probe_outcome(probe):
+    """(targets as (subset, restricted marking) pairs, explored) of a probe
+    call, or ("budget", explored) when it runs out."""
+    try:
+        targets, explored = probe()
+    except nets.BudgetExceeded as exc:
+        return "budget", exc.explored
+    return [(data.indices, r) for data, r in targets], explored
+
+
+def _named_hits(at_memo):
+    """The items of a `witness_at` memo, each record named by its subset."""
+    return [(key, hit and (hit[0].indices, hit[1])) for key, hit in at_memo.items()]
+
+
+def _named_targets(reach):
+    """The items of a probe memo, each record named by its subset."""
+    return [(key, [(data.indices, r) for data, r in targets]) for key, targets in reach.items()]
+
+
+def test_packed_probe_matches_tuple_probe():
+    """The probe on packed states gives what the tuple-state probe gave: on
+    seeded nets of all eight rows, with and without spawning transitions,
+    on the fixtures and on a net whose TOP fits no byte, each probe of a
+    sequence sharing one index returns the same targets and state count or
+    runs out after the same count, and the `witness_at` memo and the
+    decoded probe memo hold the same items in the same order."""
+    rng = random.Random(83)
+    cases = [(path.stem, parse_net(path.read_text())[0]) for path in sorted(FIXTURES.glob("*.net"))]
+    for k in range(24):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=8_300 + k)
+        cases += [(f"{net.name}", net), (f"{net.name}+spawns", with_spawns(net, seed=k))]
+    cases += list(_heavy_probed_net())
+    outcomes = Counter()
+    for name, net in cases:
+        packed, ref = liveness.WitnessIndex(net), liveness.WitnessIndex(net)
+        ref_reach = {}
+        top = packed.m
+        markings = [(0,) * len(net.places), (1,) * len(net.places)]
+        markings += [tuple(rng.choice((0, 1, 2, top - 1, top, top + 5)) for _ in net.places)
+                     for _ in range(6)]
+        for j, m in enumerate(markings):
+            budget = (4, 60, 500_000)[j % 3]
+            got = _probe_outcome(lambda: packed.probe(m, budget))
+            want = _probe_outcome(lambda: _tuple_probe(ref, ref_reach, m, budget))
+            assert got == want, (name, m, budget)
+            assert _named_hits(packed.at_memo) == _named_hits(ref.at_memo), (name, m, budget)
+            decoded = {packed.unpack(code): value for code, value in packed.reach.items()}
+            assert _named_targets(decoded) == _named_targets(ref_reach), (name, m, budget)
+            outcomes["budget" if got[0] == "budget" else bool(got[0])] += 1
+    assert outcomes["budget"] and outcomes[True] and outcomes[False], outcomes
+
+
 def test_witness_at_mask_matches_exactness_loop():
     """On every abstract state the probe memoised, the masked lookup answers
     as testing exactness place by place does.  The plain lookup of the same
@@ -1030,7 +1196,7 @@ def test_witness_at_mask_matches_exactness_loop():
         if idx is None:
             continue
         top = idx.m
-        for s in idx.reach:
+        for s in _probe_states(idx):
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             want = _first_exact_witness(idx, s, top)
             assert idx.witness_at(s, mask) == want, (name, s)
@@ -1206,9 +1372,8 @@ def test_witness_index_build_matches_dense_reference(monkeypatch):
                 _subset_data_reference(net, data.indices), (name, data.indices)
         if len(net.places) > 8:
             continue
-        table = nets._move_table(net)
         for mask in range(1, 1 << len(net.places)):
-            data = liveness._SubsetData(table, mask)
+            data = liveness._SubsetData(net, mask)
             want = _subset_data_reference(net, data.indices)
             assert (data.blockers, data.covers, data.fire) == want, (name, data.indices)
             for ti, (pre, post) in enumerate(dense_arcs(net)):
@@ -1313,7 +1478,7 @@ def test_witness_at_start_rejection_with_inexact_places():
             continue
         top = idx.m
         place_bits = [sum(1 << i for i in data.indices) for data in idx.entries]
-        for s in idx.reach:
+        for s in _probe_states(idx):
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             masked += mask != 0
             for data in idx.entries:
