@@ -26,6 +26,10 @@ It hashes, in a fixed order:
     `is_self_coverable` and `is_carrier_maximal` at node budgets from 1 to
     2 000 on seeded nets of all eight rows, a budget run-out, raised or
     returned, read as ("budget", states explored);
+  - `reach_graph` and `is_live_exact` at node budgets 1, 5 and 2 000 on
+    markings whose counts need fields of two, four, eight and more than
+    eight bytes: hand-built nets of one or two places, and seeded nets of
+    all eight rows with 2^70 tokens added on one place;
   - the reachability graph (nodes in order, labelled successor lists,
     parents) of each of the 24 markings of the machines workload, from the
     truncated marking that `is_nonlive` explores;
@@ -229,6 +233,29 @@ def _budget_checks():
                 yield (fn.__name__, f"row{k}", m, budget), _bounded(fn, *args, budget)
 
 
+def _wide_count_checks():
+    """The packed searches at counts past one byte, up to past 2^64."""
+    mover = Net("mover", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
+    cases = [(mover, (3, big)) for big in (300, 70_000, 2**40, 2**64 - 4, 2**70)]
+    cases += [
+        (Net("grower", ["p"], ["t"], {("p", "t"): 1, ("t", "p"): 3}), (2**70,)),
+        (Net("reader", ["p"], ["t"], {("p", "t"): 1, ("t", "p"): 1}), (2**70,)),
+        (Net("swap", ["p", "q"], ["t", "u"],
+             {("p", "t"): 1, ("t", "q"): 1, ("q", "u"): 1, ("u", "p"): 1}), (2**66, 2)),
+    ]
+    rng = random.Random(99)
+    for k in range(16):
+        net = random_net_in_row(ROWS[k % 8], n_places=3 + k % 3, n_trans=1 + k % 4,
+                                seed=99_000 + k)
+        m = list(random_marking(net, 2 * len(net.places), rng))
+        m[k % len(m)] += 2**70
+        cases.append((net, tuple(m)))
+    for net, m in cases:
+        for budget in (1, 5, 2_000):
+            for fn in (reach_graph, is_live_exact):
+                yield (fn.__name__, "wide", net.name, m, budget), _bounded(fn, net, m, budget)
+
+
 def _machine_graphs(answers):
     """`reach_graph` of every machines marking, at the workload's budget."""
     budget = workloads.MACHINE_LIVE_BUDGET["node_budget"]
@@ -316,6 +343,7 @@ def checks():
     yield from _liveness_checks()
     yield from _reach_graph_checks()
     yield from _budget_checks()
+    yield from _wide_count_checks()
     yield from _machine_graphs(answers)
     yield from _slp_budget_checks()
     yield from _witness_check_checks()

@@ -14,7 +14,7 @@ import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from operator import add, itemgetter, mul
 from struct import calcsize
 
@@ -32,38 +32,41 @@ class SubsetCapExceeded(NetError):
 
 
 class Markings(Sequence):
-    """Read-only view of packed markings: entry v is `codes[v]` unpacked,
-    place i's count read from bits [width*i, width*(i+1)).  Its length
-    unpacks nothing."""
+    """Read-only view of packed markings: entry v (a slice gives a list) is
+    `codes[v]` unpacked.  A code holds place i's count in field i, in the
+    native byte order, so its `to_bytes(size, sys.byteorder)` lists the
+    fields in place order.  A field is one item of `fmt`, the smallest of
+    the struct formats "B", "H", "I" and "Q" that holds `bound`; a larger
+    bound takes `width` bytes per field as it needs, with `fmt` None.
+    units[i] is one token on place i.  Its length unpacks nothing."""
 
-    __slots__ = ("codes", "_shifts", "_mask", "_spread", "_lows")
+    __slots__ = ("codes", "fmt", "width", "size", "units")
 
-    def __init__(self, codes, width, n_places):
+    def __init__(self, codes, bound, n_places):
         self.codes = codes
-        self._shifts = range(0, width * n_places, width)
-        self._mask = (1 << width) - 1
-        self._spread = range(1, width)
-        self._lows = self.pack((1,) * n_places)
+        self.fmt = next((f for f in "BHIQ" if not bound >> 8 * calcsize(f)), None)
+        self.width = width = calcsize(self.fmt) if self.fmt else -(-bound.bit_length() // 8)
+        self.size = width * n_places
+        shifts = range(0, 8 * self.size, 8 * width)
+        self.units = tuple(1 << s for s in (shifts if sys.byteorder == "little"
+                                             else reversed(shifts)))
 
     def pack(self, marking):
-        return sum(x << s for x, s in zip(marking, self._shifts))
-
-    def marked(self, code):
-        """The low bit of each field of `code` that holds a token: the code
-        ORed with its shifts by 1 to width-1 bits, masked to those bits."""
-        x = code
-        for s in self._spread:
-            x |= code >> s
-        return x & self._lows
+        return sum(map(mul, marking, self.units))
 
     def unpack(self, code):
-        mask = self._mask
-        return tuple(code >> s & mask for s in self._shifts)
+        b = code.to_bytes(self.size, sys.byteorder)
+        if self.fmt:
+            return tuple(memoryview(b).cast(self.fmt))
+        w = self.width
+        return tuple(int.from_bytes(b[i:i + w], sys.byteorder) for i in range(0, len(b), w))
 
     def __len__(self):
         return len(self.codes)
 
     def __getitem__(self, v):
+        if isinstance(v, slice):
+            return list(map(self.unpack, self.codes[v]))
         return self.unpack(self.codes[v])
 
     def __iter__(self):
@@ -73,18 +76,18 @@ class Markings(Sequence):
 class ReachGraph:
     """Reachability graph: markings as nodes, firings as edges.
 
-    Node v's marking is stored as one int, `codes[v]`, that holds place i's
-    count in bits [width*i, width*(i+1)); `nodes` is a `Markings` view of
-    all of them.  `succ[v]` lists the node reached by each transition
-    enabled at v, in ascending transition order, and bit ti of `enabled[v]`
-    is set iff transition ti is enabled at v: the k-th set bit labels the
-    edge to `succ[v][k]`."""
+    Node v's marking is stored as one int, `codes[v]`, packed as `Markings`
+    packs counts up to `bound`; `nodes` is a `Markings` view of all of
+    them.  `succ[v]` lists the node reached by each transition enabled at
+    v, in ascending transition order, and bit ti of `enabled[v]` is set iff
+    transition ti is enabled at v: the k-th set bit labels the edge to
+    `succ[v][k]`."""
 
-    def __init__(self, net, root, width):
+    def __init__(self, net, root, bound):
         self.net = net
         self.root = tuple(root)
         self.codes = []
-        self.nodes = Markings(self.codes, width, len(net.places))
+        self.nodes = Markings(self.codes, bound, len(net.places))
         self.codes.append(self.nodes.pack(self.root))
         self.succ = []             # filled as the BFS expands each node
         self.enabled = []
@@ -94,49 +97,42 @@ class ReachGraph:
         return _path(self.parent, v)
 
 
-def _width(net, m0, node_budget):
-    """Bits per place that hold every count a search of `node_budget` nodes
-    from m0 can see: the token total on a conservative net, else the
-    largest count of m0 plus `max_weight` per firing, a node lying at most
-    `node_budget` firings from the root."""
+def _bound(net, m0, node_budget):
+    """A count that no search of `node_budget` nodes from m0 can pass: the
+    token total on a conservative net, else the largest count of m0 plus
+    `max_weight` per firing, a node lying at most `node_budget` firings
+    from the root."""
     if classify(net).conservative:
-        bound = sum(m0)
-    else:
-        bound = max(m0, default=0) + max(node_budget, 1) * net.max_weight
-    return max(bound.bit_length(), 1)
+        return sum(m0)
+    return max(m0, default=0) + max(node_budget, 1) * net.max_weight
 
 
 def reach_graph(net, m0, node_budget=200_000):
     """Breadth-first closure under firing, nodes numbered in discovery
     order; raises BudgetExceeded past `node_budget` nodes.
 
-    Markings are packed ints of `_width` bits per place, so a successor is
-    the node's code plus the transition's packed delta, built on its first
-    firing.  The marked places, which `nets._walk` needs, are the fields
-    with a set bit (`Markings.marked`)."""
+    Markings are `Markings` codes of fields that hold `_bound`, so a
+    successor is the node's code plus the transition's packed delta, built
+    on its first firing.  A node's counts are its code's bytes when a field
+    is one byte, else its unpacked tuple; `nets._walk` reads either as a
+    tuple."""
     net.check_marking(m0)
     table = _move_table(net)
-    width = _width(net, m0, node_budget)
-    g = ReachGraph(net, m0, width)
+    g = ReachGraph(net, m0, _bound(net, m0, node_budget))
     codes, succ, enabled, parent = g.codes, g.succ, g.enabled, g.parent
+    units, size, order = g.nodes.units, g.nodes.size, sys.byteorder
+    unpack = None if g.nodes.fmt == "B" else g.nodes.unpack
     index = {codes[0]: 0}
-    fields = g.nodes.marked
-    mask = (1 << width) - 1
     packed = [None] * len(net.transitions)
     names = net.transitions
     for v, code in enumerate(codes):  # the BFS queue: new nodes join the end
-        x = fields(code)
-        marked = []
-        while x:
-            low = x & -x
-            x ^= low
-            marked.append((low.bit_length() - 1) // width)
+        c = code.to_bytes(size, order) if unpack is None else unpack(code)
         out = []
         en = 0
-        for ti, delta in _walk(table, marked, lambda i: code >> width * i & mask):
+        for ti, delta in _walk(table, compress(count(), c), c.__getitem__):
             d = packed[ti]
             if d is None:
-                d = packed[ti] = sum(dx << width * i for i, dx in delta)
+                d = packed[ti] = sum(dx * units[i] for i, dx in delta)
             en |= 1 << ti
             nc = code + d
             j = index.get(nc)
@@ -442,25 +438,16 @@ class WitnessIndex:
         siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
         self.table = _move_table(net)
         self.m = m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
-        # A probe state is one int that holds place i's count in field i, a
-        # field being one item of struct format `fmt`: a byte while m fits
-        # one, else two or four (m <= MAX_WEIGHT + 2 < 2^32).  The fields
-        # follow the native byte order, so the state's `to_bytes` in that
-        # order, cast to `fmt`, reads its counts; units[i] is one token on
-        # place i.
+        # A probe state is one `Markings` code of fields that hold m: a byte
+        # while m fits one.  `kinds` maps a byte to its class: 0, one class
+        # per byte of m's field, 255 for any other.  A field's classes tell
+        # whether it is 0, TOP or exact, so a state's bytes translated by
+        # `kinds` key which of its places are unmarked, exact or TOP
+        # (`_shape`).
         n = len(net.places)
-        self.fmt = fmt = next(f for f in "BHI" if m < 1 << 8 * calcsize(f))
-        width = 8 * calcsize(fmt)
-        self.size = n * width // 8
-        shifts = range(0, n * width, width)
-        self.units = tuple(1 << s for s in (shifts if sys.byteorder == "little"
-                                             else reversed(shifts)))
-        # `kinds` maps a byte to its class: 0, one class per byte of m's
-        # field, 255 for any other.  A field's classes tell whether it is 0,
-        # TOP or exact, so a state's bytes translated by `kinds` key which of
-        # its places are unmarked, exact or TOP (`_shape`).
+        self.codec = codec = Markings((), m, n)
         kinds = bytearray(b"\xff") * 256
-        for j, v in enumerate(sorted({0, *m.to_bytes(width // 8, sys.byteorder)})):
+        for j, v in enumerate(sorted({0, *m.to_bytes(codec.width, sys.byteorder)})):
             kinds[v] = j
         self.kinds = bytes(kinds)
         # abstract state -> witness targets reachable from it; () = proven clean
@@ -589,15 +576,6 @@ class WitnessIndex:
         self.at_memo[key] = found
         return found
 
-
-    def pack(self, state):
-        """The probe state of a tuple of counts, each at most m."""
-        return sum(map(mul, state, self.units))
-
-    def unpack(self, code):
-        """The tuple of counts of a probe state."""
-        return tuple(memoryview(code.to_bytes(self.size, sys.byteorder)).cast(self.fmt))
-
     def _shape(self, c, interned):
         """(TOP mask, moves) of the states whose places are unmarked, exact
         or TOP as in the counts `c`.  The moves are those of the transitions
@@ -608,7 +586,7 @@ class WitnessIndex:
         place that loses a token, else 0; and whether the successor
         dominates the state.  The dict `interned` keeps the moves, so that
         shapes alike on a transition's places share its move."""
-        m, units = self.m, self.units
+        m, units = self.m, self.codec.units
         deltas, first, todo, _, last, rest = self.table
         many = a = b = 0
         for i, x in enumerate(c):
@@ -675,7 +653,7 @@ class WitnessIndex:
     def abstract_successors(self, code):
         """`_step` at the probe state `code`, in the order the probe lists
         the successors."""
-        c = self.unpack(code)
+        c = self.codec.unpack(code)
         return self._step(code, c, self._shape(c, {})[1])
 
     def probe(self, marking, node_budget):
@@ -688,7 +666,7 @@ class WitnessIndex:
         start answered from the memo explores nothing.
         """
         m = self.m
-        start = self.pack([x if x < m else m for x in marking])
+        start = self.codec.pack([x if x < m else m for x in marking])
         reach = self.reach
         targets = reach.get(start)
         explored = 0
@@ -699,10 +677,11 @@ class WitnessIndex:
 
     def _search(self, start, node_budget):
         reach, witness_at, at_memo = self.reach, self.witness_at, self.at_memo
-        units, size, order, kinds = self.units, self.size, sys.byteorder, self.kinds
+        codec, order, kinds = self.codec, sys.byteorder, self.kinds
+        units, size = codec.units, codec.size
         # bytes read as byte counts already; the cast that wider fields need
         # would cost byte fields about 5 % of the search
-        fmt = None if self.fmt == "B" else self.fmt
+        fmt = None if codec.fmt == "B" else codec.fmt
         shape, step = self._shape, self._step
         shapes = {}  # a state's bytes translated by `kinds` -> its `_shape`
         interned = {}  # the moves of those shapes
@@ -802,10 +781,10 @@ def constructed_witness(net, graph):
         return None
     _, dead, sink = res
 
-    # the carrier size of a node is the number of its code's marked fields
-    codes, fields = graph.codes, graph.nodes.marked
-    v_star = max(sink, key=lambda v: (fields(codes[v]).bit_count(), -v))
-    m_star = graph.nodes[v_star]
+    # the carrier size of a node is the number of its marked places
+    nodes = graph.nodes
+    v_star = max(sink, key=lambda v: (len(nodes[v]) - nodes[v].count(0), -v))
+    m_star = nodes[v_star]
 
     # the dummy of an empty pre-set holds its one token, and place-free
     # components hold none of none, so neither is ever poor

@@ -798,10 +798,11 @@ def _width_cases():
     """Seeded nets of all eight rows, with and without pre-free
     transitions; nets of no class with weights up to 3; a producer whose
     counts climb to the non-conservative bound max(m0) + budget * weight
-    (2 + 2 * 3 = 8 needs the fourth bit); two nets whose firings one bit
-    too narrow would read as another marking (the doubler's (3, 0) as its
-    root (1, 1), the grower's 8 as 0); nets without places; and a compiled
-    machine."""
+    (2 + 2 * 3 = 8); two nets whose counts outgrow their roots' (the
+    doubler's (3, 0) from (1, 1), the grower's 8 from 2); nets without
+    places; a compiled machine; and markings whose counts need fields of
+    two, four, eight and more than eight bytes, on a net moving p to q and
+    on the grower."""
     rng = random.Random(97)
     rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
     for k in range(160):
@@ -821,6 +822,10 @@ def _width_cases():
     yield Net("placeless", [], ["t"], {}), ()
     yield Net("placeless2", [], ["t", "u"], {}), ()
     yield build_stage(load_lba("first_a_3"), "abb", "Nbar")
+    mover = Net("mover", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
+    for big in (300, 70_000, 2**40, 2**64 - 4, 2**70):
+        yield mover, (3, big)
+    yield Net("grower", ["p"], ["t"], {("p", "t"): 1, ("t", "p"): 3}), (2**70,)
 
 
 def _outcome(build, net, m, budget):
@@ -834,25 +839,31 @@ def test_packed_reach_graph_matches_tuple_bfs():
     """Packed codes number nodes, edges and parents as the tuple BFS does,
     and run out of budget at the same count, at budgets 1 to 2 000."""
     closed = ran_out = 0
+    formats = set()
     for net, m in _width_cases():
         for budget in (1, 2, 5, 20, 2_000):
             want = _outcome(_tuple_reach_graph, net, m, budget)
             assert _outcome(_packed_reach_graph, net, m, budget) == want, (net, m, budget)
             closed += want[0] != "budget"
             ran_out += want[0] == "budget"
+            bound = liveness._bound(net, m, budget)
+            formats.add(liveness.Markings((), bound, len(net.places)).fmt)
     assert closed >= 300 and ran_out >= 300
+    assert formats == {"B", "H", "I", "Q", None}
     producer, m0 = next(c for c in _width_cases() if c[0].name == "producer")
-    assert [liveness._width(producer, m0, b) for b in (1, 2, 5)] == [3, 4, 5]
+    assert [liveness._bound(producer, m0, b) for b in (1, 2, 5)] == [5, 8, 17]
 
 
 def test_reach_graph_node_view():
-    """`nodes` unpacks each code on access, `pack` inverts it, and no two
-    nodes share a code."""
+    """`nodes` unpacks each code on access, a slice to a list of markings,
+    `pack` inverts it, and no two nodes share a code."""
     net, m0 = load_net("io_fragile")
     g = reach_graph(net, m0)
     assert len(g.nodes) == len(g.codes) == len(g.succ) > 1
     assert g.nodes[0] == g.root == tuple(m0)
     assert g.nodes[-1] == g.nodes.unpack(g.codes[-1])
+    assert g.nodes[0:2] == [g.nodes[0], g.nodes[1]]
+    assert g.nodes[::-1] == list(g.nodes)[::-1]
     for v, m in enumerate(g.nodes):
         assert g.codes[v] == g.nodes.pack(m)
     assert len(set(g.codes)) == len(g.codes)

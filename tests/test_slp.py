@@ -819,13 +819,14 @@ def _abstract_successors_transcribed(net, idx, state):
 def _successors(idx, state):
     """`idx.abstract_successors` at a tuple of counts, as (tuple, dominates)
     pairs."""
-    return [(idx.unpack(nxt), up) for nxt, up in idx.abstract_successors(idx.pack(state))]
+    codec = idx.codec
+    return [(codec.unpack(nxt), up) for nxt, up in idx.abstract_successors(codec.pack(state))]
 
 
 def _probe_states(idx):
     """The abstract states whose outcome the probe memoised on `idx`, as
     tuples of counts."""
-    return [idx.unpack(code) for code in idx.reach]
+    return [idx.codec.unpack(code) for code in idx.reach]
 
 
 def test_abstract_successors_against_transcription():
@@ -1179,7 +1180,7 @@ def test_packed_probe_matches_tuple_probe():
             want = _probe_outcome(lambda: _tuple_probe(ref, ref_reach, m, budget))
             assert got == want, (name, m, budget)
             assert _named_hits(packed.at_memo) == _named_hits(ref.at_memo), (name, m, budget)
-            decoded = {packed.unpack(code): value for code, value in packed.reach.items()}
+            decoded = {packed.codec.unpack(code): value for code, value in packed.reach.items()}
             assert _named_targets(decoded) == _named_targets(ref_reach), (name, m, budget)
             outcomes["budget" if got[0] == "budget" else bool(got[0])] += 1
     assert outcomes["budget"] and outcomes[True] and outcomes[False], outcomes
