@@ -8,8 +8,7 @@ sizes of the per-siphon `dead_set` memos, the number of clean points and the
 longest clean list),
 the index's number of entries, how long a fresh index takes to build, how
 many `witness_at` lookups ran (counted by wrapping the method) and the size
-of the `witness_at` memo, which also holds the states the abstract probe
-answered without a lookup.
+of the `witness_at` memo, which holds only lookups that ran.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib

@@ -154,6 +154,7 @@ def cover_basis(net, target, node_budget=200_000):
 
     Exact for arbitrary nets; terminates by well-quasi-ordering of markings.
     """
+    net.check_marking(target)
     target = tuple(target)
     basis = [target]
     work = deque([target])
@@ -580,12 +581,11 @@ class WitnessIndex:
         """(TOP mask, moves) of the states whose places are unmarked, exact
         or TOP as in the counts `c`.  The moves are those of the transitions
         that can be enabled there, in ascending order, each as (tests,
-        delta, caps, drain, up): the `rest` arcs that an exact count may
-        fail; the packed change on the exact places; (place, change, unit)
-        where a gain of two or more may pass m; the unit of the last TOP
-        place that loses a token, else 0; and whether the successor
-        dominates the state.  The dict `interned` keeps the moves, so that
-        shapes alike on a transition's places share its move."""
+        delta, caps, drain): the `rest` arcs that an exact count may fail;
+        the packed change on the exact places; (place, change, unit) where a
+        gain of two or more may pass m; and the unit of the last TOP place
+        that loses a token, else 0.  The dict `interned` keeps the moves, so
+        that shapes alike on a transition's places share its move."""
         m, units = self.m, self.codec.units
         deltas, first, todo, _, last, rest = self.table
         many = a = b = 0
@@ -610,32 +610,27 @@ class WitnessIndex:
             else:
                 delta = drain = 0
                 caps = []
-                up = True
                 for i, d in deltas[ti]:
                     if c[i] >= m:
                         if d < 0:
                             drain = units[i]
                     else:
                         delta += d * units[i]
-                        up &= d > 0
                         if d > 1:
                             caps.append((i, d, units[i]))
-                move = (tuple(tests), delta, tuple(caps), drain, up)
+                move = (tuple(tests), delta, tuple(caps), drain)
                 moves.append(interned.setdefault(move, move))
         return many, tuple(moves)
 
     def _step(self, code, c, moves):
-        """(successor, dominates) pairs of the probe state `code`, whose
-        counts are `c` and `moves` its shape's: `dominates` says the
-        successor is at least the state on every place, TOP being the
-        largest value.  It fails when an exact place loses a token, and on
-        the drained m-1 branch.  Each enabled transition gives its
+        """The successors of the probe state `code`, whose counts are `c`
+        and `moves` its shape's.  Each enabled transition gives its
         successor, exact counts capped at TOP and TOP places kept TOP, then,
         when it drains a TOP place, the same with that place at exactly
         m-1."""
         m = self.m
         out = []
-        for tests, delta, caps, drain, up in moves:
+        for tests, delta, caps, drain in moves:
             for i, w in tests:
                 if c[i] < w:
                     break
@@ -645,9 +640,9 @@ class WitnessIndex:
                     over = c[i] + d - m
                     if over > 0:
                         nxt -= over * u
-                out.append((nxt, up))
+                out.append(nxt)
                 if drain:
-                    out.append((nxt - drain, False))
+                    out.append(nxt - drain)
         return out
 
     def abstract_successors(self, code):
@@ -676,7 +671,7 @@ class WitnessIndex:
         return list(targets), explored
 
     def _search(self, start, node_budget):
-        reach, witness_at, at_memo = self.reach, self.witness_at, self.at_memo
+        reach, witness_at = self.reach, self.witness_at
         codec, order, kinds = self.codec, sys.byteorder, self.kinds
         units, size = codec.units, codec.size
         # bytes read as byte counts already; the cast that wider fields need
@@ -685,18 +680,15 @@ class WitnessIndex:
         shape, step = self._shape, self._step
         shapes = {}  # a state's bytes translated by `kinds` -> its `_shape`
         interned = {}  # the moves of those shapes
-        # state -> whether it dominates an expanded state, whose lookup found
-        # no witness; None is closed upward, so such a state needs no lookup
-        seen = {start: False}
+        seen = {start}
         queue = deque([start])
         # The states and token totals of the states expanded clean: looked up
-        # with answer None, flagged above, or skipped below.  A state that
-        # dominates a clean one, "many" counting as the largest value, is
-        # clean: its lookup is skipped and its None memoised as the lookup
-        # would.  code - units[i] is the state one token lower on a marked
-        # place i, a TOP value m dropping to exactly m-1; such a neighbour
-        # holds one token fewer in all, which most states of a conservative
-        # net rule out at once.
+        # with answer None, or skipped below.  None is closed upward, so a
+        # state that dominates a clean one, "many" counting as the largest
+        # value, is clean and needs no lookup.  code - units[i] is the state
+        # one token lower on a marked place i, a TOP value m dropping to
+        # exactly m-1; such a neighbour holds one token fewer in all, which
+        # most states of a conservative net rule out at once.
         clean = set()
         totals = set()
         targets = []
@@ -711,31 +703,26 @@ class WitnessIndex:
             key = b.translate(kinds)
             many, moves = shapes.get(key) or shapes.setdefault(key, shape(c, interned))
             total = sum(c)
-            if not seen[code]:
-                # only subsets on which every count is exact can be flagged
-                for u in compress(units, c) if total - 1 in totals else ():
-                    if code - u in clean:
-                        at_memo[tuple(c), many] = None
-                        break
-                else:
-                    s = tuple(c)
-                    hit = witness_at(s, many, node_budget)
-                    if hit:
-                        data = hit[0]
-                        targets.append((data, data.take(s)))
-                        if len(targets) >= 8:
-                            return tuple(targets), explored
-                        continue
+            for u in compress(units, c) if total - 1 in totals else ():
+                if code - u in clean:
+                    break
+            else:
+                s = tuple(c)
+                hit = witness_at(s, many, node_budget)
+                if hit:
+                    data = hit[0]
+                    targets.append((data, data.take(s)))
+                    if len(targets) >= 8:
+                        return tuple(targets), explored
+                    continue
             clean.add(code)
             totals.add(total)
-            for nxt, up in step(code, c, moves):
+            for nxt in step(code, c, moves):
                 if nxt in seen:
-                    if up:
-                        seen[nxt] = True
                     continue
                 known = reach.get(nxt)
                 if known is None:
-                    seen[nxt] = up
+                    seen.add(nxt)
                     queue.append(nxt)
                 elif known:
                     return tuple(targets + list(known))[:8], explored

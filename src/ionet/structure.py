@@ -179,12 +179,12 @@ def rich_poor(relaxed, marking, components=None):
     A component with places P_C is rich when the marking puts at least |P_C|
     tokens on P_C; place-free components are always rich.
     """
+    relaxed.check_marking(marking)
     if components is None:
         components = sccs(relaxed)
     out = {}
     for comp in components:
-        total = sum(marking[relaxed.place_index[p]] for p in comp.places
-                    if p in relaxed.place_index and relaxed.place_index[p] < len(marking))
+        total = sum(marking[relaxed.place_index[p]] for p in comp.places)
         out[comp] = "rich" if total >= len(comp.places) else "poor"
     return out
 

@@ -106,6 +106,14 @@ def test_cover_basis_is_minimal_and_sound():
             assert covered == any(mleq(b, m) for b in basis)
 
 
+@pytest.mark.parametrize("target", [(1,), (-1,) * 6], ids=["short", "negative"])
+def test_cover_basis_rejects_bad_targets(siphon_net, target):
+    net, _ = siphon_net
+    assert len(net.places) == 6
+    with pytest.raises(NetError):
+        cover_basis(net, target)
+
+
 def test_is_live_exact_fragile_pair(fragile_net):
     net, m0 = fragile_net
     assert is_live_exact(net, m0) is True
@@ -852,6 +860,30 @@ def test_packed_reach_graph_matches_tuple_bfs():
     assert formats == {"B", "H", "I", "Q", None}
     producer, m0 = next(c for c in _width_cases() if c[0].name == "producer")
     assert [liveness._bound(producer, m0, b) for b in (1, 2, 5)] == [5, 8, 17]
+
+
+def test_reach_graph_either_byte_order(monkeypatch):
+    """`Markings` puts place 0 in the lowest field on a little-endian
+    machine and in the highest on a big-endian one, so that a code's
+    native `to_bytes` lists the fields in place order either way.  With
+    `sys.byteorder` set to each, `reach_graph` gives the tuple BFS's nodes,
+    edges and parents from different codes, on a net of byte fields and on
+    one whose fields are wider than eight bytes.  Fields of two, four and
+    eight bytes are not tested this way: `memoryview.cast` reads them in
+    the machine's own byte order, whatever `sys.byteorder` says."""
+    swap = Net("swap", ["p", "q", "r"], ["t", "u"],
+               {("p", "t"): 1, ("t", "q"): 1, ("q", "u"): 1, ("u", "p"): 1})
+    join = Net("join", ["p", "c", "q"], ["t"], {("p", "t"): 1, ("c", "t"): 1, ("t", "q"): 1})
+    for net, m0, fmt in ((swap, (3, 1, 0), "B"), (join, (2**70, 1, 5), None)):
+        want = _tuple_reach_graph(net, m0, 2_000)
+        codes = {}
+        for order in ("little", "big"):
+            monkeypatch.setattr(liveness.sys, "byteorder", order)
+            g = reach_graph(net, m0, 2_000)
+            assert g.nodes.fmt == fmt
+            assert (list(g.nodes), labelled_edges(g), g.parent) == want, (net.name, order)
+            codes[order] = g.codes
+        assert codes["little"] != codes["big"], net.name
 
 
 def test_reach_graph_node_view():

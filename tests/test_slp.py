@@ -817,10 +817,9 @@ def _abstract_successors_transcribed(net, idx, state):
 
 
 def _successors(idx, state):
-    """`idx.abstract_successors` at a tuple of counts, as (tuple, dominates)
-    pairs."""
+    """`idx.abstract_successors` at a tuple of counts, as tuples."""
     codec = idx.codec
-    return [(codec.unpack(nxt), up) for nxt, up in idx.abstract_successors(codec.pack(state))]
+    return [codec.unpack(nxt) for nxt in idx.abstract_successors(codec.pack(state))]
 
 
 def _probe_states(idx):
@@ -846,7 +845,7 @@ def test_abstract_successors_against_transcription():
                 state = tuple(rng.choice((top, rng.randrange(top)))
                               for _ in net.places)
                 mixed += 0 < state.count(top) < len(state)
-                assert [nxt for nxt, _ in _successors(idx, state)] == \
+                assert _successors(idx, state) == \
                     _abstract_successors_transcribed(net, idx, state), (net, state)
                 checked += 1
     assert checked == 576 and mixed >= 100
@@ -857,13 +856,9 @@ def test_abstract_successors_drain_top():
     net = Net("move", ["p", "q"], ["t"], {("p", "t"): 1, ("t", "q"): 1})
     idx = liveness.WitnessIndex(net)
     top = idx.m
-
-    def states(state):
-        return [nxt for nxt, _ in _successors(idx, state)]
-
-    assert sorted(states((top, 0))) == [(top - 1, 1), (top, 1)]
-    assert sorted(states((top, top))) == [(top - 1, top), (top, top)]
-    assert states((top - 1, 0)) == [(top - 2, 1)]
+    assert sorted(_successors(idx, (top, 0))) == [(top - 1, 1), (top, 1)]
+    assert sorted(_successors(idx, (top, top))) == [(top - 1, top), (top, top)]
+    assert _successors(idx, (top - 1, 0)) == [(top - 2, 1)]
 
 
 def _fresh(net):
@@ -928,49 +923,11 @@ def _probed_nets():
             yield f"{row}/{k}", net
 
 
-def test_abstract_successors_flag_domination():
-    """On every abstract state the probe memoised, mixing exact and TOP
-    values, a successor is flagged as dominating exactly when it is at least
-    the state on every place, TOP being the largest value.  Where the lookup
-    at the state answers None, a fresh index, with its memos and clean lists
-    emptied before each lookup, answers None at every flagged successor with
-    that successor's TOP mask: the probe skips those lookups."""
-    pairs = flagged = mixed = 0
-    for name, net in _probed_nets():
-        idx = net._analysis.get("witness_index")
-        if idx is None:
-            continue
-        top = idx.m
-        fresh = liveness.WitnessIndex(net)
-
-        def many(state):
-            return sum(1 << i for i, x in enumerate(state) if x >= top)
-
-        for s in _probe_states(idx):
-            mixed += 0 < s.count(top) < len(s)
-            clean = None
-            for nxt, dominates in _successors(idx, s):
-                pairs += 1
-                assert dominates == all(a <= b for a, b in zip(s, nxt)), (name, s, nxt)
-                if not dominates:
-                    continue
-                if clean is None:
-                    clean = idx.witness_at(s, many(s)) is None
-                if clean:
-                    fresh.at_memo.clear()
-                    for data in fresh.entries:
-                        data.memo.clear()
-                        data.clean.clear()
-                    assert fresh.witness_at(nxt, many(nxt)) is None, (name, s, nxt)
-                    flagged += 1
-    assert pairs > 40_000 and flagged > 10_000 and mixed > 5_000
-
-
 def test_probe_skips_lookups_on_dominating_states(monkeypatch):
     """The stored bio_dense marking is live by the abstract probe, which pops
     7 795 states but asks the witness index about only 853 of them: each of
-    the rest dominates a state the same search expanded clean, its parent
-    or a state one token lower on some place."""
+    the rest dominates a state the same search expanded clean, one token
+    lower on some place."""
     lookups = []
     witness_at = liveness.WitnessIndex.witness_at
 
@@ -1000,29 +957,34 @@ def test_probe_lower_neighbour_skips_find_no_witness(monkeypatch):
     of `_probed_nets()` and on a net whose TOP fits no byte, has no witness
     under its own "many" mask: a fresh index, with its memos and clean
     lists emptied before each lookup, answers None there.  The skipped
-    states are the `witness_at` memo keys that no lookup made, each holding
-    None; the rule fires on bio_dense and on the heavy net."""
+    states are those the probe expanded but never looked up; the rule fires
+    on bio_dense and on the heavy net.  The `witness_at` memo holds only
+    the lookups made."""
     called = {}  # index -> the keys its `witness_at` was called with
-    witness_at = liveness.WitnessIndex.witness_at
+    expanded = {}  # index -> the (state, "many" mask) pairs the probe expanded
+    witness_at, step = liveness.WitnessIndex.witness_at, liveness.WitnessIndex._step
 
     def recorded(self, marking, inexact=0, node_budget=1_000_000):
         called.setdefault(self, set()).add((marking, inexact))
         return witness_at(self, marking, inexact, node_budget)
 
+    def recorded_step(self, code, c, moves):
+        s = tuple(c)
+        many = sum(1 << i for i, x in enumerate(s) if x >= self.m)
+        expanded.setdefault(self, set()).add((s, many))
+        return step(self, code, c, moves)
+
     monkeypatch.setattr(liveness.WitnessIndex, "witness_at", recorded)
+    monkeypatch.setattr(liveness.WitnessIndex, "_step", recorded_step)
     skipped = Counter()
     for name, net in itertools.chain(_probed_nets(), _heavy_probed_net()):
         idx = net._analysis.get("witness_index")
         if idx is None:
             continue
-        top = idx.m
         fresh = liveness.WitnessIndex(net)
         looked_up = called.get(idx, set())
-        for (s, many), found in idx.at_memo.items():
-            if (s, many) in looked_up:
-                continue
-            assert found is None, (name, s)
-            assert many == sum(1 << i for i, x in enumerate(s) if x >= top), (name, s)
+        assert looked_up.issuperset(idx.at_memo), name
+        for s, many in expanded.get(idx, set()) - looked_up:
             fresh.at_memo.clear()
             for data in fresh.entries:
                 data.memo.clear()
@@ -1046,7 +1008,6 @@ def _tuple_successors(idx, state):
                                state.__getitem__):
         base = list(state)
         drain = None
-        up = True
         for i, d in delta:
             v = state[i]
             if v == m:
@@ -1055,19 +1016,18 @@ def _tuple_successors(idx, state):
             else:
                 x = v + d
                 base[i] = x if x < m else m
-                up &= d > 0
-        out.append((tuple(base), up))
+        out.append(tuple(base))
         if drain is not None:
             base[drain] = m - 1
-            out.append((tuple(base), False))
+            out.append(tuple(base))
     return out
 
 
 def _tuple_search(idx, reach, start, node_budget):
     """`WitnessIndex._search` on tuple states, as it was before its states
     were packed, memoising outcomes in `reach` rather than `idx.reach`."""
-    witness_at, at_memo, m = idx.witness_at, idx.at_memo, idx.m
-    seen = {start: False}
+    witness_at, m = idx.witness_at, idx.m
+    seen = {start}
     queue = deque([start])
     clean = set()
     totals = set()
@@ -1088,31 +1048,27 @@ def _tuple_search(idx, reach, start, node_budget):
         else:
             code = sum(map(operator.mul, s, units))
         total = sum(s)
-        if not seen[s]:
+        for u in itertools.compress(units, s) if total - 1 in totals else ():
+            if code - u in clean:
+                break
+        else:
             many = (int(b.translate(digits)[::-1] or b"0", 2) if small
                     else sum(1 << i for i, x in enumerate(s) if x >= m))
-            for u in itertools.compress(units, s) if total - 1 in totals else ():
-                if code - u in clean:
-                    at_memo[s, many] = None
-                    break
-            else:
-                hit = witness_at(s, many, node_budget)
-                if hit:
-                    data = hit[0]
-                    targets.append((data, data.take(s)))
-                    if len(targets) >= 8:
-                        return tuple(targets), explored
-                    continue
+            hit = witness_at(s, many, node_budget)
+            if hit:
+                data = hit[0]
+                targets.append((data, data.take(s)))
+                if len(targets) >= 8:
+                    return tuple(targets), explored
+                continue
         clean.add(code)
         totals.add(total)
-        for nxt, up in _tuple_successors(idx, s):
+        for nxt in _tuple_successors(idx, s):
             if nxt in seen:
-                if up:
-                    seen[nxt] = True
                 continue
             known = reach.get(nxt)
             if known is None:
-                seen[nxt] = up
+                seen.add(nxt)
                 queue.append(nxt)
             elif known:
                 return tuple(targets + list(known))[:8], explored
@@ -1148,8 +1104,8 @@ def _named_hits(at_memo):
 
 
 def _named_targets(reach):
-    """The items of a probe memo, each record named by its subset."""
-    return [(key, [(data.indices, r) for data, r in targets]) for key, targets in reach.items()]
+    """A probe memo with each record named by its subset."""
+    return {key: [(data.indices, r) for data, r in targets] for key, targets in reach.items()}
 
 
 def test_packed_probe_matches_tuple_probe():
@@ -1157,8 +1113,9 @@ def test_packed_probe_matches_tuple_probe():
     seeded nets of all eight rows, with and without spawning transitions,
     on the fixtures and on a net whose TOP fits no byte, each probe of a
     sequence sharing one index returns the same targets and state count or
-    runs out after the same count, and the `witness_at` memo and the
-    decoded probe memo hold the same items in the same order."""
+    runs out after the same count, the `witness_at` memo holds the same
+    items in the same order, and the decoded probe memo the same items in
+    any order: a search adds the states it proved clean from a set."""
     rng = random.Random(83)
     cases = [(path.stem, parse_net(path.read_text())[0]) for path in sorted(FIXTURES.glob("*.net"))]
     for k in range(24):
@@ -1512,18 +1469,14 @@ def test_dense_memo_holds_no_rejected_pair():
 def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
     """`decide_slp(bio_dense)`'s candidates share capped configurations, so
     most of its `witness_at` lookups repeat an earlier one and the memo
-    answers them without a `dead_set` call.  Every repeat is a memo hit.  A
-    first lookup is one exactly when the abstract probe stored its key
-    without running `witness_at`, for a state it skipped by the
-    lower-neighbour rule.  The memo-less cost charges each repeat the
-    `dead_set` calls its first lookup made, none for a first hit (at the
-    time of writing: 8 328 lookups of 2 307 keys, 676 of them first hits,
-    19 018 `dead_set` calls against 68 463 without the memo)."""
+    answers them without a `dead_set` call.  Every repeat is a memo hit and
+    no first lookup is: the memo holds only the lookups made.  The
+    memo-less cost charges each repeat the `dead_set` calls its first
+    lookup made (at the time of writing: 8 328 lookups of 2 307 keys,
+    24 677 `dead_set` calls against 88 348 without the memo)."""
     lookups, first_cost = {}, {}
-    first_hits, probe_stored = set(), set()
-    dead_calls = repeat_hits = 0
+    dead_calls = repeat_hits = first_hits = 0
     witness_at, dead_set = liveness.WitnessIndex.witness_at, liveness.WitnessIndex.dead_set
-    search = liveness.WitnessIndex._search
 
     def counted_dead_set(self, *args, **kwargs):
         nonlocal dead_calls
@@ -1531,7 +1484,7 @@ def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
         return dead_set(self, *args, **kwargs)
 
     def counted_witness_at(self, marking, inexact=0, node_budget=1_000_000):
-        nonlocal repeat_hits
+        nonlocal repeat_hits, first_hits
         key = (marking, inexact)
         seen_before = key in lookups
         lookups[key] = lookups.get(key, 0) + 1
@@ -1539,30 +1492,19 @@ def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
             if seen_before:
                 repeat_hits += 1
             else:
-                first_hits.add(key)
+                first_hits += 1
         before = dead_calls
         found = witness_at(self, marking, inexact, node_budget)
         first_cost.setdefault(key, dead_calls - before)
         return found
 
-    def recorded_search(self, start, node_budget):
-        # the memo only grows, so the keys past its old length are new
-        size = len(self.at_memo)
-        try:
-            return search(self, start, node_budget)
-        finally:
-            probe_stored.update(key for key in itertools.islice(self.at_memo, size, None)
-                                if key not in lookups)
-
     monkeypatch.setattr(liveness.WitnessIndex, "dead_set", counted_dead_set)
     monkeypatch.setattr(liveness.WitnessIndex, "witness_at", counted_witness_at)
-    monkeypatch.setattr(liveness.WitnessIndex, "_search", recorded_search)
     decide_slp(load_net("bio_dense")[0])
     total = sum(lookups.values())
     memoless = sum(n * first_cost[key] for key, n in lookups.items())
-    assert repeat_hits == total - len(lookups)
-    assert first_hits == probe_stored & lookups.keys() and first_hits
-    assert repeat_hits + len(first_hits) > total // 2
+    assert repeat_hits == total - len(lookups) and first_hits == 0
+    assert repeat_hits > total // 2
     assert dead_calls < memoless // 3, (dead_calls, memoless)
 
 

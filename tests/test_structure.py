@@ -224,6 +224,14 @@ def test_rich_everywhere_marked():
         assert set(rich_poor(rlx, ones, comps).values()) <= {"rich"}
 
 
+@pytest.mark.parametrize("marking", [(), (5,) * 99, (-1,) * 7], ids=["short", "long", "negative"])
+def test_rich_poor_rejects_bad_markings(witness_net, marking):
+    rlx = relaxed_net(witness_net[0])
+    assert len(rlx.places) == 7
+    with pytest.raises(NetError):
+        rich_poor(rlx, marking)
+
+
 def test_is_siphon_fixture(siphon_net):
     net, _ = siphon_net
     assert is_siphon(net, {"p2", "p3", "p4"})
