@@ -44,8 +44,11 @@ It hashes, in a fixed order:
 Nets with a place or transition named like the reserved dummy place are
 left out.
 
-To compare with an older commit, copy this file into a checkout of it and
-run it there too.
+The line is compared with the one stored in `result_digest.expected` next
+to this file, and the script exits with status 1 when they differ.  A
+change that means to change an answer, or adds checks, stores the new line
+there.  To compare with an older commit, copy this file into a checkout of
+it and run it there too; without a stored line it only prints.
 Usage: python scripts/result_digest.py [--dump FILE]"""
 import argparse
 import hashlib
@@ -54,6 +57,7 @@ import random
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXPECTED = pathlib.Path(__file__).resolve().with_suffix(".expected")
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -362,7 +366,10 @@ def main():
         lines.append(line)
     if args.dump is not None:
         args.dump.write_text("\n".join(lines) + "\n")
-    print(f"checks {len(lines)} sha256 {digest.hexdigest()}")
+    line = f"checks {len(lines)} sha256 {digest.hexdigest()}"
+    print(line)
+    if EXPECTED.exists() and EXPECTED.read_text().strip() != line:
+        sys.exit(f"differs from {EXPECTED.name}: {EXPECTED.read_text().strip()}")
 
 
 if __name__ == "__main__":

@@ -470,6 +470,12 @@ class WitnessIndex:
                 self.blocked[low.bit_length() - 1] |= bit
         # (pre arcs, blocked) of the transitions outside some entry's T_I
         self.blocking = tuple((pre, bits) for pre, bits in zip(net._pre, self.blocked) if bits)
+        # heavy[i]: the largest weight any transition reads from place i, else 0
+        self.heavy = heavy = [0] * n
+        for pre in net._pre:
+            for i, w in pre:
+                if w > heavy[i]:
+                    heavy[i] = w
         self.at_memo = {}
 
     def dead_set(self, data, r, node_budget=1_000_000):
@@ -541,19 +547,27 @@ class WitnessIndex:
         """First witness at the marking in (size, lex) subset order, as
         (subset record, dead transition indices), or None.  Subsets touching
         a place of the `inexact` bitmask are skipped: their counts there are
-        only known to be large.  Each restricted exploration may visit
-        `node_budget` states; raises BudgetExceeded beyond that."""
+        only known to be large.  Before any exploration, bitmasks over all
+        subsets at once reject those that fail at the start, where
+        `dead_set` would answer None at its first state: a subset with no
+        poor place (one holding fewer tokens than some transition reads
+        from it) has every restricted pre-mset covered, and on some others
+        a transition outside T_I is covered.  Both grounds are closed upward
+        in the marking, like that None.  Each restricted exploration may
+        visit `node_budget` states; raises BudgetExceeded beyond that."""
         key = (marking, inexact)
         hit = self.at_memo.get(key, 0)
         if hit != 0:
             return hit
-        # Reject the entries touching an inexact place, and those on which some
-        # transition outside T_I is covered at the start: it is short on no
-        # place of the entry, so `dead_set` would answer None at once.  A
-        # transition ti rejects the entries with ti outside T_I (blocked[ti])
-        # that hold no place where the marking has fewer tokens than ti reads.
+        # `poor` holds the entries with a poor place.  `rejected` holds those
+        # touching an inexact place, and for each transition ti the entries
+        # with ti outside T_I (blocked[ti]) that hold no place where the
+        # marking has fewer tokens than ti reads.
         contains = self.contains
-        rejected = 0
+        poor = rejected = 0
+        for x, h, bits in zip(marking, self.heavy, contains):
+            if x < h:
+                poor |= bits
         while inexact:
             low = inexact & -inexact
             inexact ^= low
@@ -564,7 +578,7 @@ class WitnessIndex:
                 if marking[i] < w:
                     short |= contains[i]
             rejected |= blocked & ~short if short else blocked
-        live = ((1 << len(self.entries)) - 1) & ~rejected
+        live = poor & ~rejected
         found = None
         while live:
             low = live & -live

@@ -546,6 +546,24 @@ def test_slp_01_matches_decide_slp():
             assert all(x <= 1 for x in a.certificate)
 
 
+def test_decide_slp_matches_the_next_box():
+    """Seeded property: on three-place nets of all eight rows, weights up to
+    2, `decide_slp` agrees in status with the search of the box one token
+    larger than its first bound.  Every row gives both answers."""
+    rows = ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo")
+    statuses = set()
+    for r, row in enumerate(rows):
+        for k in range(25):
+            net = random_net_in_row(row, n_places=3, n_trans=2 + k % 3,
+                                    seed=77_000 + 100 * r + k, wmax=2)
+            a = decide_slp(_fresh(net))
+            b = _search_box(_fresh(net), _first_bound(net) + 1, 200_000, 500_000)
+            assert a.status == b.status, (row, k)
+            statuses.add((row, a.status))
+    assert statuses == {(row, status) for row in rows
+                        for status in ("structurally_live", "not_structurally_live")}
+
+
 def test_slp_01_empty_net():
     v = decide_slp(Net("none", [], [], {}))
     assert v.status == "structurally_live" and v.certificate == ()
@@ -1167,10 +1185,28 @@ def test_witness_at_mask_matches_exactness_loop():
 
 
 def _covered_outside_t_i(data, r):
-    """Reference for the start rejection: some transition outside T_I has
-    its restricted pre-mset covered by `r`, so `dead_set` fails at once."""
+    """The first ground of the start rejection: some transition outside T_I
+    has its restricted pre-mset covered by `r`."""
     return any(data.blockers >> ti & 1 and all(w <= r[k] for k, w in pre)
                for ti, pre in enumerate(data.covers))
+
+
+def _all_covered(data, r):
+    """The second ground of the start rejection: `r` covers every restricted
+    pre-mset, so the subset holds no place with fewer tokens than some
+    transition reads from it."""
+    return all(w <= r[k] for pre in data.covers for k, w in pre)
+
+
+def _rejected_at_start(data, r):
+    """Reference for the start rejection: on either ground `dead_set` fails
+    at its first state."""
+    return _covered_outside_t_i(data, r) or _all_covered(data, r)
+
+
+def _rejected_by_poor_test_alone(data, r):
+    """The pairs that only the second ground rejects."""
+    return _all_covered(data, r) and not _covered_outside_t_i(data, r)
 
 
 def _viable_reference(net, indices):
@@ -1396,12 +1432,52 @@ def _start_nets():
                 row, n_places=3 + k % 3, n_trans=1 + k % 4, seed=900 + k)
 
 
+def test_witness_index_heavy_weights():
+    """`heavy[i]` is the largest weight any transition reads from place i,
+    0 when none reads it."""
+    unread = weighted = 0
+    for name, net in itertools.chain(_siphon_nets(), _general_nets()):
+        want = [max((pre[i] for pre, _ in dense_arcs(net)), default=0)
+                for i in range(len(net.places))]
+        assert witness_index(net).heavy == want, name
+        unread += 0 in want
+        weighted += max(want) > 1
+    assert unread and weighted
+
+
+def _all_row_nets():
+    """The fixtures, and seeded nets of all eight rows."""
+    for path in sorted(FIXTURES.glob("*.net")):
+        yield path.stem, parse_net(path.read_text())[0]
+    for row in ("ord-io", "ord-imo", "io", "imo", "ord-bio", "ord-bimo", "bio", "bimo"):
+        for k in range(5):
+            yield f"{row}/{k}", random_net_in_row(
+                row, n_places=3 + k % 3, n_trans=1 + k % 4, seed=1_300 + k)
+
+
+def test_witness_at_matches_first_exact_witness_at_boundaries():
+    """At the markings around each arc weight, `witness_at`, which skips the
+    subsets its start test rejects, finds the first witness that exploring
+    every subset in order on a fresh index finds."""
+    found = none = 0
+    for name, net in _all_row_nets():
+        idx, fresh = witness_index(net), liveness.WitnessIndex(net)
+        for m in _boundary_markings(net):
+            got = idx.witness_at(m)
+            want = _first_exact_witness(fresh, m, float("inf"))
+            assert (None if got is None else (got[0].indices, got[1])) == \
+                (None if want is None else (want[0].indices, want[1])), (name, m)
+            found += got is not None
+            none += got is None
+    assert found and none
+
+
 def test_witness_at_start_rejection():
     """`witness_at` runs `dead_set` on exactly the subsets, up to the one it
     returns, that the start test does not reject; a rejected pair has no
-    dead set.  On nets of up to seven places the answer is the first
-    witness over all subsets."""
-    rejected = weighted = 0
+    dead set, also one that only the poor-place ground rejects.  On nets of
+    up to seven places the answer is the first witness over all subsets."""
+    rejected = weighted = poor_only = 0
     for name, net in _start_nets():
         weighted += net.max_weight == 3
         idx = witness_index(net)
@@ -1414,22 +1490,25 @@ def test_witness_at_start_rejection():
                         idx.entries[:idx.entries.index(got[0]) + 1])
             assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
                 (d.indices, _sub(m, d.indices)) for d in searched
-                if not _covered_outside_t_i(d, _sub(m, d.indices))}, (name, m)
+                if not _rejected_at_start(d, _sub(m, d.indices))}, (name, m)
             for data in idx.entries:
                 r = _sub(m, data.indices)
-                if _covered_outside_t_i(data, r):
+                if _rejected_at_start(data, r):
                     rejected += 1
+                    poor_only += _rejected_by_poor_test_alone(data, r)
                     assert idx.dead_set(data, r) is None, (name, m, data.indices)
             if len(net.places) <= 7:
                 assert got == _first_exact_witness(idx, m, float("inf")), (name, m)
-    assert rejected and weighted
+    assert rejected and weighted and poor_only
 
 
 def test_witness_at_start_rejection_with_inexact_places():
     """On every abstract state the probe memoised, with its "many" mask,
     `witness_at` runs `dead_set` on exactly the subsets, up to the one it
-    returns, that touch no inexact place and pass the start test."""
-    masked = 0
+    returns, that touch no inexact place and pass the start test.  Among
+    the others are pairs that only the poor-place ground rejects, and
+    `dead_set` has no dead set there."""
+    masked = poor_only = 0
     for name, net in _probed_nets():
         idx = net._analysis.get("witness_index")
         if idx is None:
@@ -1448,22 +1527,50 @@ def test_witness_at_start_rejection_with_inexact_places():
             assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
                 (d.indices, _sub(s, d.indices))
                 for d, bits in zip(idx.entries[:searched], place_bits)
-                if not bits & mask and not _covered_outside_t_i(d, _sub(s, d.indices))
+                if not bits & mask and not _rejected_at_start(d, _sub(s, d.indices))
             }, (name, s, mask)
-    assert masked
+            for d, bits in zip(idx.entries[:searched], place_bits):
+                r = _sub(s, d.indices)
+                if not bits & mask and _rejected_by_poor_test_alone(d, r):
+                    poor_only += 1
+                    assert idx.dead_set(d, r) is None, (name, s, d.indices)
+    assert masked and poor_only
 
 
-def test_dense_memo_holds_no_rejected_pair():
+def test_dense_memo_holds_no_rejected_pair(monkeypatch):
     """Deciding markings of bio_dense leaves no pair in the `dead_set` memo
-    that the start test rejects: those never reach a BFS."""
+    that the start test rejects: those never reach a BFS.  The lookups at
+    the all-ones marking meet pairs that only the poor-place ground
+    rejects, and `dead_set` has no dead set there."""
+    lookups = []
+    witness_at = liveness.WitnessIndex.witness_at
+
+    def recorded(self, marking, inexact=0, node_budget=1_000_000):
+        lookups.append((marking, inexact))
+        return witness_at(self, marking, inexact, node_budget)
+
+    monkeypatch.setattr(liveness.WitnessIndex, "witness_at", recorded)
     net, stored = parse_net((FIXTURES / "bio_dense.net").read_text())
-    for m in [stored, *itertools.islice(itertools.product((0, 1), repeat=12), 32)]:
+    for m in [(1,) * 12, stored, *itertools.islice(itertools.product((0, 1), repeat=12), 32)]:
         is_nonlive(net, m, node_budget=2_000_000)
     idx = witness_index(net)
     assert any(data.memo for data in idx.entries)
     for data in idx.entries:
         for r in data.memo:
-            assert not _covered_outside_t_i(data, r), (data.indices, r)
+            assert not _rejected_at_start(data, r), (data.indices, r)
+
+    def poor_only():
+        for m, inexact in lookups:
+            for data in idx.entries:
+                r = _sub(m, data.indices)
+                if not any(inexact >> i & 1 for i in data.indices) and \
+                        _rejected_by_poor_test_alone(data, r):
+                    yield data, r
+
+    pairs = list(itertools.islice(poor_only(), 50))
+    assert pairs
+    for data, r in pairs:
+        assert idx.dead_set(data, r) is None, (data.indices, r)
 
 
 def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
