@@ -25,6 +25,8 @@ from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
 
 
 SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
+FLOOR_CAP = 1024  # the points a witness index's clean floor keeps at most
+FLOOR_TOP = 512  # and its points' exact counts stay below min(m, FLOOR_TOP)
 
 
 class SubsetCapExceeded(NetError):
@@ -421,7 +423,7 @@ class _SubsetData:
 
 class WitnessIndex:
     """Per-net record of the witness search: one `_SubsetData` per siphon,
-    the `witness_at` memo, and the abstract probe with its memo.
+    the `witness_at` memo and clean floor, the abstract probe and its memo.
 
     The probe explores an over-approximation whose counts are exact below a
     small threshold m or TOP (= at least m).  Firing is always possible from
@@ -477,6 +479,10 @@ class WitnessIndex:
                 if w > heavy[i]:
                     heavy[i] = w
         self.at_memo = {}
+        # clean floor (`_floor_add`), bit k for point k: floor[i][v] holds the
+        # points with an exact count of at most v on place i, for v below top
+        # = floor_top, and floor[i][top] every point; made at the first point
+        self.floor, self.floor_top = [], min(m, FLOOR_TOP)
 
     def dead_set(self, data, r, node_budget=1_000_000):
         """Canonical dead set for (subset, restricted marking) or None.
@@ -547,18 +553,33 @@ class WitnessIndex:
         """First witness at the marking in (size, lex) subset order, as
         (subset record, dead transition indices), or None.  Subsets touching
         a place of the `inexact` bitmask are skipped: their counts there are
-        only known to be large.  Before any exploration, bitmasks over all
-        subsets at once reject those that fail at the start, where
-        `dead_set` would answer None at its first state: a subset with no
-        poor place (one holding fewer tokens than some transition reads
-        from it) has every restricted pre-mset covered, and on some others
-        a transition outside T_I is covered.  Both grounds are closed upward
-        in the marking, like that None.  Each restricted exploration may
-        visit `node_budget` states; raises BudgetExceeded beyond that."""
+        only known to be large.  A lookup at or above a clean floor point
+        (an inexact place is above any count) has no witness.  Before any
+        exploration, bitmasks over all subsets at once reject those that
+        fail at the start, where `dead_set` would answer None at its first
+        state: a subset with no poor place (one holding fewer tokens than
+        some transition reads from it) has every restricted pre-mset
+        covered, and on some others a transition outside T_I is covered.
+        Both grounds are closed upward in the marking, like that None.
+        Floor answers and `at_memo` hits cost nothing against `node_budget`;
+        each restricted exploration may visit `node_budget` states and
+        raises BudgetExceeded beyond that."""
         key = (marking, inexact)
         hit = self.at_memo.get(key, 0)
         if hit != 0:
             return hit
+        if self.floor:
+            # AND the points at most the lookup: column top (every point) at
+            # an inexact place, min(x, top - 1) at an exact count x
+            top, below, bits = self.floor_top, -1, inexact
+            for col, x in zip(self.floor, marking):
+                below &= col[top if bits & 1 else x if x < top else top - 1]
+                if not below:
+                    break
+                bits >>= 1
+            else:
+                self.at_memo[key] = None
+                return None
         # `poor` holds the entries with a poor place.  `rejected` holds those
         # touching an inexact place, and for each transition ti the entries
         # with ti outside T_I (blocked[ti]) that hold no place where the
@@ -578,7 +599,7 @@ class WitnessIndex:
                 if marking[i] < w:
                     short |= contains[i]
             rejected |= blocked & ~short if short else blocked
-        live = poor & ~rejected
+        live = explored = poor & ~rejected
         found = None
         while live:
             low = live & -live
@@ -588,8 +609,26 @@ class WitnessIndex:
             if dead:
                 found = (data, dead)
                 break
+        if explored and found is None:
+            self._floor_add(marking, key[1])
         self.at_memo[key] = found
         return found
+
+    def _floor_add(self, marking, inexact):
+        """Store a lookup that explored in vain as a floor point, top on its
+        inexact places, unless the floor is full (`FLOOR_CAP`) or an exact
+        count is top or more, which no column below top holds."""
+        top, floor = self.floor_top, self.floor
+        point = [top if inexact >> i & 1 else x if x < top else -1 for i, x in enumerate(marking)]
+        k = floor[0][top].bit_length() if floor else 0  # column top holds every point
+        if -1 in point or k >= FLOOR_CAP:
+            return
+        if not floor:
+            floor.extend([0] * (top + 1) for _ in marking)
+        bit = 1 << k
+        for low, col in zip(point, floor):
+            for v in range(low, top + 1):
+                col[v] |= bit
 
     def _shape(self, c, interned):
         """(TOP mask, moves) of the states whose places are unmarked, exact

@@ -316,9 +316,9 @@ def is_nonlive(net, m0, node_budget=500_000):
     each search of the call on its own (the abstract probe, each restricted
     exploration of the witness index, the capped search, the reachability
     graph and its witness check), not their sum; answers memoised on the
-    net by earlier calls cost nothing against it.  Conservative nets above
-    `SUBSET_CAP` places are decided on their reachability graph, others
-    raise `SubsetCapExceeded`.
+    net by earlier calls (the witness index's clean floor too) cost nothing
+    against it.  Conservative nets above `SUBSET_CAP` places are decided on
+    their reachability graph, others raise `SubsetCapExceeded`.
     """
     nc = classify(net)
     if not nc.bimo:

@@ -1004,6 +1004,7 @@ def test_probe_lower_neighbour_skips_find_no_witness(monkeypatch):
         assert looked_up.issuperset(idx.at_memo), name
         for s, many in expanded.get(idx, set()) - looked_up:
             fresh.at_memo.clear()
+            fresh.floor.clear()
             for data in fresh.entries:
                 data.memo.clear()
                 data.clean.clear()
@@ -1485,6 +1486,7 @@ def test_witness_at_start_rejection():
             for data in idx.entries:
                 data.memo.clear()
             idx.at_memo.clear()
+            idx.floor.clear()
             got = idx.witness_at(m)
             searched = (idx.entries if got is None else
                         idx.entries[:idx.entries.index(got[0]) + 1])
@@ -1521,6 +1523,7 @@ def test_witness_at_start_rejection_with_inexact_places():
             for data in idx.entries:
                 data.memo.clear()
             idx.at_memo.clear()
+            idx.floor.clear()
             got = idx.witness_at(s, mask)
             searched = (len(idx.entries) if got is None else
                         idx.entries.index(got[0]) + 1)
@@ -1579,8 +1582,10 @@ def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
     answers them without a `dead_set` call.  Every repeat is a memo hit and
     no first lookup is: the memo holds only the lookups made.  The
     memo-less cost charges each repeat the `dead_set` calls its first
-    lookup made (at the time of writing: 8 328 lookups of 2 307 keys,
-    24 677 `dead_set` calls against 88 348 without the memo)."""
+    lookup made, which is none when the clean floor answered it (at the
+    time of writing: 8 328 lookups of 2 307 keys, 6 148 `dead_set` calls
+    against 25 265 without the memo; 24 677 against 88 348 before the
+    floor)."""
     lookups, first_cost = {}, {}
     dead_calls = repeat_hits = first_hits = 0
     witness_at, dead_set = liveness.WitnessIndex.witness_at, liveness.WitnessIndex.dead_set
@@ -1613,6 +1618,236 @@ def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
     assert repeat_hits == total - len(lookups) and first_hits == 0
     assert repeat_hits > total // 2
     assert dead_calls < memoless // 3, (dead_calls, memoless)
+
+
+def _floor_points(idx):
+    """The points of the index's clean floor, each read off the bit columns
+    as the lowest column per place that holds its bit: the exact count, or
+    the floor's top, min(m, `FLOOR_TOP`), for an inexact place.  Each column
+    must hold the one below it, and column top every point."""
+    if not idx.floor:
+        return []
+    top = idx.floor_top
+    assert top == min(idx.m, liveness.FLOOR_TOP)
+    every = idx.floor[0][top]
+    assert every & (every + 1) == 0
+    for cols in idx.floor:
+        assert len(cols) == top + 1 and cols[top] == every
+        assert all(low & ~high == 0 for low, high in zip(cols, cols[1:]))
+    return [tuple(next(v for v, col in enumerate(cols) if col >> k & 1) for cols in idx.floor)
+            for k in range(every.bit_length())]
+
+
+def _above_floor(idx, marking, inexact):
+    """Whether the lookup lies at or above a point of the floor: on each
+    place it is inexact, or the point holds an exact count of at most the
+    marking's."""
+    top = idx.floor_top
+    return any(all(inexact >> i & 1 or low < top and x >= low
+                   for i, (x, low) in enumerate(zip(marking, point)))
+               for point in _floor_points(idx))
+
+
+def _emptied(idx):
+    """`idx` with its `witness_at` memo, floor, `dead_set` memos and clean
+    lists emptied."""
+    idx.at_memo.clear()
+    idx.floor.clear()
+    for data in idx.entries:
+        data.memo.clear()
+        data.clean.clear()
+    return idx
+
+
+def _named(hit):
+    return hit and (hit[0].indices, hit[1])
+
+
+def _floor_nets():
+    """The fixtures, seeded nets of all eight rows, and a net whose TOP
+    fits no byte."""
+    yield from _all_row_nets()
+    yield from _heavy_probed_net()
+
+
+def _floor_lookups(net, idx, rng, count):
+    """`count` lookups (marking, inexact mask) such as the probe and the
+    capped search send to `idx`, and raises of earlier ones.  A probe-like
+    lookup holds m on its "many" places; a capped-search-like one has no
+    mask and may hold an exact count at or above m.  Exact counts of m - 1
+    and of one below the floor's top occur.  A raise adds a token or a
+    "many" place to an earlier lookup, so it lies above that one."""
+    m = idx.m
+    n = len(net.places)
+    sent = []
+    for _ in range(count):
+        if sent and rng.random() < 0.5:
+            marking, mask = rng.choice(sent)
+            i = rng.randrange(n)
+            if rng.random() < 0.5:
+                marking = marking[:i] + (marking[i] + 1,) + marking[i + 1:]
+            else:
+                mask |= 1 << i
+        else:
+            marking = [rng.choice((0, 1, 1, 2, idx.floor_top - 1, m - 1)) for _ in range(n)]
+            mask = 0
+            if rng.random() < 0.5:
+                mask = rng.randrange(1 << n) & rng.randrange(1 << n)
+                marking = [m if mask >> i & 1 else x for i, x in enumerate(marking)]
+            elif rng.random() < 0.5:
+                marking[rng.randrange(n)] = rng.choice((m, m + 2))
+            marking = tuple(marking)
+        sent.append((marking, mask))
+    return sent
+
+
+def test_floor_answers_match_an_emptied_index():
+    """Random lookup sequences sent to one index get the answers of an
+    index whose memos, clean lists and floor are emptied before each
+    lookup, on the fixtures, seeded nets of all eight rows and a net whose
+    TOP fits no byte.  Lookups that lie above a floor point occur on
+    bio_dense, on the heavy net and on many others, with "many" places and
+    with exact counts of m and more."""
+    rng = random.Random(101)
+    above = Counter()
+    masked = high = found = 0
+    for name, net in _floor_nets():
+        idx, fresh = liveness.WitnessIndex(net), liveness.WitnessIndex(net)
+        m = idx.m
+        for marking, mask in _floor_lookups(net, idx, rng, 80):
+            if (marking, mask) not in idx.at_memo and _above_floor(idx, marking, mask):
+                above[name] += 1
+                masked += mask != 0
+                high += any(x >= m and not mask >> i & 1 for i, x in enumerate(marking))
+            got = idx.witness_at(marking, mask)
+            want = _emptied(fresh).witness_at(marking, mask)
+            assert _named(got) == _named(want), (name, marking, mask)
+            found += got is not None
+    assert above["bio_dense"] and above["heavy"] and len(above) > 10, above
+    assert masked and high and found
+
+
+def test_lookup_above_a_floor_point_calls_no_dead_set(monkeypatch):
+    """On bio_dense, a lookup one token or one "many" place above a stored
+    floor point is answered None without a `dead_set` call, that None is
+    memoised under the lookup's own key, and the floor keeps its points."""
+    calls = []
+    dead_set = liveness.WitnessIndex.dead_set
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return dead_set(self, *args, **kwargs)
+
+    monkeypatch.setattr(liveness.WitnessIndex, "dead_set", counted)
+    idx = liveness.WitnessIndex(load_net("bio_dense")[0])
+    for base in itertools.product((0, 1), repeat=12):
+        calls.clear()
+        if idx.witness_at(base) is None and calls:
+            break
+    points = _floor_points(idx)
+    assert points[-1] == base
+    for i in range(12):
+        one_more = base[:i] + (base[i] + 1,) + base[i + 1:]
+        many = base[:i] + (idx.m,) + base[i + 1:]
+        for key in ((one_more, 0), (many, 1 << i), (base, 1 << i)):
+            calls.clear()
+            assert key not in idx.at_memo
+            assert idx.witness_at(*key) is None and not calls, key
+            assert idx.at_memo[key] is None
+    assert _floor_points(idx) == points
+
+
+def test_floor_stores_only_explored_exact_nones(monkeypatch):
+    """A computed lookup becomes a floor point exactly when it answered None
+    after some `dead_set` call and its exact counts are all below the
+    floor's top, min(m, `FLOOR_TOP`); the point holds top on its inexact
+    places.  So no lookup with an exact count of m or more is stored, nor
+    one that the start tests alone rejected, nor one that the floor
+    answered; all three occur.  With `FLOOR_TOP` at 260, below the heavy
+    net's TOP 263, some of its lookups whose exact counts are all below m
+    are left out for a count of 260 or more."""
+    calls = 0
+    dead_set = liveness.WitnessIndex.dead_set
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dead_set(self, *args, **kwargs)
+
+    monkeypatch.setattr(liveness.WitnessIndex, "dead_set", counted)
+    monkeypatch.setattr(liveness, "FLOOR_TOP", 260)
+    rng = random.Random(103)
+    stored = high = start_only = floor_answered = above_top = 0
+    for name, net in _floor_nets():
+        idx = liveness.WitnessIndex(net)
+        m, top = idx.m, idx.floor_top
+        for marking, mask in _floor_lookups(net, idx, rng, 80):
+            if (marking, mask) in idx.at_memo:
+                continue
+            before, above, calls = _floor_points(idx), _above_floor(idx, marking, mask), 0
+            found = idx.witness_at(marking, mask)
+            assert not above or found is None and not calls, (name, marking, mask)
+            exact = [x for i, x in enumerate(marking) if not mask >> i & 1]
+            if found is None and calls and max(exact, default=0) < top:
+                point = tuple(top if mask >> i & 1 else x for i, x in enumerate(marking))
+                assert _floor_points(idx) == before + [point], (name, marking, mask)
+                stored += 1
+                continue
+            assert _floor_points(idx) == before, (name, marking, mask)
+            if found is None:
+                high += calls > 0 and max(exact) >= m
+                above_top += calls > 0 and max(exact) < m
+                floor_answered += above
+                start_only += not calls and not above
+    assert stored and high and start_only and floor_answered and above_top
+
+
+def _cap_cases():
+    """(name, net, markings), each net built afresh: bio_dense on its stored
+    marking and 64 sampled 0/1 markings, and seeded nets of all eight rows
+    on markings up to 1.5 times their cap."""
+    net, stored = load_net("bio_dense")
+    codes = sorted(random.Random(107).sample(range(1 << 12), 64))
+    yield "bio_dense", net, [stored, *(tuple(c >> 11 - i & 1 for i in range(12))
+                                      for c in codes)]
+    rng = random.Random(109)
+    for row in ROWS:
+        for k in range(4):
+            net = random_net_in_row(row, n_places=3 + k % 3, n_trans=1 + k % 4,
+                                    seed=1_700 + k)
+            cap = cap_value(net)
+            yield f"{row}/{k}", net, [tuple(rng.randrange(cap + cap // 2 + 1)
+                                            for _ in net.places) for _ in range(10)]
+
+
+def test_floor_cap_bounds_the_floor_and_keeps_answers(monkeypatch):
+    """With `FLOOR_CAP` at 3 no floor passes 3 points, some reach them, and
+    the verdicts, witnesses with their paths and `configs_explored` are
+    those at the default cap, where bio_dense's floor grows past 3: the
+    floor only keeps answers that the index would compute anyway.  The
+    same holds with `FLOOR_TOP` at 2, where each floor keeps three columns
+    a place (`_floor_points` checks them) and bio_dense's still grows."""
+    default_cap, default_top = liveness.FLOOR_CAP, liveness.FLOOR_TOP
+
+    def decide(cap, top=default_top):
+        monkeypatch.setattr(liveness, "FLOOR_CAP", cap)
+        monkeypatch.setattr(liveness, "FLOOR_TOP", top)
+        verdicts, sizes = [], {}
+        for name, net, markings in _cap_cases():
+            for m in markings:
+                verdicts.append((name, m, is_nonlive(net, m).to_dict()))
+                idx = net._analysis.get("witness_index")
+                sizes[name] = len(_floor_points(idx)) if idx else 0
+                assert sizes[name] <= cap, (name, m)
+        return verdicts, sizes
+
+    want, full = decide(default_cap)
+    got, capped = decide(3)
+    assert got == want
+    assert full["bio_dense"] > 3 and capped["bio_dense"] == 3
+    got, low = decide(default_cap, 2)
+    assert got == want and low["bio_dense"] > 3
+    assert {v["verdict"] for *_, v in want} == {"live", "nonlive"}
 
 
 def _dead_set_reference(net, indices):
