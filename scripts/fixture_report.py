@@ -4,12 +4,14 @@ fixture net, then the verdict of every accepting two-letter compiled machine,
 with how many box candidates each decision tested and how many of those the
 siphon test alone refuted.  Under each fixture inside the subset cap, a
 second line gives what its decision left in the witness index (the summed
-sizes of the per-siphon `dead_set` memos, the number of clean points and the
-longest clean list),
-the index's number of entries, how long a fresh index takes to build, how
-many `witness_at` lookups ran (counted by wrapping the method), the size
-of the `witness_at` memo, which holds only lookups that ran, and the number
-of points in the index's clean floor.
+sizes of the `dead_set` memos, the number of clean points and the longest
+clean list, all over the siphon records built), the index's number of
+entries (its siphons) and of records (built when a lookup first explores
+a siphon), how long a fresh index takes to build (it builds no record, so
+`build_ms` leaves the records out), how many `witness_at` lookups ran
+(counted by wrapping the method), the size of the `witness_at` memo, which
+holds only lookups that ran, and the number of points in the index's clean
+floor.
 Usage: python scripts/fixture_report.py [--budget N] [--candidates N]"""
 import argparse
 import pathlib
@@ -54,9 +56,9 @@ def _decide(net, args):
 
 
 def _index_line(net):
-    """The witness index's memo and clean-list sizes, entries, build time,
-    lookups run, `witness_at` memo size and clean floor points, or None
-    above the cap."""
+    """The witness index's memo and clean-list sizes, entries, records,
+    build time, lookups run, `witness_at` memo size and clean floor points,
+    or None above the cap."""
     try:
         idx = witness_index(net)
     except SubsetCapExceeded:
@@ -64,13 +66,14 @@ def _index_line(net):
     t0 = time.perf_counter()
     WitnessIndex(net)
     build_ms = (time.perf_counter() - t0) * 1e3
-    memo = sum(len(data.memo) for data in idx.entries)
-    clean = [len(data.clean) for data in idx.entries]
+    built = [data for data in idx.records if data is not None]
+    memo = sum(len(data.memo) for data in built)
+    clean = [len(data.clean) for data in built]
     floor = idx.floor[0][-1].bit_length() if idx.floor else 0  # the last column holds every point
     return (f"{'':28} witness index: memo={memo} clean={sum(clean)} "
             f"longest_clean={max(clean, default=0)} entries={len(idx.entries)} "
-            f"build_ms={build_ms:.1f} lookups={LOOKUPS[idx]} at_memo={len(idx.at_memo)} "
-            f"floor={floor}")
+            f"records={len(built)} build_ms={build_ms:.1f} lookups={LOOKUPS[idx]} "
+            f"at_memo={len(idx.at_memo)} floor={floor}")
 
 
 def main():

@@ -15,13 +15,13 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from struct import calcsize
 
 from .classify import classify
 from .nets import (BudgetExceeded, NetError, UnknownNode, _move_table, _path, _walk, mleq,
-                   msize, place_masks, post_mset, pre_mset, transition_masks)
-from .structure import _is_siphon_mask, _tarjan, relaxed_arcs
+                   msize, post_mset, pre_mset)
+from .structure import _siphon_masks, _tarjan, relaxed_arcs
 
 
 SUBSET_CAP = 16  # the witness index enumerates every place subset, 2^|P|
@@ -338,7 +338,14 @@ def check_witness(net, witness, variant=None, node_budget=200_000):
     mask = sum(1 << net.place_index[p] for p in witness.p_cruc)
     dead = sum(1 << net.trans_index[t] for t in witness.t_dead)
     alive = (1 << len(net.transitions)) - 1 & ~dead
-    data = _SubsetData(net, mask, alive)
+    # every non-dead transition fires, each adding at most `gain` tokens, so
+    # no count passes the start's total plus `node_budget` times that, and
+    # the fields hold the arc weights too
+    table = _move_table(net)
+    gain = max((sum(x for _, x in d if x > 0) for d in table.deltas), default=0)
+    fields = _Fields(table, net.max_weight + sum(witness.m_wit) + node_budget * gain)
+    blocked = _blocked(table.deltas, [mask >> i & 1 for i in range(len(net.places))], 1)
+    data = _SubsetData(mask, sum(b << ti for ti, b in enumerate(blocked)), fields, alive)
     r = data.take(tuple(witness.m_wit))
     if variant == "ordinary":
         cond1 = msize(r) < len(r) and all(x <= 1 for x in r)
@@ -346,7 +353,8 @@ def check_witness(net, witness, variant=None, node_budget=200_000):
         cond1 = all(x <= net.max_weight for x in r)
     cond2 = not data.blockers & alive
     watch = [(ti, data.covers[ti]) for ti in range(len(net.transitions)) if dead >> ti & 1]
-    cond3 = WitnessIndex._explore(data, r, watch, dead, node_budget) is not None
+    start = fields.pack(witness.m_wit) & data.keep
+    cond3 = WitnessIndex._explore(data, start, watch, dead, node_budget) is not None
     return WitnessReport(variant=variant, cond1=cond1, cond2=cond2, cond3=cond3)
 
 
@@ -361,69 +369,120 @@ def check_witness(net, witness, variant=None, node_budget=200_000):
 # covered, so it must be in T_I, and a T_I transition that reads nothing on S
 # writes nothing on S either.  The abstract probe (`WitnessIndex.probe`)
 # asks the same lookup on the states of an over-approximation.  One record
-# per siphon holds what the search learns about it, and the witness index
-# holds the records with the memos of whole-marking lookups.
+# per siphon, built when a lookup first explores it, holds what the search
+# learns about it, and the witness index holds the records with the memos of
+# whole-marking lookups.
+
+class _Fields:
+    """Restricted markings packed in one int: place i's count in field i,
+    `bits` bits wide, whose top bit is a guard that no count up to `limit`
+    (at least the largest arc weight) sets, so that a code r covers x,
+    field by field, iff ((r | guards) - x) & guards == guards: no field
+    borrows from the next.  pre[ti], plus[ti] and minus[ti] pack transition
+    ti's pre-mset and the gains and losses of its delta."""
+
+    __slots__ = ("bits", "limit", "units", "guards", "pre", "plus", "minus")
+
+    def __init__(self, table, limit):
+        self.bits = bits = limit.bit_length() + 1
+        self.limit = (1 << bits - 1) - 1
+        self.units = units = [1 << bits * i for i in range(len(table.first))]
+        self.guards = sum(units) << bits - 1
+        self.pre = [sum([w << bits * i for i, w in pre]) for pre in table.pre]
+        self.plus, self.minus = plus, minus = [], []
+        for delta in table.deltas:
+            gains = losses = 0
+            for i, x in delta:
+                if x > 0:
+                    gains += x << bits * i
+                else:
+                    losses -= x << bits * i
+            plus.append(gains)
+            minus.append(losses)
+
+    def pack(self, marking):
+        return sum(map(mul, marking, self.units))
+
+
+def _blocked(deltas, contains, every):
+    """Per transition, the bits of `every` whose subset (contains[i] holding
+    the subsets with place i) leaves the transition out of its T_I.  The
+    subsets are split by the (gain, min(lost, 2)) of the transition's delta
+    on them, one place of the delta at a time."""
+    out = []
+    for delta in deltas:
+        split = {(0, 0): every}
+        for i, x in delta:
+            inside = contains[i]
+            if inside:
+                parts = {}
+                for (gain, lost), bits in split.items():
+                    for key, part in (((gain, lost), bits & ~inside),
+                                      ((gain + x, min(lost - x, 2) if x < 0 else lost),
+                                       bits & inside)):
+                        if part:
+                            parts[key] = parts.get(key, 0) | part
+                split = parts
+        blocked = 0
+        for (gain, lost), bits in split.items():
+            if gain or lost > 1:  # T_I: the tokens entering equal those leaving, at most one
+                blocked |= bits
+        out.append(blocked)
+    return out
+
 
 class _SubsetData:
-    __slots__ = ("indices", "take", "blockers", "fire", "covers", "memo", "clean",
-                 "drains")
+    """What the witness search learns about one subset S of places.  A
+    restricted marking is one `_Fields` code whose fields off S are 0, a
+    whole marking's code ANDed with `keep`; `covers[ti]` is transition ti's
+    restricted pre-mset and `fire` the (pre-mset, plus - minus) codes of
+    the transitions that fire on S, in ascending order: those of T_I with a
+    restricted pre-mset, and those of `moving` outside T_I too."""
 
-    def __init__(self, net, mask, moving=0):
-        # bit i of `mask` set iff place i is in the subset; `moving`
-        # transitions fire outside T_I too
-        table = _move_table(net)
+    __slots__ = ("indices", "take", "blockers", "keep", "guards", "covers", "fire", "memo",
+                 "clean", "drains")
+
+    def __init__(self, mask, blockers, fields, moving=0):
+        # bit i of `mask` set iff place i is in the subset, bit ti of
+        # `blockers` iff transition ti is outside its T_I
         self.indices = indices = tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
         # the restriction of a marking tuple to the subset, as a tuple (a slice
         # where an itemgetter of one index, or of none, would not give one)
         top = mask.bit_length()
         self.take = (itemgetter(*indices) if len(indices) > 1
                      else itemgetter(slice(top - len(indices), top)))
-        pos = dict(zip(indices, range(len(indices))))
-        # Only the transitions with an arc on the subset are read: any other
-        # reads and moves nothing there, so it is in T_I with an empty
-        # restricted pre-mset, `covers[ti] = ()`, and never fires.
-        touch = transition_masks(net)
-        near = 0
-        for i in indices:
-            near |= touch[i]
-        blockers = 0  # bit ti set iff transition ti is outside T_I
-        fire = []
-        covers = [()] * len(table.pre)
-        while near:
-            low = near & -near
-            near ^= low
-            ti = low.bit_length() - 1
-            # the restricted pre-mset as (subset position, weight) pairs
-            support = covers[ti] = tuple([(pos[i], w) for i, w in table.pre[ti] if i in pos])
-            vec = [0] * len(indices)  # the restricted delta
-            gain = lost = 0
-            for i, x in table.deltas[ti]:
-                j = pos.get(i)
-                if j is not None:
-                    vec[j] = x
-                    gain += x
-                    if x < 0:
-                        lost -= x
-            # T_I: as many tokens enter the subset as leave it, at most one
-            if gain or lost > 1:
-                blockers |= low
-                if moving & low:
-                    fire.append((support, tuple(vec)))
-            elif support:
-                fire.append((support, tuple(vec)))
         self.blockers = blockers
-        self.fire = tuple(fire)
-        self.covers = tuple(covers)
-        self.memo = {}  # restricted marking -> `WitnessIndex.dead_set` answer
-        # restricted markings where an exploration answered None, none of
-        # them dominating an earlier one
+        self.memo = {}  # restricted code -> `WitnessIndex.dead_set` answer
+        # restricted codes where an exploration answered None, none of them
+        # dominating an earlier one
         self.clean = []
         self.drains = None  # (weights, plan), filled by `slp._drains`
+        self.pack(fields, moving)
+
+    def pack(self, fields, moving=0, old=None):
+        """Build the codes at `fields`; with the `old` fields, move the memo
+        keys and clean points over from them."""
+        self.keep = keep = sum(fields.units[i] for i in self.indices) * fields.limit
+        self.guards = fields.guards
+        blockers = self.blockers
+        self.covers = covers = tuple([pre & keep for pre in fields.pre])
+        self.fire = tuple([(c, (fields.plus[ti] & keep) - (fields.minus[ti] & keep))
+                           for ti, c in enumerate(covers)
+                           if (moving >> ti & 1 if blockers >> ti & 1 else c)])
+        if old is not None:
+            shifts = [(old.bits * i, fields.units[i]) for i in self.indices]
+
+            def move(code):
+                return sum((code >> s & old.limit) * u for s, u in shifts)
+
+            self.memo = {move(r): dead for r, dead in self.memo.items()}
+            self.clean = [move(r) for r in self.clean]
 
 
 class WitnessIndex:
-    """Per-net record of the witness search: one `_SubsetData` per siphon,
-    the `witness_at` memo and clean floor, the abstract probe and its memo.
+    """Per-net record of the witness search: one `_SubsetData` per siphon
+    that a lookup explored, the `witness_at` memo and clean floor, the
+    abstract probe and its memo.
 
     The probe explores an over-approximation whose counts are exact below a
     small threshold m or TOP (= at least m).  Firing is always possible from
@@ -437,9 +496,7 @@ class WitnessIndex:
     """
 
     def __init__(self, net):
-        masks = place_masks(net)
-        siphons = (s for s in range(1, 1 << len(net.places)) if _is_siphon_mask(masks, s))
-        self.table = _move_table(net)
+        self.table = table = _move_table(net)
         self.m = m = net.max_weight + 2  # TOP sentinel; any value >= m means "many"
         # A probe state is one `Markings` code of fields that hold m: a byte
         # while m fits one.  `kinds` maps a byte to its class: 0, one class
@@ -455,21 +512,16 @@ class WitnessIndex:
         self.kinds = bytes(kinds)
         # abstract state -> witness targets reachable from it; () = proven clean
         self.reach = {}
-        self.entries = sorted((_SubsetData(net, s) for s in siphons),
-                              key=lambda data: (len(data.indices), data.indices))
+        # the siphons, place i at bit n-1-i (`_siphon_masks`); records[e] is
+        # entry e's `_SubsetData`, built when a lookup first explores it
+        self.entries = _siphon_masks(net)
+        self.records = [None] * len(self.entries)
         # entry bitmasks, bit e for self.entries[e]: contains[i] holds the
-        # entries with place i, blocked[ti] those with ti outside their T_I
-        self.contains = [0] * n
-        self.blocked = [0] * len(net.transitions)
-        for e, data in enumerate(self.entries):
-            bit = 1 << e
-            for i in data.indices:
-                self.contains[i] |= bit
-            x = data.blockers
-            while x:
-                low = x & -x
-                x ^= low
-                self.blocked[low.bit_length() - 1] |= bit
+        # entries with place i, column i of the entries spelt out (the last
+        # one first), and blocked[ti] those with ti outside their T_I
+        rows = [format(s, f"0{n}b") for s in reversed(self.entries)]
+        self.contains = [int("".join(c), 2) for c in zip(*rows)] if rows else [0] * n
+        self.blocked = _blocked(table.deltas, self.contains, (1 << len(self.entries)) - 1)
         # (pre arcs, blocked) of the transitions outside some entry's T_I
         self.blocking = tuple((pre, bits) for pre, bits in zip(net._pre, self.blocked) if bits)
         # heavy[i]: the largest weight any transition reads from place i, else 0
@@ -478,6 +530,9 @@ class WitnessIndex:
             for i, w in pre:
                 if w > heavy[i]:
                     heavy[i] = w
+        # the records' codes hold the token total of any capped configuration
+        # (`slp.cap_value` a place); `_widen` re-packs them for a larger one
+        self.fields = _Fields(table, 2 * net.max_weight * n * n)
         self.at_memo = {}
         # clean floor (`_floor_add`), bit k for point k: floor[i][v] holds the
         # points with an exact count of at most v on place i, for v below top
@@ -492,16 +547,15 @@ class WitnessIndex:
         (a transition outside T_I covered, or every transition covered)
         persist.  A restriction that dominates a point of `data.clean` is
         therefore answered None without exploring.  Answers are memoised in
-        `data.memo`."""
+        `data.memo`; r is the restriction's code."""
         memo = data.memo
         hit = memo.get(r, 0)
         if hit != 0:
             return hit
+        guards = data.guards
+        g = r | guards
         for c in data.clean:
-            for a, b in zip(c, r):
-                if a > b:
-                    break
-            else:
+            if (g - c) & guards == guards:
                 memo[r] = None
                 return None
         dead = memo[r] = self._explore(data, r, enumerate(data.covers), data.blockers,
@@ -513,10 +567,11 @@ class WitnessIndex:
     @staticmethod
     def _explore(data, r, watch, fail, node_budget):
         """The restricted exploration behind `dead_set` and `check_witness`:
-        from r, fire `data.fire` and collect the (transition, restricted
-        pre-mset) pairs of `watch` never covered; None as soon as a
-        transition of the `fail` mask is covered or every pair is, since the
-        answer is then None when exploring to the end too."""
+        from the code r, fire `data.fire` and collect the (transition,
+        restricted pre-mset) pairs of `watch` never covered; None as soon as
+        a transition of the `fail` mask is covered or every pair is, since
+        the answer is then None when exploring to the end too."""
+        guards, fire = data.guards, data.fire
         uncovered = list(watch)
         seen = {r}
         queue = deque([r])
@@ -526,24 +581,19 @@ class WitnessIndex:
             explored += 1
             if explored > node_budget:
                 raise BudgetExceeded(explored)
+            g = m | guards
             rest = []
             for item in uncovered:
-                for k, w in item[1]:
-                    if m[k] < w:
-                        rest.append(item)
-                        break
-                else:
-                    if fail >> item[0] & 1:
-                        return None
+                if (g - item[1]) & guards != guards:
+                    rest.append(item)
+                elif fail >> item[0] & 1:
+                    return None
             uncovered = rest
             if not uncovered:
                 return None
-            for pre, delta in data.fire:
-                for k, w in pre:
-                    if m[k] < w:
-                        break
-                else:
-                    nm = tuple(map(add, m, delta))
+            for pre, delta in fire:
+                if (g - pre) & guards == guards:
+                    nm = m + delta
                     if nm not in seen:
                         seen.add(nm)
                         queue.append(nm)
@@ -601,11 +651,19 @@ class WitnessIndex:
             rejected |= blocked & ~short if short else blocked
         live = explored = poor & ~rejected
         found = None
+        if live:
+            fields = self.fields
+            total = sum(marking)
+            if total > fields.limit:
+                fields = self._widen(total)
+            code = fields.pack(marking)  # every field of the marking, once
+            records = self.records
         while live:
             low = live & -live
             live ^= low
-            data = self.entries[low.bit_length() - 1]
-            dead = self.dead_set(data, data.take(marking), node_budget)
+            e = low.bit_length() - 1
+            data = records[e] or self._record(e)
+            dead = self.dead_set(data, code & data.keep, node_budget)
             if dead:
                 found = (data, dead)
                 break
@@ -613,6 +671,23 @@ class WitnessIndex:
             self._floor_add(marking, key[1])
         self.at_memo[key] = found
         return found
+
+    def _record(self, e):
+        """Entry e's record, built on its first use: its `blockers` read
+        off `blocked`, its codes at the index's fields."""
+        blockers = sum(1 << ti for ti, bits in enumerate(self.blocked) if bits >> e & 1)
+        mask = int(format(self.entries[e], f"0{len(self.contains)}b")[::-1], 2)
+        data = self.records[e] = _SubsetData(mask, blockers, self.fields)
+        return data
+
+    def _widen(self, total):
+        """Re-pack the built records at fields that hold `total` tokens: a
+        restricted exploration keeps the token total of its start."""
+        old, self.fields = self.fields, _Fields(self.table, total)
+        for data in self.records:
+            if data is not None:
+                data.pack(self.fields, old=old)
+        return self.fields
 
     def _floor_add(self, marking, inexact):
         """Store a lookup that explored in vain as a floor point, top on its

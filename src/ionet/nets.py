@@ -4,10 +4,10 @@ A net's places, transitions and flow are fixed at construction; markings
 are plain tuples of non-negative ints indexed by the net's place order.  The
 analyses fill per-net caches in `net._analysis` as they run, without locks,
 so a net is not safe to share across threads that analyse it.  The caches:
-"class", "move_table", "place_masks", "transition_masks" and "relaxed_arcs"
-(fixed size, the last built by `structure`); and "witness_index", whose
-`witness_at` and abstract probe memos, and per-siphon `dead_set` memos and
-clean lists, grow without bound as markings are decided.  No cache points
+"class", "move_table", "place_masks" and "relaxed_arcs" (fixed size, the
+last built by `structure`); and "witness_index", whose `witness_at` and
+abstract probe memos, and per-siphon records with their `dead_set` memos
+and clean lists, grow without bound as markings are decided.  No cache points
 back at the net, so reference counting frees them with it.
 """
 from __future__ import annotations
@@ -370,24 +370,6 @@ def place_masks(net):
                 b |= 1 << i
             out.append((a, b))
         masks = net._analysis["place_masks"] = tuple(out)
-    return masks
-
-
-def transition_masks(net):
-    """Per place, the bitmask of the transitions with an arc on it, bit ti
-    standing for transition ti: `place_masks` transposed, built on first
-    use and cached on the net."""
-    masks = net._analysis.get("transition_masks")
-    if masks is None:
-        out = [0] * len(net.places)
-        for ti, (a, b) in enumerate(place_masks(net)):
-            bit = 1 << ti
-            x = a | b
-            while x:
-                low = x & -x
-                x ^= low
-                out[low.bit_length() - 1] |= bit
-        masks = net._analysis["transition_masks"] = tuple(out)
     return masks
 
 

@@ -204,6 +204,46 @@ def _is_siphon_mask(masks, s):
     return all(pre & s for pre, post in masks if post & s)
 
 
+def _siphon_masks(net):
+    """The nonempty siphons, in (size, indices) order, as n-bit place
+    bitmasks (n = |P|) with place i at bit n-1-i: `format(mask, f"0{n}b")`
+    spells a siphon out in place order, and within one size the masks
+    descend.
+
+    All 2^n subsets are tested at once: bit s of has[i] is set iff place i
+    is in the subset whose mask, in that form, is s; so meets(x), the OR of
+    has[i] over the places of the plain bitmask x, holds the subsets
+    meeting x, and a siphon meets each transition's pre-set whenever it
+    meets its post-set."""
+    n = len(net.places)
+    every = (1 << (1 << n)) - 1
+    has = [every // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+           for j in reversed(range(n))]
+
+    def meets(x):
+        bits = 0
+        for i in range(x.bit_length()):
+            if x >> i & 1:
+                bits |= has[i]
+        return bits
+
+    ok = every ^ 1
+    for pre, post in place_masks(net):
+        if post:
+            ok &= meets(pre) | ~meets(post)
+    # the digits of ok, read from the top, list the siphons in descending
+    # order, which a stable sort by size keeps within each size
+    bits = format(ok, "b")
+    top = len(bits) - 1
+    found = []
+    j = bits.find("1")
+    while j >= 0:
+        found.append(top - j)
+        j = bits.find("1", j + 1)
+    found.sort(key=int.bit_count)
+    return found
+
+
 def _largest_siphon_mask(masks, s):
     """Largest siphon inside the place bitmask `s`, as a bitmask (0 if none).
 

@@ -335,16 +335,17 @@ def test_fixture_report_prints_machines():
         head, _, counts = line.partition("witness index: ")
         assert not head.strip() and counts, line
         fields = dict(field.split("=") for field in counts.split())
-        assert list(fields) == ["memo", "clean", "longest_clean", "entries",
+        assert list(fields) == ["memo", "clean", "longest_clean", "entries", "records",
                                 "build_ms", "lookups", "at_memo", "floor"], line
         memo, clean, longest, entries = (int(fields[k]) for k in list(fields)[:4])
         assert longest <= clean <= memo, line
         assert entries > 0 and float(fields["build_ms"]) >= 0, line
+        assert 0 <= int(fields["records"]) <= entries, line
         assert int(fields["floor"]) >= 0, line
         index[name] = (memo, clean, longest, entries, int(fields["lookups"]),
-                       int(fields["at_memo"]), int(fields["floor"]))
+                       int(fields["at_memo"]), int(fields["floor"]), int(fields["records"]))
     assert min(index["bio_dense.net"]) > 0
-    assert index["bio_dense.net"][3] == 440
+    assert index["bio_dense.net"][3] == 440 > index["bio_dense.net"][7]
     machines = [line for line in lines if " machine " in line]
     assert [line.split()[0] for line in machines] == [
         "accept_all_2/aa", "accept_all_2/ab", "accept_all_2/ba", "accept_all_2/bb",

@@ -19,8 +19,8 @@ from ionet import (
 from ionet.classify import is_imo_msets
 from ionet.generate import random_net, random_marking, random_net_in_row
 from ionet import liveness, nets, slp
-from ionet.liveness import witness_index
-from ionet.structure import relaxed_arcs
+from ionet.liveness import Witness, find_witness, witness_index
+from ionet.structure import _is_siphon_mask, _siphon_masks, relaxed_arcs
 from ionet.slp import (
     SlpVerdict, _capped_closure, _search_box, _siphon_witness,
 )
@@ -796,7 +796,7 @@ def test_drains_match_separate_weights_and_plan():
               for row in ROWS for k in range(8)]
     plans = Counter()
     for net in nets_:
-        for data in witness_index(net).entries:
+        for data in _records(witness_index(net)):
             want = (_drain_weights_reference(net, data.indices),
                     _drain_plan_reference(net, data.indices))
             got = slp._drains(net, data)
@@ -905,16 +905,36 @@ def test_shared_net_matches_fresh_nets(row):
     assert statuses == {"live", "nonlive"}
 
 
+def _records(idx):
+    """Every entry's record of the index, building the ones no lookup built."""
+    return [idx.records[e] or idx._record(e) for e in range(len(idx.entries))]
+
+
+def _built(idx):
+    """The records the index has built."""
+    return [data for data in idx.records if data is not None]
+
+
+def _code(idx, data, r):
+    """The code of the restricted marking `r`, a tuple over `data.indices`."""
+    return sum(x * idx.fields.units[i] for i, x in zip(data.indices, r))
+
+
+def _counts(fields, data, code):
+    """The tuple over `data.indices` that the restricted code holds."""
+    return tuple(code >> fields.bits * i & fields.limit for i in data.indices)
+
+
 def _first_exact_witness(idx, state, top):
     """Reference for `witness_at(state, mask)`: the first subset whose every
     place, tested one by one, has an exact count (below `top`) and which has
     a dead set there."""
-    for data in idx.entries:
+    for data in _records(idx):
         for i in data.indices:
             if state[i] >= top:
                 break
         else:
-            dead = idx.dead_set(data, tuple(state[i] for i in data.indices))
+            dead = idx.dead_set(data, _code(idx, data, data.take(state)))
             if dead:
                 return data, dead
     return None
@@ -1005,7 +1025,7 @@ def test_probe_lower_neighbour_skips_find_no_witness(monkeypatch):
         for s, many in expanded.get(idx, set()) - looked_up:
             fresh.at_memo.clear()
             fresh.floor.clear()
-            for data in fresh.entries:
+            for data in _built(fresh):
                 data.memo.clear()
                 data.clean.clear()
             assert witness_at(fresh, s, many) is None, (name, s, many)
@@ -1185,29 +1205,29 @@ def test_witness_at_mask_matches_exactness_loop():
     assert told_apart
 
 
-def _covered_outside_t_i(data, r):
+def _covered_outside_t_i(idx, data, r):
     """The first ground of the start rejection: some transition outside T_I
-    has its restricted pre-mset covered by `r`."""
-    return any(data.blockers >> ti & 1 and all(w <= r[k] for k, w in pre)
+    has its restricted pre-mset covered by `r`, a tuple over the subset."""
+    return any(data.blockers >> ti & 1 and mleq(_counts(idx.fields, data, pre), r)
                for ti, pre in enumerate(data.covers))
 
 
-def _all_covered(data, r):
+def _all_covered(idx, data, r):
     """The second ground of the start rejection: `r` covers every restricted
     pre-mset, so the subset holds no place with fewer tokens than some
     transition reads from it."""
-    return all(w <= r[k] for pre in data.covers for k, w in pre)
+    return all(mleq(_counts(idx.fields, data, pre), r) for pre in data.covers)
 
 
-def _rejected_at_start(data, r):
+def _rejected_at_start(idx, data, r):
     """Reference for the start rejection: on either ground `dead_set` fails
     at its first state."""
-    return _covered_outside_t_i(data, r) or _all_covered(data, r)
+    return _covered_outside_t_i(idx, data, r) or _all_covered(idx, data, r)
 
 
-def _rejected_by_poor_test_alone(data, r):
+def _rejected_by_poor_test_alone(idx, data, r):
     """The pairs that only the second ground rejects."""
-    return _all_covered(data, r) and not _covered_outside_t_i(data, r)
+    return _all_covered(idx, data, r) and not _covered_outside_t_i(idx, data, r)
 
 
 def _viable_reference(net, indices):
@@ -1227,31 +1247,54 @@ def _siphon_nets():
                 row, n_places=3 + k % 4, n_trans=1 + k % 5, seed=1_000 + k)
 
 
+def _indices(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _place_mask(entry, n):
+    """The plain place bitmask of an index entry, whose bit n-1-i is place i."""
+    return int(format(entry, f"0{n}b")[::-1], 2)
+
+
 def test_witness_index_enumerates_siphons(monkeypatch):
     """The index keeps exactly the nonempty siphons, in (size, indices)
-    order; they are the subsets the old per-subset test kept.  Only they
-    get a `_SubsetData`: bio_dense builds 440 of its 4 095 subsets."""
+    order; they are the subsets the old per-subset test kept (bio_dense:
+    440 of its 4 095 subsets).  A fresh index builds no `_SubsetData`; a
+    bio_dense decision builds each record at most once, and exactly for
+    the entries that a lookup explored."""
     weighted = 0
     for name, net in _siphon_nets():
         weighted += net.max_weight > 1
         n = len(net.places)
         subsets = [c for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
-        got = [data.indices for data in witness_index(net).entries]
+        got = [_indices(_place_mask(s, n)) for s in witness_index(net).entries]
         assert got == [s for s in subsets
                        if is_siphon(net, {net.places[i] for i in s})], name
         assert got == [s for s in subsets if _viable_reference(net, s)], name
     assert weighted
 
-    built = []
-    init = liveness._SubsetData.__init__
+    built, explored = [], set()
+    init, dead_set = liveness._SubsetData.__init__, liveness.WitnessIndex.dead_set
 
-    def counting_init(self, net, mask):
+    def counting_init(self, mask, *args):
         built.append(mask)
-        init(self, net, mask)
+        init(self, mask, *args)
+
+    def recorded(self, data, *args, **kwargs):
+        explored.add(sum(1 << i for i in data.indices))
+        return dead_set(self, data, *args, **kwargs)
 
     monkeypatch.setattr(liveness._SubsetData, "__init__", counting_init)
+    monkeypatch.setattr(liveness.WitnessIndex, "dead_set", recorded)
     net, _ = load_net("bio_dense")
-    assert len(witness_index(net).entries) == len(built) == 440
+    idx = witness_index(net)
+    assert len(idx.entries) == 440 and idx.records == [None] * 440 and not built
+    decide_slp(net)
+    assert idx is witness_index(net)
+    assert len(built) == len(set(built)) and set(built) == explored, len(built)
+    assert 0 < len(built) < 440
+    assert [data.indices for data in _built(idx)] == [
+        _indices(_place_mask(s, 12)) for s in idx.entries if _place_mask(s, 12) in explored]
 
 
 def test_decided_nets_are_freed_by_reference_counting():
@@ -1318,10 +1361,10 @@ def test_cache_keys_match_the_nets_docstring():
     assert set(net._analysis) | set(machine._analysis) == listed
 
 
-def _subset_data_reference(net, indices):
+def _subset_data_reference(net, indices, moving=0):
     """(blockers, covers, fire) of a `_SubsetData` by the dense build: each
     transition's count vectors restricted to `indices`, T_I by
-    `is_imo_msets`."""
+    `is_imo_msets`; the transitions of `moving` fire outside T_I too."""
     blockers, covers, fire = 0, [], []
     for ti, (pre, post) in enumerate(dense_arcs(net)):
         pre, post = _sub(pre, indices), _sub(post, indices)
@@ -1329,8 +1372,11 @@ def _subset_data_reference(net, indices):
         covers.append(support)
         if not is_imo_msets(pre, post):
             blockers |= 1 << ti
-        elif support:
-            fire.append((support, tuple(q - p for p, q in zip(pre, post))))
+            if not moving >> ti & 1:
+                continue
+        elif not support:
+            continue
+        fire.append((support, tuple(q - p for p, q in zip(pre, post))))
     return blockers, tuple(covers), tuple(fire)
 
 
@@ -1350,6 +1396,33 @@ def _general_nets():
         yield f"general/{k}", Net(f"g{k}", places, transitions, flow)
 
 
+def _packed_reference(fields, indices, reference):
+    """A `_subset_data_reference` triple with its restricted pre-msets and
+    deltas packed as the record packs them: (pre, delta) codes, a delta's
+    negative entries subtracting from the code."""
+    blockers, covers, fire = reference
+
+    def code(pairs):
+        return sum(w * fields.units[indices[k]] for k, w in pairs)
+
+    return blockers, tuple(map(code, covers)), tuple(
+        (code(support), code(enumerate(delta))) for support, delta in fire)
+
+
+def _every_subset_record(net, fields):
+    """`record(mask, fields=fields, moving=0)`: the record of any place
+    subset, siphon or not, its `blockers` read off one `_blocked` table
+    over all 2^|P| subsets."""
+    n = len(net.places)
+    has = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
+    blocked = liveness._blocked(nets._move_table(net).deltas, has, (1 << (1 << n)) - 1)
+
+    def record(mask, at=fields, moving=0):
+        blockers = sum(1 << ti for ti, bits in enumerate(blocked) if bits >> mask & 1)
+        return liveness._SubsetData(mask, blockers, at, moving)
+    return record
+
+
 def test_witness_index_build_matches_dense_reference(monkeypatch):
     """Every entry's `blockers`, `covers` and `fire`, built from the stored
     arc pairs and the move table's sparse deltas, are the dense build's, and
@@ -1361,15 +1434,19 @@ def test_witness_index_build_matches_dense_reference(monkeypatch):
     no dense vector."""
     entries = spawning = two_out = 0
     for name, net in itertools.chain(_siphon_nets(), _general_nets()):
-        for data in witness_index(net).entries:
+        idx = witness_index(net)
+        for data in _records(idx):
             entries += 1
-            assert (data.blockers, data.covers, data.fire) == \
-                _subset_data_reference(net, data.indices), (name, data.indices)
+            assert (data.blockers, data.covers, data.fire) == _packed_reference(
+                idx.fields, data.indices, _subset_data_reference(net, data.indices)), \
+                (name, data.indices)
         if len(net.places) > 8:
             continue
+        record = _every_subset_record(net, idx.fields)
         for mask in range(1, 1 << len(net.places)):
-            data = liveness._SubsetData(net, mask)
-            want = _subset_data_reference(net, data.indices)
+            data = record(mask)
+            want = _packed_reference(idx.fields, data.indices,
+                                     _subset_data_reference(net, data.indices))
             assert (data.blockers, data.covers, data.fire) == want, (name, data.indices)
             for ti, (pre, post) in enumerate(dense_arcs(net)):
                 pre, post = _sub(pre, data.indices), _sub(post, data.indices)
@@ -1389,7 +1466,7 @@ def test_witness_index_build_matches_dense_reference(monkeypatch):
         monkeypatch.setattr(module, "pre_mset", dense)
         monkeypatch.setattr(module, "post_mset", dense)
     net = load_net("bio_dense")[0]
-    assert len(liveness.WitnessIndex(net).entries) == 440
+    assert len(_records(liveness.WitnessIndex(net))) == 440
 
 
 def test_witness_index_entry_bitmasks():
@@ -1402,13 +1479,147 @@ def test_witness_index_entry_bitmasks():
         idx = witness_index(net)
         assert len(idx.contains) == len(net.places), name
         assert len(idx.blocked) == len(net.transitions), name
+        records = _records(idx)
         for i, bits in enumerate(idx.contains):
-            assert bits == sum(1 << e for e, data in enumerate(idx.entries)
+            assert bits == sum(1 << e for e, data in enumerate(records)
                                if i in data.indices), (name, i)
         for ti, bits in enumerate(idx.blocked):
-            assert bits == sum(1 << e for e, data in enumerate(idx.entries)
+            assert bits == sum(1 << e for e, data in enumerate(records)
                                if data.blockers >> ti & 1), (name, ti)
     assert "bio_dense" in names
+
+
+def test_siphon_masks_match_the_per_mask_test():
+    """The bit-sliced enumeration lists the masks that the per-mask siphon
+    test keeps, in (size, indices) order, on every net of `_siphon_nets()`
+    and `_general_nets()`, and on the nets without places or transitions."""
+    checked = 0
+    for name, net in itertools.chain(_siphon_nets(), _general_nets(), [
+            ("empty", Net("empty", [], [], {})), ("idle", Net("idle", ["p", "q"], [], {}))]):
+        n = len(net.places)
+        masks = nets.place_masks(net)
+        want = sorted((s for s in range(1, 1 << n) if _is_siphon_mask(masks, s)),
+                      key=lambda s: (bin(s).count("1"), _indices(s)))
+        assert [_place_mask(s, n) for s in _siphon_masks(net)] == want, name
+        checked += len(want)
+    assert checked > 1_000
+
+
+def _gain_lost(net, ti, indices):
+    """(gain, lost) of transition ti on the subset: the sum of its delta
+    there and of the tokens it takes from it."""
+    delta = [d for i, d in nets._move_table(net).deltas[ti] if i in indices]
+    return sum(delta), -sum(d for d in delta if d < 0)
+
+
+def test_blocked_matches_each_subsets_gain_and_lost():
+    """`_blocked` puts a subset in blocked[ti] exactly when transition ti's
+    delta on it has a nonzero gain or loses two tokens or more: on the
+    index's siphons of every net of `_siphon_nets()` and `_general_nets()`,
+    and on every subset of those of up to eight places.  Zero gains with
+    two tokens lost occur, and so do gains of one token lost."""
+    seen = Counter()
+    for name, net in itertools.chain(_siphon_nets(), _general_nets()):
+        idx = witness_index(net)
+        n = len(net.places)
+        cases = [(idx.blocked, [(e, _place_mask(s, n)) for e, s in enumerate(idx.entries)])]
+        if n <= 8:
+            has = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
+            every = liveness._blocked(nets._move_table(net).deltas, has, (1 << (1 << n)) - 1)
+            cases.append((every, [(s, s) for s in range(1 << n)]))
+        for blocked, subsets in cases:
+            for ti, bits in enumerate(blocked):
+                for e, s in subsets:
+                    gain, lost = _gain_lost(net, ti, _indices(s))
+                    assert bool(bits >> e & 1) == (gain != 0 or lost > 1), (name, ti, s)
+                    seen["zero gain, two lost" if not gain and lost > 1 else
+                         "gain, one lost" if gain and lost == 1 else "other"] += 1
+    assert seen["zero gain, two lost"] and seen["gain, one lost"], seen
+
+
+def _tuple_explore(fire, r, watch, fail, node_budget):
+    """`WitnessIndex._explore` on tuple restrictions, as it was before the
+    restricted markings were packed: `fire` lists (support, delta) pairs
+    and `watch` (transition, support) pairs, a support holding (subset
+    position, weight) pairs."""
+    uncovered = list(watch)
+    seen = {r}
+    queue = deque([r])
+    explored = 0
+    while queue:
+        m = queue.popleft()
+        explored += 1
+        if explored > node_budget:
+            raise nets.BudgetExceeded(explored)
+        rest = []
+        for item in uncovered:
+            if any(m[k] < w for k, w in item[1]):
+                rest.append(item)
+            elif fail >> item[0] & 1:
+                return None
+        uncovered = rest
+        if not uncovered:
+            return None
+        for pre, delta in fire:
+            if all(m[k] >= w for k, w in pre):
+                nm = tuple(map(operator.add, m, delta))
+                if nm not in seen:
+                    seen.add(nm)
+                    queue.append(nm)
+    return frozenset(ti for ti, _ in uncovered)
+
+
+def _outcome(explore):
+    """An exploration's answer, or ("budget", explored) when it runs out."""
+    try:
+        return explore()
+    except nets.BudgetExceeded as exc:
+        return "budget", exc.explored
+
+
+def test_packed_explore_matches_tuple_explore():
+    """The packed exploration gives the tuple exploration's answer, or runs
+    out after the same count, at node budgets 1 to 20, from the
+    restrictions of the markings around each arc weight: on the siphon
+    records of every net of `_siphon_nets()` and `_general_nets()`, as
+    `dead_set` runs it, and on every subset of the general nets with every
+    transition firing, as `check_witness` runs it, at fields sized from
+    the budget.  Run-outs, dead sets and None answers all occur."""
+    outcomes = Counter()
+
+    def compare(data, fields, ref, m, budget_cap=20):
+        blockers, covers, fire = ref
+        r = data.take(m)
+        code = fields.pack(m) & data.keep
+        for budget in range(1, budget_cap + 1):
+            got = _outcome(lambda: liveness.WitnessIndex._explore(
+                data, code, enumerate(data.covers), data.blockers, budget))
+            want = _outcome(lambda: _tuple_explore(fire, r, enumerate(covers), blockers, budget))
+            assert got == want, (data.indices, m, budget)
+            kind = "budget" if isinstance(got, tuple) else got is None
+            outcomes[kind] += 1
+            if kind != "budget":
+                break
+
+    for name, net in itertools.chain(_siphon_nets(), _general_nets()):
+        idx = witness_index(net)
+        markings = _boundary_markings(net)
+        for data in _records(idx):
+            ref = _subset_data_reference(net, data.indices)
+            for m in markings:
+                compare(data, idx.fields, ref, m)
+    table_nets = [net for _, net in _general_nets()]
+    for net in table_nets:
+        table = nets._move_table(net)
+        everything = (1 << len(net.transitions)) - 1
+        gain = max(sum(x for _, x in d if x > 0) for d in table.deltas)
+        record = _every_subset_record(net, None)
+        for m in _boundary_markings(net):
+            fields = liveness._Fields(table, net.max_weight + sum(m) + 20 * gain)
+            for mask in range(1, 1 << len(net.places)):
+                data = record(mask, fields, everything)
+                compare(data, fields, _subset_data_reference(net, data.indices, everything), m)
+    assert outcomes["budget"] and outcomes[True] and outcomes[False], outcomes
 
 
 def _boundary_markings(net):
@@ -1473,6 +1684,71 @@ def test_witness_at_matches_first_exact_witness_at_boundaries():
     assert found and none
 
 
+def _tuple_witness(net, idx, marking, node_budget):
+    """Reference for `witness_at(marking)`: the first of the index's records,
+    in order, that the start test keeps and on which the tuple exploration
+    finds a dead set, as (record, dead set), or None."""
+    for data in _records(idx):
+        r = data.take(marking)
+        if not _rejected_at_start(idx, data, r):
+            blockers, covers, fire = _subset_data_reference(net, data.indices)
+            dead = _tuple_explore(fire, r, enumerate(covers), blockers, node_budget)
+            if dead:
+                return data, dead
+    return None
+
+
+def _decoded(idx):
+    """The built records' memos and clean lists, restricted markings as tuples."""
+    return {data.indices: ({_counts(idx.fields, data, r): dead for r, dead in data.memo.items()},
+                           [_counts(idx.fields, data, r) for r in data.clean])
+            for data in _built(idx)}
+
+
+def test_wide_counts_widen_the_fields():
+    """A lookup whose token total passes the index's fields, one token past
+    their limit or 2^70 tokens on one place, re-packs the index at wider
+    fields, and `witness_at` and `find_witness` give the tuple reference's
+    answer there.  The memos and clean lists built before keep their
+    restricted markings, and small lookups made on the same index
+    afterwards, its `witness_at` memo and floor emptied, agree with the
+    reference too.  Compared wherever the reference finishes within 400
+    states a subset; witnesses and None answers both occur."""
+    seen = Counter()
+    for name, net in _all_row_nets():
+        if len(net.places) > 7:
+            continue
+        idx = witness_index(net)
+        small = _boundary_markings(net)
+        for m in small:
+            idx.witness_at(m)
+        before = _decoded(idx)
+        for k, m in enumerate(small):
+            i = k % len(net.places)
+            past = m[:i] + (m[i] + idx.fields.limit + 1 - sum(m),) + m[i + 1:]
+            for wide in (past, m[:i] + (2**70,) + m[i + 1:]):
+                limit = idx.fields.limit
+                want = _outcome(lambda: _tuple_witness(net, idx, wide, 400))
+                if isinstance(want, tuple) and want[0] == "budget":
+                    seen["skipped"] += 1
+                    continue
+                assert idx.witness_at(wide, node_budget=400) == want, (name, wide)
+                assert find_witness(net, wide) == (
+                    None if want is None else Witness.from_hit(net, want, wide)), (name, wide)
+                seen["found" if want else "none"] += 1
+                seen["widened"] += idx.fields.limit > limit
+        assert idx.fields.limit >= 2**70, name
+        after = _decoded(idx)
+        for indices, (memo, clean) in before.items():
+            assert memo.items() <= after[indices][0].items(), (name, indices)
+            assert after[indices][1][:len(clean)] == clean, (name, indices)
+        idx.at_memo.clear()
+        idx.floor.clear()
+        for m in small:
+            assert idx.witness_at(m) == _tuple_witness(net, idx, m, 1_000_000), (name, m)
+    assert seen["found"] and seen["none"] and seen["widened"] > 10, seen
+
+
 def test_witness_at_start_rejection():
     """`witness_at` runs `dead_set` on exactly the subsets, up to the one it
     returns, that the start test does not reject; a rejected pair has no
@@ -1483,22 +1759,23 @@ def test_witness_at_start_rejection():
         weighted += net.max_weight == 3
         idx = witness_index(net)
         for m in _boundary_markings(net):
-            for data in idx.entries:
+            for data in _built(idx):
                 data.memo.clear()
             idx.at_memo.clear()
             idx.floor.clear()
             got = idx.witness_at(m)
-            searched = (idx.entries if got is None else
-                        idx.entries[:idx.entries.index(got[0]) + 1])
-            assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
+            records = _records(idx)
+            searched = (records if got is None else records[:records.index(got[0]) + 1])
+            assert {(d.indices, _counts(idx.fields, d, r)) for d in records for r in d.memo} == {
                 (d.indices, _sub(m, d.indices)) for d in searched
-                if not _rejected_at_start(d, _sub(m, d.indices))}, (name, m)
-            for data in idx.entries:
+                if not _rejected_at_start(idx, d, _sub(m, d.indices))}, (name, m)
+            for data in records:
                 r = _sub(m, data.indices)
-                if _rejected_at_start(data, r):
+                if _rejected_at_start(idx, data, r):
                     rejected += 1
-                    poor_only += _rejected_by_poor_test_alone(data, r)
-                    assert idx.dead_set(data, r) is None, (name, m, data.indices)
+                    poor_only += _rejected_by_poor_test_alone(idx, data, r)
+                    assert idx.dead_set(data, _code(idx, data, r)) is None, \
+                        (name, m, data.indices)
             if len(net.places) <= 7:
                 assert got == _first_exact_witness(idx, m, float("inf")), (name, m)
     assert rejected and weighted and poor_only
@@ -1516,27 +1793,27 @@ def test_witness_at_start_rejection_with_inexact_places():
         if idx is None:
             continue
         top = idx.m
-        place_bits = [sum(1 << i for i in data.indices) for data in idx.entries]
+        place_bits = [_place_mask(s, len(net.places)) for s in idx.entries]
         for s in _probe_states(idx):
             mask = sum(1 << i for i, x in enumerate(s) if x >= top)
             masked += mask != 0
-            for data in idx.entries:
+            for data in _built(idx):
                 data.memo.clear()
             idx.at_memo.clear()
             idx.floor.clear()
             got = idx.witness_at(s, mask)
-            searched = (len(idx.entries) if got is None else
-                        idx.entries.index(got[0]) + 1)
-            assert {(d.indices, r) for d in idx.entries for r in d.memo} == {
+            records = _records(idx)
+            searched = len(records) if got is None else records.index(got[0]) + 1
+            assert {(d.indices, _counts(idx.fields, d, r)) for d in records for r in d.memo} == {
                 (d.indices, _sub(s, d.indices))
-                for d, bits in zip(idx.entries[:searched], place_bits)
-                if not bits & mask and not _rejected_at_start(d, _sub(s, d.indices))
+                for d, bits in zip(records[:searched], place_bits)
+                if not bits & mask and not _rejected_at_start(idx, d, _sub(s, d.indices))
             }, (name, s, mask)
-            for d, bits in zip(idx.entries[:searched], place_bits):
+            for d, bits in zip(records[:searched], place_bits):
                 r = _sub(s, d.indices)
-                if not bits & mask and _rejected_by_poor_test_alone(d, r):
+                if not bits & mask and _rejected_by_poor_test_alone(idx, d, r):
                     poor_only += 1
-                    assert idx.dead_set(d, r) is None, (name, s, d.indices)
+                    assert idx.dead_set(d, _code(idx, d, r)) is None, (name, s, d.indices)
     assert masked and poor_only
 
 
@@ -1557,23 +1834,24 @@ def test_dense_memo_holds_no_rejected_pair(monkeypatch):
     for m in [(1,) * 12, stored, *itertools.islice(itertools.product((0, 1), repeat=12), 32)]:
         is_nonlive(net, m, node_budget=2_000_000)
     idx = witness_index(net)
-    assert any(data.memo for data in idx.entries)
-    for data in idx.entries:
+    assert any(data.memo for data in _built(idx))
+    for data in _built(idx):
         for r in data.memo:
-            assert not _rejected_at_start(data, r), (data.indices, r)
+            r = _counts(idx.fields, data, r)
+            assert not _rejected_at_start(idx, data, r), (data.indices, r)
 
     def poor_only():
         for m, inexact in lookups:
-            for data in idx.entries:
+            for data in _records(idx):
                 r = _sub(m, data.indices)
                 if not any(inexact >> i & 1 for i in data.indices) and \
-                        _rejected_by_poor_test_alone(data, r):
+                        _rejected_by_poor_test_alone(idx, data, r):
                     yield data, r
 
     pairs = list(itertools.islice(poor_only(), 50))
     assert pairs
     for data, r in pairs:
-        assert idx.dead_set(data, r) is None, (data.indices, r)
+        assert idx.dead_set(data, _code(idx, data, r)) is None, (data.indices, r)
 
 
 def test_witness_at_memo_answers_repeated_lookups(monkeypatch):
@@ -1653,7 +1931,7 @@ def _emptied(idx):
     lists emptied."""
     idx.at_memo.clear()
     idx.floor.clear()
-    for data in idx.entries:
+    for data in _built(idx):
         data.memo.clear()
         data.clean.clear()
     return idx
@@ -1895,13 +2173,13 @@ def test_dead_set_matches_exhaustive_reference():
     for name, net in _start_nets():
         idx = witness_index(net)
         markings = _boundary_markings(net)
-        for data in idx.entries:
+        for data in _records(idx):
             reference = _dead_set_reference(net, data.indices)
             for r in sorted({_sub(m, data.indices) for m in markings}):
                 if sum(r) > 12:
                     continue
                 want = reference(r)
-                assert idx.dead_set(data, r) == want, (name, data.indices, r)
+                assert idx.dead_set(data, _code(idx, data, r)) == want, (name, data.indices, r)
                 dead += want is not None
                 settled += want is None
     assert dead and settled
@@ -1921,7 +2199,7 @@ def test_dead_set_answers_do_not_depend_on_lookup_order():
             weighted.add(name)
         markings = _boundary_markings(net)
         want = {}
-        for e, data in enumerate(witness_index(net).entries):
+        for e, data in enumerate(_records(witness_index(net))):
             reference = _dead_set_reference(net, data.indices)
             for r in {_sub(m, data.indices) for m in markings}:
                 if sum(r) <= 12:
@@ -1932,9 +2210,10 @@ def test_dead_set_answers_do_not_depend_on_lookup_order():
         for order in (ascending, ascending[::-1], shuffled):
             idx = liveness.WitnessIndex(net)
             for e, r in order:
-                data = idx.entries[e]
-                fresh, points = r not in data.memo, len(data.clean)
-                got = idx.dead_set(data, r)
+                data = idx.records[e] or idx._record(e)
+                code = _code(idx, data, r)
+                fresh, points = code not in data.memo, len(data.clean)
+                got = idx.dead_set(data, code)
                 assert got == want[e, r], (name, data.indices, r)
                 if fresh and got is None and len(data.clean) == points:
                     settled.add(name)
@@ -1975,8 +2254,8 @@ def test_dead_set_stops_once_every_transition_is_covered():
     state, so the answer is settled before a second state is visited."""
     net = _ring(6)
     idx = witness_index(net)
-    full = next(data for data in idx.entries if len(data.indices) == 6)
-    assert idx.dead_set(full, (5,) * 6, node_budget=1) is None
+    full = next(data for data in _records(idx) if len(data.indices) == 6)
+    assert idx.dead_set(full, _code(idx, full, (5,) * 6), node_budget=1) is None
 
 
 def test_node_budget_bounds_the_restricted_exploration():
